@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"heteromix/internal/experiments"
@@ -11,6 +14,42 @@ import (
 
 func testSuite() *experiments.Suite {
 	return experiments.NewSuite(experiments.SuiteOptions{NoiseSigma: 0.03, Seed: 1})
+}
+
+// TestGoldenPaperOutputs pins the paper commands' output byte for byte
+// against testdata/golden, captured from `heteromix <cmd>` at the
+// default noise and seed. Each command gets a fresh suite, as each CLI
+// invocation does. The files are reference data: a refactor that
+// changes them has changed the paper's results, so they are never
+// regenerated to make this test pass.
+func TestGoldenPaperOutputs(t *testing.T) {
+	for _, cmd := range []string{"fig4", "fig5", "fig6", "fig8", "fig10", "ablation"} {
+		t.Run(cmd, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", cmd+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(testSuite(), cmd, &got); err != nil {
+				t.Fatalf("%s: %v", cmd, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) || i < len(wl); i++ {
+					var g, w string
+					if i < len(gl) {
+						g = gl[i]
+					}
+					if i < len(wl) {
+						w = wl[i]
+					}
+					if g != w {
+						t.Fatalf("%s differs from golden at line %d:\n got %q\nwant %q", cmd, i+1, g, w)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestRunUnknownCommand(t *testing.T) {
