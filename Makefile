@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X heteromix/internal/buildinfo.Version=$(VERSION) \
            -X heteromix/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: all build vet test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
+.PHONY: all build vet perfbench-build test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
 
 all: ci
 
@@ -22,6 +22,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark module (perfbench/) builds against this tree through a
+# replace directive; building and vetting it here catches API breaks
+# before the benchmark run does.
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -81,20 +87,23 @@ stream-race:
 # runs the 10x10 space in ~1.6 ms; the old per-point path took ~106 ms).
 bench:
 	$(GO) test ./internal/cluster -run '^$$' \
-		-bench 'BenchmarkEnumerate10x10|BenchmarkEnumerateStreaming10x10|BenchmarkEnumerateParallel10x10' \
+		-bench 'BenchmarkEnumerate10x10|BenchmarkEnumerateStreaming10x10' \
 		-benchmem -benchtime=100x
 
 # The generic N-type enumeration paths on the tri-cluster space
 # (384,344 points): serial materialization, domination-pruned, streaming
-# frontier, and the production pruned+parallel+frontier path that must
+# frontier, and the production pruned+parallel-frontier path that must
 # stay ≥20× under the seed serial numbers (see README Performance).
 bench-generic:
 	$(GO) test ./internal/cluster -run '^$$' \
 		-bench 'BenchmarkEnumerateGroups(Serial|Pruned|Parallel|Frontier)' \
 		-benchmem -benchtime=3x
 
-# Throughput gate for the daemon's cached predict path (~0.8 µs and
-# 3 allocs/op warm vs ~34 µs cold; see README Performance).
+# Throughput gate for the daemon's cached predict path below the HTTP
+# handler (predictBytes: ~0.8 µs and 3 allocs/op warm vs ~34 µs cold;
+# see README Performance). The handler's warm-hit cost is
+# BenchmarkWarmPredictSteadyState (bench-fit) and the perfbench
+# server.handler_p50_us.predict_hit / server.allocs_per_predict_hit.
 bench-server:
 	$(GO) test ./internal/server -run '^$$' \
 		-bench 'BenchmarkServePredictCached|BenchmarkServePredictCold' \
@@ -155,4 +164,4 @@ bench-stream:
 		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer)' \
 		-benchmem -benchtime=3x
 
-ci: vet build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream
+ci: vet build perfbench-build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream

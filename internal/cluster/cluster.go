@@ -248,28 +248,16 @@ func (s Space) Evaluate(cfg Configuration, w float64) (Point, error) {
 // evaluating each configuration with Evaluate — bit-identical times and
 // splits, energies within a few ULPs.
 func (s Space) Enumerate(maxARM, maxAMD int, w float64) ([]Point, error) {
-	kt, err := s.enumKernels(maxARM, maxAMD, w)
+	t, err := s.compile(maxARM, maxAMD, w, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Point, 0, kt.size(maxARM, maxAMD))
-	kt.forEachPoint(maxARM, maxAMD, w, func(p Point) bool {
+	out := make([]Point, 0, t.twoTypeSize(maxARM, maxAMD))
+	t.forEachTwoType(maxARM, maxAMD, w, func(p Point) bool {
 		out = append(out, p)
 		return true
 	})
 	return out, nil
-}
-
-// enumKernels validates the space bounds and work volume, then builds the
-// kernel table — the shared preamble of every enumerator.
-func (s Space) enumKernels(maxARM, maxAMD int, w float64) (spaceKernels, error) {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return spaceKernels{}, fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
-	}
-	if err := validWork(w); err != nil {
-		return spaceKernels{}, err
-	}
-	return s.kernels(maxARM, maxAMD, nil, nil)
 }
 
 // SpaceSize returns the number of configurations Enumerate produces,
@@ -280,90 +268,35 @@ func (s Space) SpaceSize(maxARM, maxAMD int) int {
 	return maxARM*a*maxAMD*d + maxARM*a + maxAMD*d
 }
 
-// EnumerateFiltered evaluates the sub-space whose per-node configurations
-// pass the keep predicates (nil keeps everything). It supports ablations
-// that disable configuration dimensions — for example restricting both
-// types to their maximum frequency quantifies how much of the Pareto
-// frontier DVFS contributes versus node-count mixing.
-func (s Space) EnumerateFiltered(maxARM, maxAMD int, w float64, keepARM, keepAMD func(hwsim.Config) bool) ([]Point, error) {
-	var out []Point
-	err := s.EnumerateFilteredFunc(maxARM, maxAMD, w, keepARM, keepAMD, func(p Point) bool {
-		out = append(out, p)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EnumerateFilteredFunc streams the filtered sub-space to yield in
-// EnumerateFiltered's order without materializing it; yield returning
-// false stops the walk early. The per-node keep predicates are applied
-// once to the configuration lists, not once per point.
+// EnumerateFilteredFunc streams the sub-space whose per-node
+// configurations pass the keep predicates (nil keeps everything) to
+// yield in Enumerate's order, without materializing it; yield returning
+// false stops the walk early. It supports ablations that disable
+// configuration dimensions — for example restricting both types to their
+// maximum frequency quantifies how much of the Pareto frontier DVFS
+// contributes versus node-count mixing. The predicates are applied once
+// to the configuration lists, not once per point.
 func (s Space) EnumerateFilteredFunc(maxARM, maxAMD int, w float64, keepARM, keepAMD func(hwsim.Config) bool, yield func(Point) bool) error {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
-	}
-	if err := validWork(w); err != nil {
-		return err
-	}
-	filter := func(cfgs []hwsim.Config, keep func(hwsim.Config) bool) []hwsim.Config {
+	filter := func(spec hwsim.NodeSpec, keep func(hwsim.Config) bool) []hwsim.Config {
 		if keep == nil {
-			return cfgs
+			return nil // every configuration
 		}
-		out := make([]hwsim.Config, 0, len(cfgs))
-		for _, c := range cfgs {
+		all := hwsim.Configs(spec)
+		out := make([]hwsim.Config, 0, len(all)) // non-nil: a restriction, possibly to nothing
+		for _, c := range all {
 			if keep(c) {
 				out = append(out, c)
 			}
 		}
 		return out
 	}
-	var cfgARM, cfgAMD []hwsim.Config
-	if maxARM > 0 {
-		cfgARM = filter(hwsim.Configs(s.ARM.Spec), keepARM)
-	}
-	if maxAMD > 0 {
-		cfgAMD = filter(hwsim.Configs(s.AMD.Spec), keepAMD)
-	}
-	kt, err := s.kernels(maxARM, maxAMD, cfgARM, cfgAMD)
+	t, err := s.compile(maxARM, maxAMD, w, filter(s.ARM.Spec, keepARM), filter(s.AMD.Spec, keepAMD))
 	if err != nil {
 		return err
 	}
-	if kt.size(maxARM, maxAMD) == 0 {
+	if t.twoTypeSize(maxARM, maxAMD) == 0 {
 		return fmt.Errorf("cluster: filter removed every configuration")
 	}
-	kt.forEachPoint(maxARM, maxAMD, w, yield)
+	t.forEachTwoType(maxARM, maxAMD, w, yield)
 	return nil
-}
-
-// EnumerateMix evaluates all per-node settings for one fixed node-count
-// mix (nARM, nAMD), the inner loop of the Figure 6-9 analyses.
-func (s Space) EnumerateMix(nARM, nAMD int, w float64) ([]Point, error) {
-	if nARM < 0 || nAMD < 0 || nARM+nAMD == 0 {
-		return nil, fmt.Errorf("cluster: invalid mix %d:%d", nARM, nAMD)
-	}
-	if err := validWork(w); err != nil {
-		return nil, err
-	}
-	kt, err := s.kernels(nARM, nAMD, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	armK := []kernelEntry{{}}
-	if nARM > 0 {
-		armK = kt.arm
-	}
-	amdK := []kernelEntry{{}}
-	if nAMD > 0 {
-		amdK = kt.amd
-	}
-	out := make([]Point, 0, len(armK)*len(amdK))
-	for _, a := range armK {
-		for _, d := range amdK {
-			out = append(out, kt.point(nARM, nAMD, a, d, w))
-		}
-	}
-	return out, nil
 }

@@ -264,27 +264,6 @@ func TestEnumerateRejectsEmptySpace(t *testing.T) {
 	}
 }
 
-func TestEnumerateMix(t *testing.T) {
-	s := memcachedSpace(t)
-	pts, err := s.EnumerateMix(16, 14, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 20 * 18; len(pts) != want {
-		t.Errorf("mix enumeration has %d points, want %d", len(pts), want)
-	}
-	armOnly, err := s.EnumerateMix(128, 0, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(armOnly) != 20 {
-		t.Errorf("ARM-only mix has %d points, want 20", len(armOnly))
-	}
-	if _, err := s.EnumerateMix(0, 0, 50000); err == nil {
-		t.Error("empty mix should error")
-	}
-}
-
 // Figure 6's floor: 128 ARM nodes (100 Mbps each) cannot finish a 50k x
 // 1 KiB memcached job faster than ~30 ms, while mixes can.
 func TestMemcachedARMOnlyDeadlineFloor(t *testing.T) {

@@ -2,20 +2,23 @@ package cluster
 
 // Compiled-table dumps: the serialized form of the evaluation-kernel
 // layer, the payload internal/snapshot packs into its binary cold-start
-// format. A dump carries the *compiled* coefficients — every float as
-// its raw IEEE-754 bit pattern — so a restored table is bit-identical
-// to the one that was dumped: no model walk, no refit, no float
-// formatting round trip. Restoring therefore skips exactly the work a
-// cold start pays (the per-configuration model walk of NewTable /
-// NewGenericTable) and keeps the serving daemon's merge and cache
-// bit-identity guarantees intact across a reboot.
+// format. Both table kinds dump the same per-type form — a node bound, a
+// switch wattage and the compiled per-node coefficients, every float as
+// its raw IEEE-754 bit pattern — so a restored table is bit-identical to
+// the one that was dumped: no model walk, no refit, no float formatting
+// round trip. Restoring therefore skips exactly the work a cold start
+// pays (the per-configuration model walk of NewTable / NewGenericTable)
+// and keeps the serving daemon's merge and cache bit-identity guarantees
+// intact across a reboot.
 //
 // Dumps deliberately do not embed models or node specs: the consumer
 // validates provenance out of band (the snapshot format binds a dump to
 // a profile content hash and build identity) and supplies the Space for
-// the two-type restore itself. Restore constructors validate structure
-// (finite, positive time coefficients; sane counts) so a corrupted dump
-// yields an error, never a table that divides by zero mid-walk.
+// the two-type restore itself. Dumps also arrive from peers, so restore
+// treats them as untrusted input and validates structure (finite,
+// positive time coefficients; distinct configurations; node bounds
+// within the per-type cap) so a corrupted dump yields an error, never a
+// table that divides by zero or overflows mid-walk.
 
 import (
 	"fmt"
@@ -25,85 +28,130 @@ import (
 	"heteromix/internal/units"
 )
 
-// KernelEntryDump is one per-node configuration's compiled coefficients
-// in wire form. The float fields are IEEE-754 bit patterns
+// GenericConfigDump is one per-node configuration's compiled
+// coefficients in wire form. The float fields are IEEE-754 bit patterns
 // (math.Float64bits), so a dump/restore round trip is bit-exact.
-type KernelEntryDump struct {
+type GenericConfigDump struct {
 	Cores         int
 	FrequencyBits uint64 // hwsim.Config.Frequency (units.Hertz) bits
 	TimeBits      uint64 // seconds per work unit on one node
 	EnergyBits    uint64 // joules per work unit on one node
 }
 
-// TableDump is the compiled state of a two-type Table.
-type TableDump struct {
-	ARM, AMD []KernelEntryDump
-	// SwitchWBits is the per-switch wattage charged to ARM-side energy
-	// (bits of 0 under NoSwitchEnergy).
+// GenericTypeDump is one node type's compiled state. Node counts are not
+// stored: they follow from MaxNodes and the configuration list
+// (count-major), exactly as the walk derives them.
+type GenericTypeDump struct {
+	// MaxNodes is the type's node bound, in [0, 1<<20].
+	MaxNodes int
+	// SwitchWBits is the per-switch wattage bits (bits of 0 unless the
+	// type needs a dedicated switch).
 	SwitchWBits uint64
+	// Configs lists the type's per-node configurations in enumeration
+	// order; it is empty for a type with MaxNodes 0.
+	Configs []GenericConfigDump
 }
 
-// Dump exports the table's compiled coefficients.
-func (t *Table) Dump() TableDump {
-	return TableDump{
-		ARM:         dumpKernelEntries(t.kt.arm),
-		AMD:         dumpKernelEntries(t.kt.amd),
-		SwitchWBits: math.Float64bits(t.kt.switchW),
-	}
+// GenericTableDump is the compiled state of a GenericTable, or of a
+// two-type Table as its (ARM, AMD) types.
+type GenericTableDump struct {
+	Types []GenericTypeDump
 }
 
-func dumpKernelEntries(entries []kernelEntry) []KernelEntryDump {
-	out := make([]KernelEntryDump, len(entries))
-	for i, e := range entries {
-		out[i] = KernelEntryDump{
-			Cores:         e.cfg.Cores,
-			FrequencyBits: math.Float64bits(float64(e.cfg.Frequency)),
-			TimeBits:      math.Float64bits(e.k),
-			EnergyBits:    math.Float64bits(e.epu),
+// dump exports the kernel table's compiled coefficients.
+func (t *genericTable) dump() GenericTableDump {
+	d := GenericTableDump{Types: make([]GenericTypeDump, len(t.kern))}
+	for i, entries := range t.kern {
+		td := GenericTypeDump{
+			MaxNodes:    t.maxNodes[i],
+			SwitchWBits: math.Float64bits(t.switchW[i]),
+			Configs:     make([]GenericConfigDump, len(entries)),
 		}
+		for j, e := range entries {
+			td.Configs[j] = GenericConfigDump{
+				Cores:         e.cfg.Cores,
+				FrequencyBits: math.Float64bits(float64(e.cfg.Frequency)),
+				TimeBits:      math.Float64bits(e.k),
+				EnergyBits:    math.Float64bits(e.epu),
+			}
+		}
+		d.Types[i] = td
 	}
-	return out
+	return d
 }
 
-// validKernelDump rejects coefficients the evaluation arithmetic cannot
-// take: k is a divisor, so it must be positive and finite; epu and
-// cores must be non-negative.
-func validKernelDump(side string, i int, d KernelEntryDump) error {
+// validConfigDump rejects coefficients the evaluation arithmetic cannot
+// take: k is a divisor, so it must be positive and finite; epu must be
+// non-negative and finite; cores and frequency must be positive.
+func validConfigDump(i, j int, d GenericConfigDump) error {
 	k := math.Float64frombits(d.TimeBits)
 	if !(k > 0) || math.IsInf(k, 0) {
-		return fmt.Errorf("cluster: %s dump entry %d: time coefficient %v must be positive and finite", side, i, k)
+		return fmt.Errorf("cluster: dump type %d config %d: time coefficient %v must be positive and finite", i, j, k)
 	}
 	epu := math.Float64frombits(d.EnergyBits)
 	if math.IsNaN(epu) || math.IsInf(epu, 0) || epu < 0 {
-		return fmt.Errorf("cluster: %s dump entry %d: energy coefficient %v must be non-negative and finite", side, i, epu)
+		return fmt.Errorf("cluster: dump type %d config %d: energy coefficient %v must be non-negative and finite", i, j, epu)
 	}
 	if d.Cores < 1 {
-		return fmt.Errorf("cluster: %s dump entry %d: cores %d must be positive", side, i, d.Cores)
+		return fmt.Errorf("cluster: dump type %d config %d: cores %d must be positive", i, j, d.Cores)
 	}
 	f := math.Float64frombits(d.FrequencyBits)
 	if !(f > 0) || math.IsInf(f, 0) {
-		return fmt.Errorf("cluster: %s dump entry %d: frequency %v must be positive and finite", side, i, f)
+		return fmt.Errorf("cluster: dump type %d config %d: frequency %v must be positive and finite", i, j, f)
 	}
 	return nil
 }
 
-func restoreKernelEntries(side string, dumps []KernelEntryDump) ([]kernelEntry, error) {
-	if len(dumps) == 0 {
-		return nil, nil
+// restoreGenericTable rebuilds a kernel table from d, holding it to
+// newGenericTable's invariants.
+func restoreGenericTable(d GenericTableDump) (*genericTable, error) {
+	if len(d.Types) == 0 {
+		return nil, fmt.Errorf("cluster: dump has no node types")
 	}
-	out := make([]kernelEntry, len(dumps))
-	for i, d := range dumps {
-		if err := validKernelDump(side, i, d); err != nil {
+	t := &genericTable{
+		kern:     make([][]kernelEntry, len(d.Types)),
+		maxNodes: make([]int, len(d.Types)),
+		switchW:  make([]float64, len(d.Types)),
+	}
+	for i, td := range d.Types {
+		if err := validMaxNodes(i, td.MaxNodes); err != nil {
 			return nil, err
 		}
-		out[i] = kernelEntry{
-			cfg: hwsim.Config{Cores: d.Cores, Frequency: units.Hertz(math.Float64frombits(d.FrequencyBits))},
-			k:   math.Float64frombits(d.TimeBits),
-			epu: math.Float64frombits(d.EnergyBits),
+		if td.MaxNodes > 0 && len(td.Configs) == 0 {
+			return nil, fmt.Errorf("cluster: dump type %d has MaxNodes %d but no configurations", i, td.MaxNodes)
 		}
+		sw := math.Float64frombits(td.SwitchWBits)
+		if math.IsNaN(sw) || math.IsInf(sw, 0) || sw < 0 {
+			return nil, fmt.Errorf("cluster: dump type %d: switch wattage %v must be non-negative and finite", i, sw)
+		}
+		entries := make([]kernelEntry, len(td.Configs))
+		seen := make(map[hwsim.Config]bool, len(td.Configs))
+		for j, cd := range td.Configs {
+			if err := validConfigDump(i, j, cd); err != nil {
+				return nil, err
+			}
+			cfg := hwsim.Config{Cores: cd.Cores, Frequency: units.Hertz(math.Float64frombits(cd.FrequencyBits))}
+			if seen[cfg] {
+				return nil, fmt.Errorf("cluster: dump type %d config %d: duplicate configuration %v", i, j, cfg)
+			}
+			seen[cfg] = true
+			entries[j] = kernelEntry{
+				cfg: cfg,
+				k:   math.Float64frombits(cd.TimeBits),
+				epu: math.Float64frombits(cd.EnergyBits),
+			}
+		}
+		t.kern[i] = entries
+		t.maxNodes[i] = td.MaxNodes
+		t.switchW[i] = sw
 	}
-	return out, nil
+	t.index()
+	return t, nil
 }
+
+// Dump exports the table's compiled coefficients as its (ARM, AMD)
+// types.
+func (t *Table) Dump() GenericTableDump { return t.g.dump() }
 
 // NewTableFromDump rebuilds a compiled Table from d without any model
 // walk. The receiver Space supplies the metadata a Table exposes (specs
@@ -113,146 +161,29 @@ func restoreKernelEntries(side string, dumps []KernelEntryDump) ([]kernelEntry, 
 // bit-identically to the one Dump was called on. Callers are expected
 // to have verified out of band (profile hash, build identity) that d
 // was compiled from this Space.
-func (s Space) NewTableFromDump(d TableDump) (*Table, error) {
-	arm, err := restoreKernelEntries("ARM", d.ARM)
+func (s Space) NewTableFromDump(d GenericTableDump) (*Table, error) {
+	if len(d.Types) != 2 {
+		return nil, fmt.Errorf("cluster: two-type table dump has %d node types", len(d.Types))
+	}
+	g, err := restoreGenericTable(d)
 	if err != nil {
 		return nil, err
 	}
-	amd, err := restoreKernelEntries("AMD", d.AMD)
-	if err != nil {
-		return nil, err
-	}
-	switchW := math.Float64frombits(d.SwitchWBits)
-	if math.IsNaN(switchW) || math.IsInf(switchW, 0) || switchW < 0 {
-		return nil, fmt.Errorf("cluster: dump switch wattage %v must be non-negative and finite", switchW)
-	}
-	t := &Table{
-		space: s,
-		kt:    spaceKernels{arm: arm, amd: amd, switchW: switchW},
-		arm:   make(map[hwsim.Config]int, len(arm)),
-		amd:   make(map[hwsim.Config]int, len(amd)),
-	}
-	for i, e := range arm {
-		t.arm[e.cfg] = i
-	}
-	for i, e := range amd {
-		t.amd[e.cfg] = i
-	}
-	return t, nil
+	return newTable(s, g), nil
 }
 
-// GenericOptionDump is one (count, per-node configuration) choice in
-// wire form. Count 0 is the absent option and carries no kernel (its
-// remaining fields are zero).
-type GenericOptionDump struct {
-	Count         int
-	Cores         int
-	FrequencyBits uint64
-	TimeBits      uint64
-	EnergyBits    uint64
-}
-
-// GenericTypeDump is one node type's compiled options.
-type GenericTypeDump struct {
-	// SwitchWBits is the per-switch wattage bits (bits of 0 unless the
-	// type needs a dedicated switch).
-	SwitchWBits uint64
-	// Options lists the type's choices in enumeration order: the absent
-	// option first, then count-major (count, configuration) options.
-	Options []GenericOptionDump
-}
-
-// GenericTableDump is the compiled state of an N-type GenericTable.
-type GenericTableDump struct {
-	Types []GenericTypeDump
-}
-
-// Dump exports the generic table's compiled coefficients. Unlike the
-// two-type TableDump, a GenericTableDump is fully self-contained:
-// NewGenericTableFromDump needs no models or specs.
-func (g *GenericTable) Dump() GenericTableDump {
-	d := GenericTableDump{Types: make([]GenericTypeDump, len(g.t.opts))}
-	for i, opts := range g.t.opts {
-		td := GenericTypeDump{
-			SwitchWBits: math.Float64bits(g.t.switchW[i]),
-			Options:     make([]GenericOptionDump, len(opts)),
-		}
-		for j, o := range opts {
-			td.Options[j] = GenericOptionDump{
-				Count:         o.count,
-				Cores:         o.cfg.Cores,
-				FrequencyBits: math.Float64bits(float64(o.cfg.Frequency)),
-				TimeBits:      math.Float64bits(o.k),
-				EnergyBits:    math.Float64bits(o.epu),
-			}
-		}
-		d.Types[i] = td
-	}
-	return d
-}
+// Dump exports the generic table's compiled coefficients. A
+// GenericTableDump is self-contained: NewGenericTableFromDump needs no
+// models or specs.
+func (g *GenericTable) Dump() GenericTableDump { return g.t.dump() }
 
 // NewGenericTableFromDump rebuilds a compiled GenericTable from d
 // without any model walk; the restored table evaluates bit-identically
-// to the one Dump was called on. Structural validation mirrors
-// newGenericTable's invariants: every type's first option must be the
-// absent one, and every present option's time coefficient must be a
-// usable divisor.
+// to the one Dump was called on.
 func NewGenericTableFromDump(d GenericTableDump) (*GenericTable, error) {
-	if len(d.Types) == 0 {
-		return nil, fmt.Errorf("cluster: generic dump has no node types")
+	t, err := restoreGenericTable(d)
+	if err != nil {
+		return nil, err
 	}
-	t := &genericTable{
-		opts:    make([][]genOption, len(d.Types)),
-		switchW: make([]float64, len(d.Types)),
-		radix:   make([]uint64, len(d.Types)),
-		stride:  make([]uint64, len(d.Types)),
-	}
-	for i, td := range d.Types {
-		if len(td.Options) == 0 || td.Options[0].Count != 0 {
-			return nil, fmt.Errorf("cluster: generic dump type %d: first option must be the absent one", i)
-		}
-		sw := math.Float64frombits(td.SwitchWBits)
-		if math.IsNaN(sw) || math.IsInf(sw, 0) || sw < 0 {
-			return nil, fmt.Errorf("cluster: generic dump type %d: switch wattage %v must be non-negative and finite", i, sw)
-		}
-		opts := make([]genOption, len(td.Options))
-		for j, od := range td.Options {
-			if od.Count < 0 {
-				return nil, fmt.Errorf("cluster: generic dump type %d option %d: negative count %d", i, j, od.Count)
-			}
-			if od.Count == 0 {
-				if j != 0 {
-					return nil, fmt.Errorf("cluster: generic dump type %d option %d: absent option out of place", i, j)
-				}
-				continue
-			}
-			if err := validKernelDump(fmt.Sprintf("generic type %d", i), j, KernelEntryDump{
-				Cores:         od.Cores,
-				FrequencyBits: od.FrequencyBits,
-				TimeBits:      od.TimeBits,
-				EnergyBits:    od.EnergyBits,
-			}); err != nil {
-				return nil, err
-			}
-			opts[j] = genOption{
-				count: od.Count,
-				cfg:   hwsim.Config{Cores: od.Cores, Frequency: units.Hertz(math.Float64frombits(od.FrequencyBits))},
-				k:     math.Float64frombits(od.TimeBits),
-				epu:   math.Float64frombits(od.EnergyBits),
-			}
-		}
-		t.opts[i] = opts
-		t.switchW[i] = sw
-		t.radix[i] = uint64(len(opts))
-	}
-	prod := uint64(1)
-	for i := len(d.Types) - 1; i >= 0; i-- {
-		t.stride[i] = prod
-		prod = satMul(prod, t.radix[i])
-	}
-	t.size = prod
-	if t.size != math.MaxUint64 {
-		t.size-- // the all-absent vector is never yielded
-	}
-	return &GenericTable{t: t, types: len(d.Types)}, nil
+	return &GenericTable{t: t}, nil
 }

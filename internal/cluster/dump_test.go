@@ -139,6 +139,16 @@ func genericPointEqual(a, b GenericPoint) bool {
 	return true
 }
 
+// cloneDump deep-copies d so a case can corrupt it in place.
+func cloneDump(d GenericTableDump) GenericTableDump {
+	types := make([]GenericTypeDump, len(d.Types))
+	for i, td := range d.Types {
+		td.Configs = append([]GenericConfigDump(nil), td.Configs...)
+		types[i] = td
+	}
+	return GenericTableDump{Types: types}
+}
+
 // TestTableDumpRejectsCorruption: a bit-flipped or structurally bogus
 // dump must fail restore, never produce a table that divides by zero.
 func TestTableDumpRejectsCorruption(t *testing.T) {
@@ -147,25 +157,24 @@ func TestTableDumpRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := tbl.Dump()
+	arm, amd := 0, 1
 	cases := []struct {
 		name    string
-		mutate  func(d *TableDump)
+		mutate  func(d *GenericTableDump)
 		wantSub string
 	}{
-		{"zero time coefficient", func(d *TableDump) { d.ARM[0].TimeBits = 0 }, "time coefficient"},
-		{"NaN time coefficient", func(d *TableDump) { d.AMD[0].TimeBits = math.Float64bits(math.NaN()) }, "time coefficient"},
-		{"negative energy", func(d *TableDump) { d.ARM[1].EnergyBits = math.Float64bits(-1) }, "energy coefficient"},
-		{"inf energy", func(d *TableDump) { d.ARM[1].EnergyBits = math.Float64bits(math.Inf(1)) }, "energy coefficient"},
-		{"zero cores", func(d *TableDump) { d.ARM[0].Cores = 0 }, "cores"},
-		{"zero frequency", func(d *TableDump) { d.AMD[0].FrequencyBits = 0 }, "frequency"},
-		{"NaN switch wattage", func(d *TableDump) { d.SwitchWBits = math.Float64bits(math.NaN()) }, "switch wattage"},
+		{"zero time coefficient", func(d *GenericTableDump) { d.Types[arm].Configs[0].TimeBits = 0 }, "time coefficient"},
+		{"NaN time coefficient", func(d *GenericTableDump) { d.Types[amd].Configs[0].TimeBits = math.Float64bits(math.NaN()) }, "time coefficient"},
+		{"negative energy", func(d *GenericTableDump) { d.Types[arm].Configs[1].EnergyBits = math.Float64bits(-1) }, "energy coefficient"},
+		{"inf energy", func(d *GenericTableDump) { d.Types[arm].Configs[1].EnergyBits = math.Float64bits(math.Inf(1)) }, "energy coefficient"},
+		{"zero cores", func(d *GenericTableDump) { d.Types[arm].Configs[0].Cores = 0 }, "cores"},
+		{"zero frequency", func(d *GenericTableDump) { d.Types[amd].Configs[0].FrequencyBits = 0 }, "frequency"},
+		{"NaN switch wattage", func(d *GenericTableDump) { d.Types[arm].SwitchWBits = math.Float64bits(math.NaN()) }, "switch wattage"},
+		{"three types", func(d *GenericTableDump) { d.Types = append(d.Types, d.Types[amd]) }, "3 node types"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := base
-			d.ARM = append([]KernelEntryDump(nil), base.ARM...)
-			d.AMD = append([]KernelEntryDump(nil), base.AMD...)
+			d := cloneDump(tbl.Dump())
 			tc.mutate(&d)
 			if _, err := space.NewTableFromDump(d); err == nil {
 				t.Fatal("corrupted dump restored without error")
@@ -176,20 +185,15 @@ func TestTableDumpRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestGenericDumpRejectsCorruption covers the structural lies a peer's
+// dump can tell the per-type layout: node bounds outside
+// [0, maxTypeNodes] (a count near MaxInt would overflow the switch
+// arithmetic into negative energy), bounds with no configurations to
+// count over, and duplicate configurations.
 func TestGenericDumpRejectsCorruption(t *testing.T) {
 	g, err := NewGenericTable(triTypes(t, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	clone := func() GenericTableDump {
-		d := g.Dump()
-		types := make([]GenericTypeDump, len(d.Types))
-		for i, td := range d.Types {
-			td.Options = append([]GenericOptionDump(nil), td.Options...)
-			types[i] = td
-		}
-		d.Types = types
-		return d
 	}
 	cases := []struct {
 		name    string
@@ -197,15 +201,16 @@ func TestGenericDumpRejectsCorruption(t *testing.T) {
 		wantSub string
 	}{
 		{"no types", func(d *GenericTableDump) { d.Types = nil }, "no node types"},
-		{"missing absent option", func(d *GenericTableDump) { d.Types[0].Options = d.Types[0].Options[1:] }, "absent"},
-		{"absent out of place", func(d *GenericTableDump) { d.Types[1].Options[2].Count = 0 }, "absent"},
-		{"negative count", func(d *GenericTableDump) { d.Types[0].Options[1].Count = -3 }, "negative count"},
-		{"zero time coefficient", func(d *GenericTableDump) { d.Types[2].Options[1].TimeBits = 0 }, "time coefficient"},
+		{"negative count", func(d *GenericTableDump) { d.Types[0].MaxNodes = -3 }, "MaxNodes -3"},
+		{"oversized max nodes", func(d *GenericTableDump) { d.Types[1].MaxNodes = math.MaxInt }, "MaxNodes"},
+		{"max nodes without configs", func(d *GenericTableDump) { d.Types[2].Configs = nil }, "no configurations"},
+		{"duplicate config", func(d *GenericTableDump) { d.Types[1].Configs[2] = d.Types[1].Configs[0] }, "duplicate configuration"},
+		{"zero time coefficient", func(d *GenericTableDump) { d.Types[2].Configs[1].TimeBits = 0 }, "time coefficient"},
 		{"negative switch wattage", func(d *GenericTableDump) { d.Types[0].SwitchWBits = math.Float64bits(-2) }, "switch wattage"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := clone()
+			d := cloneDump(g.Dump())
 			tc.mutate(&d)
 			if _, err := NewGenericTableFromDump(d); err == nil {
 				t.Fatal("corrupted dump restored without error")
@@ -213,5 +218,11 @@ func TestGenericDumpRejectsCorruption(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+	// The cap itself is a valid bound.
+	d := cloneDump(g.Dump())
+	d.Types[0].MaxNodes = maxTypeNodes
+	if _, err := NewGenericTableFromDump(d); err != nil {
+		t.Fatalf("MaxNodes = maxTypeNodes rejected: %v", err)
 	}
 }

@@ -10,50 +10,6 @@ import (
 	"heteromix/internal/pareto"
 )
 
-// --- EnumerateParallel ---
-
-func TestEnumerateParallelMatchesSerial(t *testing.T) {
-	s := epSpace(t)
-	serial, err := s.Enumerate(3, 3, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 4, 32} {
-		par, err := s.EnumerateParallel(3, 3, 50e6, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(par), len(serial))
-		}
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: point %d differs:\n par %+v\n ser %+v",
-					workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
-func TestEnumerateParallelRejectsEmptySpace(t *testing.T) {
-	s := epSpace(t)
-	if _, err := s.EnumerateParallel(0, 0, 1e6, 4); err == nil {
-		t.Error("empty space should error")
-	}
-	if _, err := s.EnumerateParallel(-1, 2, 1e6, 4); err == nil {
-		t.Error("negative bound should error")
-	}
-}
-
-func TestEnumerateParallelPropagatesErrors(t *testing.T) {
-	s := epSpace(t)
-	bad := s
-	bad.ARM.Profile.Node = "someone-else" // fails model validation in every ARM group
-	if _, err := bad.EnumerateParallel(2, 2, 1e6, 4); err == nil {
-		t.Error("worker errors should propagate")
-	}
-}
-
 // --- Pruning ---
 
 func TestPrunedNodeConfigsSubsetAndNonEmpty(t *testing.T) {
@@ -319,20 +275,6 @@ func TestSplitFractionsErrors(t *testing.T) {
 	}
 	if _, err := SplitEqualGroups.Fractions([]Group{{Nodes: 0}}); err == nil {
 		t.Error("no-group equal should error")
-	}
-}
-
-func BenchmarkEnumerateParallel10x10(b *testing.B) {
-	s := epSpace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := s.EnumerateParallel(10, 10, 50e6, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != 36380 {
-			b.Fatalf("space size %d", len(pts))
-		}
 	}
 }
 

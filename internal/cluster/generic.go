@@ -16,17 +16,16 @@ import (
 // "determine[s] a generic mix of heterogeneous nodes" (§II-A). Evaluate
 // already accepts arbitrary group lists; what follows adds enumeration
 // over N-type count/configuration cartesian products, at feature parity
-// with the optimized two-type path: precomputed kernels
-// (generic_kernel.go), streaming (EnumerateGroupsFunc), per-type
-// domination pruning (PruneGroupTypes), parallel evaluation
-// (EnumerateGroupsParallel) and online Pareto frontiers
-// (GenericFrontierOf / GenericFrontierOfParallel).
+// on the one evaluation kernel the two-type Space also runs on
+// (kernel.go): streaming (EnumerateGroupsFunc), per-type domination
+// pruning (PruneGroupTypes), online Pareto frontiers (GenericFrontierOf,
+// GenericTable.FrontierParallel) and sharded walks (shard_walk.go).
 
 // GroupType describes one node type available to a generic cluster.
 type GroupType struct {
 	// Model is the workload's fitted model on this node type.
 	Model model.NodeModel
-	// MaxNodes bounds the enumeration for this type.
+	// MaxNodes bounds the enumeration for this type, at most 1<<20.
 	MaxNodes int
 	// NeedsSwitch marks types whose nodes hang off dedicated switches.
 	NeedsSwitch bool
@@ -136,14 +135,13 @@ func (p GenericPoint) Summary(names []string) GenericPointSummary {
 // with all per-node configurations of the used types. The space grows
 // as the product of MaxNodes × per-type configurations over all types —
 // callers should pre-prune with PruneGroupTypes, stream aggregates with
-// EnumerateGroupsFunc/GenericFrontierOf, or fan out with
-// EnumerateGroupsParallel.
+// EnumerateGroupsFunc/GenericFrontierOf, or fan a frontier out with
+// GenericTable.FrontierParallel.
 //
-// Like the two-type enumerators, the generic path runs on precomputed
-// evaluation kernels: each type's per-unit coefficients are derived
-// once, each point pays only the matching-split arithmetic, and the
-// output's Counts/Configs/Work slices are carved from three flat
-// backing arrays instead of being allocated per point.
+// The walk runs on precomputed evaluation kernels: each type's per-unit
+// coefficients are derived once, each point pays only the matching-split
+// arithmetic, and the output's Counts/Configs/Work slices are carved
+// from three flat backing arrays instead of being allocated per point.
 func EnumerateGroups(types []GroupType, w float64) ([]GenericPoint, error) {
 	g, err := NewGenericTable(types)
 	if err != nil {
@@ -165,22 +163,6 @@ func EnumerateGroupsFunc(types []GroupType, w float64, yield func(GenericPoint) 
 	return g.ForEach(w, yield)
 }
 
-// EnumerateGroupsParallel evaluates the same space as EnumerateGroups,
-// fanned out over a pool of worker goroutines with the dynamic
-// atomic-cursor chunking of the two-type EnumerateParallel: workers
-// claim fixed-size index chunks off a shared cursor (subdividing the
-// outermost type's option runs, so no static block imbalance), write
-// results by index for a merge that is deterministic and bit-identical
-// to the serial order, and the first error cancels the rest at their
-// next chunk boundary. workers <= 0 selects GOMAXPROCS.
-func EnumerateGroupsParallel(types []GroupType, w float64, workers int) ([]GenericPoint, error) {
-	g, err := NewGenericTable(types)
-	if err != nil {
-		return nil, err
-	}
-	return g.EnumerateParallel(w, workers)
-}
-
 // GenericFrontierOf enumerates the generic space and returns only its
 // Pareto-optimal points, maintained online as the enumeration streams:
 // the space is never materialized and only retained points are copied
@@ -194,26 +176,6 @@ func GenericFrontierOf(types []GroupType, w float64) ([]GenericPoint, []pareto.T
 		return nil, nil, err
 	}
 	return g.Frontier(w)
-}
-
-// genericFrontierChunk is the per-claim index run of the parallel
-// frontier: large enough to amortize the per-chunk cursor and frontier,
-// small enough that the dynamic scheduler balances uneven chunks.
-const genericFrontierChunk = 8192
-
-// GenericFrontierOfParallel is GenericFrontierOf fanned out over a
-// worker pool: each claimed chunk maintains its own online frontier
-// over scratch buffers, and the chunk frontiers are merged in
-// enumeration order, so the result is identical to the serial path
-// (including first-offered-wins among exact duplicates). The space is
-// never materialized — at most the per-chunk frontiers live at once.
-// workers <= 0 selects GOMAXPROCS.
-func GenericFrontierOfParallel(types []GroupType, w float64, workers int) ([]GenericPoint, []pareto.TE, error) {
-	g, err := NewGenericTable(types)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g.FrontierParallel(w, workers)
 }
 
 // PruneGroupTypes returns a copy of types with each used type's

@@ -67,7 +67,11 @@ func BenchmarkEnumerateGroupsParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, tes, err := GenericFrontierOfParallel(pruned, 50e6, 0)
+		g, err := NewGenericTable(pruned)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, tes, err := g.FrontierParallel(50e6, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // GenericTable is the exported, reusable form of the generic N-type
-// evaluation-kernel layer (generic_kernel.go), the analogue of Table for
+// evaluation-kernel layer (kernel.go), the analogue of Table for
 // arbitrary type lists. It is compiled once per cluster spec — the type
 // list alone — and is deliberately independent of every per-request
 // parameter: the work volume enters only the per-point arithmetic, so
@@ -20,40 +20,45 @@ import (
 // once and amortize the model walk across requests. A GenericTable is
 // immutable after construction and safe for concurrent use.
 type GenericTable struct {
-	t     *genericTable
-	types int
+	t *genericTable
 }
 
-// NewGenericTable validates types and precompiles every (count,
-// per-node configuration) option's kernel coefficients. Respect any
-// Configs restriction already on the types (e.g. from PruneGroupTypes);
-// pruned and unpruned type lists compile to distinct tables.
+// NewGenericTable validates types and precompiles every per-node
+// configuration's kernel coefficients. Respect any Configs restriction
+// already on the types (e.g. from PruneGroupTypes); pruned and unpruned
+// type lists compile to distinct tables.
 func NewGenericTable(types []GroupType) (*GenericTable, error) {
 	t, err := newGenericTable(types)
 	if err != nil {
 		return nil, err
 	}
-	return &GenericTable{t: t, types: len(types)}, nil
+	return &GenericTable{t: t}, nil
 }
 
 // Types returns how many node types the table was compiled over.
-func (g *GenericTable) Types() int { return g.types }
+func (g *GenericTable) Types() int { return len(g.t.kern) }
 
 // Size returns the number of points the table's space holds (saturated
 // at math.MaxUint64 for astronomically large bounds).
 func (g *GenericTable) Size() uint64 { return g.t.size }
 
 // SizeBytes estimates the table's resident size for cache accounting:
-// the option arrays dominate (one entry per (count, configuration)
-// choice per type); headers and per-type scalars are counted once.
+// the per-type kernel entries dominate; headers and per-type scalars are
+// counted once. It does not grow with the node bounds.
 func (g *GenericTable) SizeBytes() int {
-	const optSize = int(unsafe.Sizeof(genOption{}))
-	const sliceHeader = int(unsafe.Sizeof([]genOption(nil)))
-	n := int(unsafe.Sizeof(GenericTable{})) + int(unsafe.Sizeof(genericTable{}))
-	for _, opts := range g.t.opts {
-		n += sliceHeader + len(opts)*optSize
+	return int(unsafe.Sizeof(GenericTable{})) + g.t.sizeBytes()
+}
+
+// sizeBytes is the kernel table's share of SizeBytes.
+func (t *genericTable) sizeBytes() int {
+	const entrySize = int(unsafe.Sizeof(kernelEntry{}))
+	const sliceHeader = int(unsafe.Sizeof([]kernelEntry(nil)))
+	// Per type: maxNodes, switchW, full and stride.
+	const perType = 8 + 8 + int(unsafe.Sizeof(digitRange{})) + 8
+	n := int(unsafe.Sizeof(genericTable{}))
+	for _, entries := range t.kern {
+		n += sliceHeader + len(entries)*entrySize + perType
 	}
-	n += len(g.t.switchW)*8 + len(g.t.radix)*8 + len(g.t.stride)*8
 	return n
 }
 
@@ -77,7 +82,7 @@ func (g *GenericTable) ForEach(w float64, yield func(GenericPoint) bool) error {
 	if err := g.check(w); err != nil {
 		return err
 	}
-	g.t.forEach(g.t.newCursor(), w, yield)
+	g.t.forEach(w, yield)
 	return nil
 }
 
@@ -93,43 +98,11 @@ func (g *GenericTable) Enumerate(w float64) ([]GenericPoint, error) {
 		return nil, err
 	}
 	out := make([]GenericPoint, 0, n)
-	bk := newGenBacking(n, g.types)
-	g.t.forEach(g.t.newCursor(), w, func(p GenericPoint) bool {
+	bk := newGenBacking(n, g.Types())
+	g.t.forEach(w, func(p GenericPoint) bool {
 		out = append(out, bk.copy(p))
 		return true
 	})
-	return out, nil
-}
-
-// EnumerateParallel is Enumerate fanned out over a worker pool with the
-// dynamic atomic-cursor chunking of EnumerateGroupsParallel; results are
-// written by index, so the merge is deterministic and bit-identical to
-// the serial order. workers <= 0 selects GOMAXPROCS.
-func (g *GenericTable) EnumerateParallel(w float64, workers int) ([]GenericPoint, error) {
-	if err := g.check(w); err != nil {
-		return nil, err
-	}
-	n, err := g.t.intSize()
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]GenericPoint, n)
-	err = parallelFor(n, workers, parallelChunk, func(lo, hi int) error {
-		c := g.t.newCursor()
-		bk := newGenBacking(hi-lo, g.types)
-		for i := lo; i < hi; i++ {
-			// Point indices are 1-based: index 0 is the all-absent vector.
-			g.t.at(c, uint64(i)+1, w)
-			out[i] = bk.copy(c.p)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -142,7 +115,7 @@ func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) 
 	}
 	tr := pareto.Tracked[GenericPoint]{Clone: GenericPoint.Clone}
 	var insErr error
-	g.t.forEach(g.t.newCursor(), w, func(p GenericPoint) bool {
+	g.t.forEach(w, func(p GenericPoint) bool {
 		_, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p)
 		if err != nil {
 			insErr = err
@@ -156,6 +129,11 @@ func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) 
 	pts, tes := tr.Frontier()
 	return pts, tes, nil
 }
+
+// genericFrontierChunk is the per-claim index run of the parallel
+// frontier: large enough to amortize the per-chunk cursor and frontier,
+// small enough that the dynamic scheduler balances uneven chunks.
+const genericFrontierChunk = 8192
 
 // FrontierParallel is Frontier fanned out over a worker pool: each
 // claimed chunk maintains its own online frontier over scratch buffers
@@ -182,12 +160,17 @@ func (g *GenericTable) FrontierParallel(w float64, workers int) ([]GenericPoint,
 		// the chunk's slot in the ordered merge below.
 		tr := &locals[lo/genericFrontierChunk]
 		tr.Clone = GenericPoint.Clone
+		// Point indices are 1-based (index 0 is the all-absent vector); the
+		// chunk's indices are consecutive, so one seek and then odometer
+		// steps visit them.
 		c := g.t.newCursor()
+		c.seek(uint64(lo) + 1)
 		for i := lo; i < hi; i++ {
-			g.t.at(c, uint64(i)+1, w)
+			c.eval(w)
 			if _, err := tr.Insert(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}, c.p); err != nil {
 				return err
 			}
+			c.next()
 		}
 		return nil
 	})

@@ -58,30 +58,30 @@ func TestGenericTableReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGenericTableParallelMatchesSerial checks the table's own parallel
-// paths against its serial ones (the wrapped enumerators are pinned
-// elsewhere; this exercises the methods directly off one shared table).
+// TestGenericTableParallelMatchesSerial checks the table's parallel
+// frontier against its serial one off one shared table, across work
+// sizes (the wrapped enumerators are pinned elsewhere).
 func TestGenericTableParallelMatchesSerial(t *testing.T) {
 	g, err := NewGenericTable(triTypes(t, 2, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const w = 5e4
-	serial, err := g.Enumerate(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := g.EnumerateParallel(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(par) {
-		t.Fatalf("%d serial vs %d parallel points", len(serial), len(par))
-	}
-	for i := range serial {
-		if serial[i].Time != par[i].Time || serial[i].Energy != par[i].Energy {
-			t.Fatalf("point %d differs: (%v,%v) vs (%v,%v)",
-				i, serial[i].Time, serial[i].Energy, par[i].Time, par[i].Energy)
+	for _, w := range []float64{5e4, 5e7} {
+		serialPts, serialTEs, err := g.Frontier(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, tes, err := g.FrontierParallel(w, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tes) != len(serialTEs) {
+			t.Fatalf("w=%v: %d serial vs %d parallel frontier points", w, len(serialTEs), len(tes))
+		}
+		for i := range tes {
+			if tes[i] != serialTEs[i] || !genericPointEqual(pts[i], serialPts[i]) {
+				t.Fatalf("w=%v: frontier point %d differs: %+v vs %+v", w, i, pts[i], serialPts[i])
+			}
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestGenericTableErrors(t *testing.T) {
 }
 
 // TestSizeBytesAccounting sanity-checks the cache-accounting estimates:
-// positive, and monotone in the option count.
+// positive, and monotone in the compiled configuration count.
 func TestSizeBytesAccounting(t *testing.T) {
 	small, err := NewGenericTable(triTypes(t, 1, 0, 1))
 	if err != nil {
@@ -124,7 +124,7 @@ func TestSizeBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if small.SizeBytes() <= 0 || big.SizeBytes() <= small.SizeBytes() {
-		t.Errorf("generic SizeBytes should be positive and grow with bounds: %d vs %d",
+		t.Errorf("generic SizeBytes should be positive and grow with compiled types: %d vs %d",
 			small.SizeBytes(), big.SizeBytes())
 	}
 	tab, err := epSpace(t).NewTable()

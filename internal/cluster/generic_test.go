@@ -95,37 +95,51 @@ func TestGenericSpaceSizeAndEnumeration(t *testing.T) {
 	}
 }
 
+// TestGenericTwoTypeMatchesSpace: the two-type space is the N=2 generic
+// space in a different order. Every configuration the generic walk
+// yields must carry exactly the bits the two-type enumeration gives it —
+// time, energy and ARM work share — with and without switch energy.
 func TestGenericTwoTypeMatchesSpace(t *testing.T) {
-	// With the A15 absent, the generic enumeration reproduces the
-	// two-type Space results point for point (as sets).
-	s := epSpace(t)
-	types := []GroupType{
-		{Model: s.ARM, MaxNodes: 2, NeedsSwitch: true},
-		{Model: s.AMD, MaxNodes: 2},
-	}
-	generic, err := EnumerateGroups(types, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoType, err := s.Enumerate(2, 2, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(generic) != len(twoType) {
-		t.Fatalf("sizes differ: generic %d, two-type %d", len(generic), len(twoType))
-	}
-	// Compare as multisets of (time, energy).
-	type te struct{ t, e float64 }
-	count := map[te]int{}
-	for _, p := range twoType {
-		count[te{float64(p.Time), float64(p.Energy)}]++
-	}
-	for _, p := range generic {
-		key := te{float64(p.Time), float64(p.Energy)}
-		if count[key] == 0 {
-			t.Fatalf("generic point (%v, %v) missing from two-type space", p.Time, p.Energy)
+	for _, noSwitch := range []bool{false, true} {
+		s := epSpace(t)
+		s.NoSwitchEnergy = noSwitch
+		types := []GroupType{
+			{Model: s.ARM, MaxNodes: 3, NeedsSwitch: !noSwitch},
+			{Model: s.AMD, MaxNodes: 3},
 		}
-		count[key]--
+		generic, err := EnumerateGroups(types, 50e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoType, err := s.Enumerate(3, 3, 50e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(generic) != len(twoType) {
+			t.Fatalf("noSwitch=%t: sizes differ: generic %d, two-type %d", noSwitch, len(generic), len(twoType))
+		}
+		byConfig := make(map[Configuration]Point, len(twoType))
+		for _, p := range twoType {
+			byConfig[p.Config] = p
+		}
+		for _, g := range generic {
+			cfg := Configuration{
+				ARM: TypeConfig{Nodes: g.Counts[0], Config: g.Configs[0]},
+				AMD: TypeConfig{Nodes: g.Counts[1], Config: g.Configs[1]},
+			}
+			p, ok := byConfig[cfg]
+			if !ok {
+				t.Fatalf("noSwitch=%t: generic configuration %v missing from the two-type space", noSwitch, cfg)
+			}
+			delete(byConfig, cfg)
+			share := g.Work[0] / (g.Work[0] + g.Work[1])
+			if math.Float64bits(float64(g.Time)) != math.Float64bits(float64(p.Time)) ||
+				math.Float64bits(float64(g.Energy)) != math.Float64bits(float64(p.Energy)) ||
+				math.Float64bits(share) != math.Float64bits(p.WorkARM) {
+				t.Fatalf("noSwitch=%t: %v: generic (%v, %v, %v) != two-type (%v, %v, %v)",
+					noSwitch, cfg, g.Time, g.Energy, share, p.Time, p.Energy, p.WorkARM)
+			}
+		}
 	}
 }
 
@@ -215,8 +229,12 @@ func TestEnumerateGroupsRefusesHugeSpaces(t *testing.T) {
 	if _, err := EnumerateGroups(types, 50e6); err == nil {
 		t.Error("materializing a >2^31-point space should error")
 	}
-	if _, err := EnumerateGroupsParallel(types, 50e6, 2); err == nil {
-		t.Error("parallel materialization of a >2^31-point space should error")
+	g, err := NewGenericTable(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.FrontierParallel(50e6, 2); err == nil {
+		t.Error("the index-addressed parallel frontier over a >2^31-point space should error")
 	}
 }
 
@@ -260,23 +278,29 @@ func TestGenericStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// The parallel chunk-merged frontier equals the serial streamed one,
+// TEs and payloads, for every worker count.
 func TestGenericParallelMatchesSerial(t *testing.T) {
 	types := triTypes(t, 3, 2, 3)
-	serial, err := EnumerateGroups(types, 50e6)
+	serialPts, serialTEs, err := GenericFrontierOf(types, 50e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenericTable(types)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		par, err := EnumerateGroupsParallel(types, 50e6, workers)
+		pts, tes, err := g.FrontierParallel(50e6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(par), len(serial))
+		if len(tes) != len(serialTEs) {
+			t.Fatalf("workers=%d: %d frontier points, want %d", workers, len(tes), len(serialTEs))
 		}
-		for i := range par {
-			if !genericPointsEqual(par[i], serial[i]) {
-				t.Fatalf("workers=%d: point %d = %+v, want %+v", workers, i, par[i], serial[i])
+		for i := range tes {
+			if tes[i] != serialTEs[i] || !genericPointsEqual(pts[i], serialPts[i]) {
+				t.Fatalf("workers=%d: frontier point %d = %+v, want %+v", workers, i, pts[i], serialPts[i])
 			}
 		}
 	}
@@ -311,8 +335,12 @@ func TestGenericFrontierMatchesMaterialized(t *testing.T) {
 			t.Fatalf("frontier payload %d = %+v, want %+v", i, fpts[ftes[i].Index], pts[want[i].Index])
 		}
 	}
+	g, err := NewGenericTable(types)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
-		ppts, ptes, err := GenericFrontierOfParallel(types, 50e6, workers)
+		ppts, ptes, err := g.FrontierParallel(50e6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

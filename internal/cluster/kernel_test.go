@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -18,10 +20,57 @@ func relClose(a, b, tol float64) bool {
 	return d <= tol*m
 }
 
-// Property: kernel-table enumeration matches the direct Evaluate path
-// point for point — times, splits and configurations exactly, energies
-// within accumulated rounding (the kernel computes n*E(1) where Evaluate
-// computes n*E(w/n)/..., identical up to a few ULPs).
+// directCase is one seeded case of the differential test; String names
+// everything needed to reproduce a failure.
+type directCase struct {
+	workload       string
+	seed           int64
+	maxARM, maxAMD int
+	noSwitch       bool
+	w              float64
+}
+
+func (c directCase) String() string {
+	return fmt.Sprintf("%s seed=%d bounds=%dx%d noSwitch=%t w=%v",
+		c.workload, c.seed, c.maxARM, c.maxAMD, c.noSwitch, c.w)
+}
+
+// nestedOrder generates Enumerate's configuration order independently
+// of the kernel, with plain nested loops: the heterogeneous mixes (ARM
+// count, ARM config, AMD count, AMD config), then ARM-only, then
+// AMD-only.
+func nestedOrder(s Space, maxARM, maxAMD int) []Configuration {
+	arm, amd := hwsim.Configs(s.ARM.Spec), hwsim.Configs(s.AMD.Spec)
+	var out []Configuration
+	for na := 1; na <= maxARM; na++ {
+		for _, a := range arm {
+			for nd := 1; nd <= maxAMD; nd++ {
+				for _, d := range amd {
+					out = append(out, Configuration{ARM: TypeConfig{Nodes: na, Config: a}, AMD: TypeConfig{Nodes: nd, Config: d}})
+				}
+			}
+		}
+	}
+	for na := 1; na <= maxARM; na++ {
+		for _, a := range arm {
+			out = append(out, Configuration{ARM: TypeConfig{Nodes: na, Config: a}})
+		}
+	}
+	for nd := 1; nd <= maxAMD; nd++ {
+		for _, d := range amd {
+			out = append(out, Configuration{AMD: TypeConfig{Nodes: nd, Config: d}})
+		}
+	}
+	return out
+}
+
+// TestEnumerateMatchesDirectEvaluate is the differential test of the
+// kernel against the direct Evaluate path, over seeded random bounds up
+// to the paper's 10x10, both workloads and both switch conventions.
+// Enumerate must yield exactly nestedOrder's configuration sequence, each
+// point with the direct path's time and ARM share bit for bit and its
+// energy within accumulated rounding (the kernel computes n*E(1) where
+// Evaluate computes n*E(w/n)/..., identical up to a few ULPs).
 func TestEnumerateMatchesDirectEvaluate(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -31,42 +80,48 @@ func TestEnumerateMatchesDirectEvaluate(t *testing.T) {
 		{"memcached", memcachedSpace(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.space
-			f := func(a, d uint8, wRaw uint16) bool {
-				maxARM := int(a) % 4
-				maxAMD := int(d) % 4
-				if maxARM+maxAMD == 0 {
-					maxARM = 1
-				}
-				w := 1e4 + float64(wRaw)*1e3
-				pts, err := s.Enumerate(maxARM, maxAMD, w)
-				if err != nil {
-					t.Logf("enumerate: %v", err)
-					return false
-				}
-				if len(pts) != s.SpaceSize(maxARM, maxAMD) {
-					return false
-				}
-				for _, p := range pts {
-					ev, err := s.Evaluate(p.Config, w)
-					if err != nil {
-						t.Logf("evaluate %v: %v", p.Config, err)
-						return false
+			var cases []directCase
+			for _, noSwitch := range []bool{false, true} {
+				// The full paper space once, then seeded random bounds.
+				cases = append(cases, directCase{workload: tc.name, maxARM: 10, maxAMD: 10, noSwitch: noSwitch, w: 5e4})
+				for seed := int64(1); seed <= 3; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					c := directCase{workload: tc.name, seed: seed, noSwitch: noSwitch,
+						maxARM: rng.Intn(11), maxAMD: rng.Intn(11), w: 1e4 + rng.Float64()*1e8}
+					if c.maxARM+c.maxAMD == 0 {
+						c.maxARM = 1
 					}
-					if p.Time != ev.Time || p.WorkARM != ev.WorkARM {
-						t.Logf("%v: time %v vs %v, share %v vs %v",
-							p.Config, p.Time, ev.Time, p.WorkARM, ev.WorkARM)
-						return false
+					cases = append(cases, c)
+				}
+			}
+			for _, c := range cases {
+				s := tc.space
+				s.NoSwitchEnergy = c.noSwitch
+				pts, err := s.Enumerate(c.maxARM, c.maxAMD, c.w)
+				if err != nil {
+					t.Fatalf("%v: enumerate: %v", c, err)
+				}
+				want := nestedOrder(s, c.maxARM, c.maxAMD)
+				if len(pts) != len(want) {
+					t.Fatalf("%v: enumerated %d points, nested loops give %d", c, len(pts), len(want))
+				}
+				for i, p := range pts {
+					if p.Config != want[i] {
+						t.Fatalf("%v: point %d is %v, want %v", c, i, p.Config, want[i])
+					}
+					ev, err := s.Evaluate(p.Config, c.w)
+					if err != nil {
+						t.Fatalf("%v: evaluate %v: %v", c, p.Config, err)
+					}
+					if math.Float64bits(float64(p.Time)) != math.Float64bits(float64(ev.Time)) ||
+						math.Float64bits(p.WorkARM) != math.Float64bits(ev.WorkARM) {
+						t.Fatalf("%v: %v: time %v vs %v, share %v vs %v",
+							c, p.Config, p.Time, ev.Time, p.WorkARM, ev.WorkARM)
 					}
 					if !relClose(float64(p.Energy), float64(ev.Energy), 1e-12) {
-						t.Logf("%v: energy %v vs %v", p.Config, p.Energy, ev.Energy)
-						return false
+						t.Fatalf("%v: %v: energy %v vs %v", c, p.Config, p.Energy, ev.Energy)
 					}
 				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-				t.Error(err)
 			}
 		})
 	}
@@ -166,14 +221,22 @@ func TestFrontierOfMatchesBatchFrontier(t *testing.T) {
 	}
 }
 
-// EnumerateFilteredFunc streams exactly EnumerateFiltered's sequence.
+// EnumerateFilteredFunc streams exactly the full enumeration with the
+// filtered-out configurations removed: same order, same bits.
 func TestEnumerateFilteredFuncMatchesFiltered(t *testing.T) {
 	s := epSpace(t)
 	keepARM := func(c hwsim.Config) bool { return c.Cores >= 2 }
 	keepAMD := func(c hwsim.Config) bool { return c.Frequency >= 1.7 }
-	want, err := s.EnumerateFiltered(3, 3, 50e6, keepARM, keepAMD)
+	full, err := s.Enumerate(3, 3, 50e6)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var want []Point
+	for _, p := range full {
+		if (p.Config.ARM.Nodes == 0 || keepARM(p.Config.ARM.Config)) &&
+			(p.Config.AMD.Nodes == 0 || keepAMD(p.Config.AMD.Config)) {
+			want = append(want, p)
+		}
 	}
 	var got []Point
 	if err := s.EnumerateFilteredFunc(3, 3, 50e6, keepARM, keepAMD, func(p Point) bool {
@@ -182,26 +245,12 @@ func TestEnumerateFilteredFuncMatchesFiltered(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d filtered points, want %d", len(got), len(want))
+	if len(got) != len(want) || len(want) == 0 || len(want) == len(full) {
+		t.Fatalf("streamed %d filtered points, want %d of %d", len(got), len(want), len(full))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("filtered point %d differs", i)
-		}
-	}
-	// Filtered points are a subset of the full space, bit for bit.
-	full, err := s.Enumerate(3, 3, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inFull := make(map[Point]bool, len(full))
-	for _, p := range full {
-		inFull[p] = true
-	}
-	for _, p := range got {
-		if !inFull[p] {
-			t.Fatalf("filtered point %+v not in full space", p)
+			t.Fatalf("filtered point %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 	none := func(hwsim.Config) bool { return false }
@@ -262,20 +311,6 @@ func BenchmarkEnumerateStreaming10x10(b *testing.B) {
 		}
 		if len(tes) == 0 {
 			b.Fatal("empty frontier")
-		}
-	}
-}
-
-func BenchmarkEnumerateParallel20x20(b *testing.B) {
-	s := epSpace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := s.EnumerateParallel(20, 20, 50e6, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != s.SpaceSize(20, 20) {
-			b.Fatalf("space size %d", len(pts))
 		}
 	}
 }

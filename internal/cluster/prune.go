@@ -90,8 +90,8 @@ func (ps PruneStats) Reduction() float64 {
 // domination-pruned per-node configurations. Its Pareto frontier equals
 // the full space's (see the file comment), at a fraction of the cost.
 func (s Space) EnumeratePruned(maxARM, maxAMD int, w float64) ([]Point, PruneStats, error) {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return nil, PruneStats{}, fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
+	if err := validBounds(maxARM, maxAMD); err != nil {
+		return nil, PruneStats{}, err
 	}
 	armCfgs, err := PrunedNodeConfigs(s.ARM)
 	if err != nil {
@@ -101,25 +101,21 @@ func (s Space) EnumeratePruned(maxARM, maxAMD int, w float64) ([]Point, PruneSta
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
-	stats := PruneStats{
-		ARMConfigs: len(armCfgs),
-		AMDConfigs: len(amdCfgs),
-		FullSpace:  s.SpaceSize(maxARM, maxAMD),
-		PrunedSpace: maxARM*len(armCfgs)*maxAMD*len(amdCfgs) +
-			maxARM*len(armCfgs) + maxAMD*len(amdCfgs),
-	}
-	if err := validWork(w); err != nil {
-		return nil, PruneStats{}, err
-	}
 	// The kernel entries for the surviving configurations carry the same
 	// coefficients as the full table's, so pruned points are bit-identical
 	// to their counterparts in Enumerate's output.
-	kt, err := s.kernels(maxARM, maxAMD, armCfgs, amdCfgs)
+	t, err := s.compile(maxARM, maxAMD, w, armCfgs, amdCfgs)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
+	stats := PruneStats{
+		ARMConfigs:  len(armCfgs),
+		AMDConfigs:  len(amdCfgs),
+		FullSpace:   s.SpaceSize(maxARM, maxAMD),
+		PrunedSpace: t.twoTypeSize(maxARM, maxAMD),
+	}
 	out := make([]Point, 0, stats.PrunedSpace)
-	kt.forEachPoint(maxARM, maxAMD, w, func(p Point) bool {
+	t.forEachTwoType(maxARM, maxAMD, w, func(p Point) bool {
 		out = append(out, p)
 		return true
 	})

@@ -7,8 +7,8 @@ package cluster
 // positions j ≡ i (mod n), a deterministic, coordination-free, exact
 // partition whose cardinalities differ by at most one — and, because
 // the permutation shuffles uniformly, whose *work* is balanced even
-// when the enumeration order has structure (the two-type walk, for
-// instance, puts all mixed configurations before the homogeneous ones).
+// when the enumeration order has structure (consecutive indices share
+// their slower types' node counts).
 //
 // Determinism across the permuted walk order rests on one rule: every
 // point carries its index in the *serial* enumeration order, partial
@@ -56,8 +56,9 @@ func (g *GenericTable) ForEachShard(w float64, sh shard.Shard, yield func(p Gene
 		idx := perm.Apply(j)
 		// Serial index idx maps to mixed-radix vector idx+1: vector 0 is
 		// the all-absent one, so every vector in [1, size] is a real point
-		// and at cannot report absent here.
-		g.t.at(c, idx+1, w)
+		// and eval cannot report absent here.
+		c.seek(idx + 1)
+		c.eval(w)
 		if !yield(c.p, idx) {
 			return nil
 		}
@@ -110,7 +111,7 @@ func EnumerateGroupsShard(types []GroupType, w float64, sh shard.Shard) ([]Gener
 	n := int(sh.SliceSize(g.t.size))
 	out := make([]GenericPoint, 0, n)
 	idxs := make([]uint64, 0, n)
-	bk := newGenBacking(n, g.types)
+	bk := newGenBacking(n, g.Types())
 	err = g.ForEachShard(w, sh, func(p GenericPoint, idx uint64) bool {
 		out = append(out, bk.copy(p))
 		idxs = append(idxs, idx)
@@ -120,52 +121,6 @@ func EnumerateGroupsShard(types []GroupType, w float64, sh shard.Shard) ([]Gener
 		return nil, nil, err
 	}
 	return out, idxs, nil
-}
-
-// ForEachShard is the two-type equivalent: shard sh's slice of the
-// bounded (maxARM, maxAMD) space, yielded with serial indices in
-// Enumerate's order.
-func (t *Table) ForEachShard(maxARM, maxAMD int, w float64, sh shard.Shard, yield func(p Point, index uint64) bool) error {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
-	}
-	if err := validWork(w); err != nil {
-		return err
-	}
-	if err := sh.Validate(); err != nil {
-		return err
-	}
-	size := uint64(t.kt.size(maxARM, maxAMD))
-	perm := shard.NewPermutation(size, shard.DefaultSeed)
-	for j := uint64(sh.Index); j < size; j += uint64(sh.Count) {
-		idx := perm.Apply(j)
-		if !yield(t.kt.pointAt(int(idx), maxARM, maxAMD, w), idx) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// FrontierShard is the two-type partial frontier with serial indices,
-// duplicate-resolved toward the smallest index like the generic form.
-func (t *Table) FrontierShard(maxARM, maxAMD int, w float64, sh shard.Shard) (ShardFrontier[Point], error) {
-	var tr pareto.TrackedIndexed[Point] // Points are values: no Clone needed
-	var insErr error
-	err := t.ForEachShard(maxARM, maxAMD, w, sh, func(p Point, idx uint64) bool {
-		if _, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, idx, p); err != nil {
-			insErr = err
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = insErr
-	}
-	if err != nil {
-		return ShardFrontier[Point]{}, err
-	}
-	pts, tes, idxs := tr.Frontier()
-	return ShardFrontier[Point]{Points: pts, TEs: tes, Indices: idxs}, nil
 }
 
 // MergeShardFrontiers merges partial frontiers into the frontier of the

@@ -110,40 +110,6 @@ func TestShardedEnumerationPartitionsSpace(t *testing.T) {
 	}
 }
 
-// TestTwoTypeShardedFrontierBitIdentical: the two-type walkers satisfy
-// the same merge identity against Table.Frontier.
-func TestTwoTypeShardedFrontierBitIdentical(t *testing.T) {
-	const w = 50e6
-	const maxARM, maxAMD = 3, 3
-	tb, err := epSpace(t).NewTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPts, wantTEs, err := tb.Frontier(maxARM, maxAMD, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range shardSpecs {
-		parts := make([]ShardFrontier[Point], n)
-		for i := 0; i < n; i++ {
-			parts[i], err = tb.FrontierShard(maxARM, maxAMD, w, shard.Shard{Index: i, Count: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged, err := MergeShardFrontiers(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(merged.TEs, wantTEs) {
-			t.Fatalf("n=%d: merged TEs differ from Table.Frontier\n got %v\nwant %v", n, merged.TEs, wantTEs)
-		}
-		if !reflect.DeepEqual(merged.Points, wantPts) {
-			t.Fatalf("n=%d: merged payloads differ from Table.Frontier", n)
-		}
-	}
-}
-
 // TestShardWalkValidation: malformed shard specs and invalid work are
 // rejected by every sharded entry point, and early stop from yield is
 // not an error.
@@ -176,19 +142,6 @@ func TestShardWalkValidation(t *testing.T) {
 	})
 	if err != nil || steps != 3 {
 		t.Fatalf("early stop: err=%v steps=%d", err, steps)
-	}
-
-	tb, err := epSpace(t).NewTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range bad {
-		if err := tb.ForEachShard(2, 2, w, sh, func(Point, uint64) bool { return true }); err == nil {
-			t.Fatalf("two-type ForEachShard accepted %+v", sh)
-		}
-	}
-	if err := tb.ForEachShard(0, 0, w, shard.Shard{Index: 0, Count: 1}, func(Point, uint64) bool { return true }); err == nil {
-		t.Fatal("two-type ForEachShard accepted an empty space")
 	}
 
 	if _, err := MergeShardFrontiers([]ShardFrontier[int]{{Points: []int{1}, TEs: nil, Indices: []uint64{0}}}); err == nil {

@@ -14,11 +14,11 @@ import (
 // Enumerate's order, without materializing the point slice. Returning
 // false from yield stops the enumeration early (not an error).
 func (s Space) EnumerateFunc(maxARM, maxAMD int, w float64, yield func(Point) bool) error {
-	kt, err := s.enumKernels(maxARM, maxAMD, w)
+	t, err := s.compile(maxARM, maxAMD, w, nil, nil)
 	if err != nil {
 		return err
 	}
-	kt.forEachPoint(maxARM, maxAMD, w, yield)
+	t.forEachTwoType(maxARM, maxAMD, w, yield)
 	return nil
 }
 

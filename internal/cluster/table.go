@@ -8,18 +8,104 @@ import (
 	"heteromix/internal/pareto"
 )
 
-// Table is the exported, reusable form of the evaluation-kernel layer
-// (kernel.go): both models validated and their per-configuration
-// coefficients precomputed once, then shared across any number of
-// evaluations, enumerations and frontier queries. Enumerate* rebuilds
-// the table on every call, which is right for one-shot experiment
-// drivers; a long-lived consumer — the serving daemon memoizes one Table
-// per (workload, switch-accounting) pair — builds it once and amortizes
-// the model walk across queries. A Table is immutable after construction
-// and safe for concurrent use.
+// This file is the two-type view of the evaluation kernel (kernel.go): a
+// Space is the N=2 case of the generic space, ARM as type 0 and AMD as
+// type 1, and every two-type enumerator walks the generic table. Only the
+// order differs. Space.Enumerate's order — the heterogeneous mixes (ARM
+// count, ARM config, AMD count, AMD config), then the ARM-only family,
+// then the AMD-only family — is the generic odometer run over three
+// boxes of digit ranges instead of the full one. Each configuration
+// carries the same bits either way (TestGenericTwoTypeMatchesSpace).
+
+// groupTypes is the space as generic types: ARM first, so its digit is
+// the slowest. nil configuration lists select every configuration.
+func (s Space) groupTypes(maxARM, maxAMD int, cfgARM, cfgAMD []hwsim.Config) []GroupType {
+	return []GroupType{
+		{Model: s.ARM, MaxNodes: maxARM, NeedsSwitch: !s.NoSwitchEnergy, Configs: cfgARM},
+		{Model: s.AMD, MaxNodes: maxAMD, Configs: cfgAMD},
+	}
+}
+
+// compile validates the space bounds and work volume, then builds the
+// kernel table — the shared preamble of every Space enumerator. A zero
+// bound leaves that side's model untouched, as Evaluate does for groups
+// with zero nodes.
+func (s Space) compile(maxARM, maxAMD int, w float64, cfgARM, cfgAMD []hwsim.Config) (*genericTable, error) {
+	if err := validBounds(maxARM, maxAMD); err != nil {
+		return nil, err
+	}
+	if err := validWork(w); err != nil {
+		return nil, err
+	}
+	return newGenericTable(s.groupTypes(maxARM, maxAMD, cfgARM, cfgAMD))
+}
+
+func validBounds(maxARM, maxAMD int) error {
+	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
+		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
+	}
+	return nil
+}
+
+// twoTypeSize returns how many points forEachTwoType yields for the
+// bounds.
+func (t *genericTable) twoTypeSize(maxARM, maxAMD int) int {
+	a, d := maxARM*len(t.kern[0]), maxAMD*len(t.kern[1])
+	return a*d + a + d
+}
+
+// forEachTwoType streams the bounded two-type space in Enumerate's order
+// without materializing anything; yield returning false stops it early.
+// The bounds are per call, independent of the table's MaxNodes.
+func (t *genericTable) forEachTwoType(maxARM, maxAMD int, w float64, yield func(Point) bool) {
+	a, d := maxARM*len(t.kern[0]), maxAMD*len(t.kern[1])
+	boxes := [3][2]digitRange{
+		{{1, a}, {1, d}}, // heterogeneous mixes
+		{{1, a}, {0, 0}}, // ARM only
+		{{0, 0}, {1, d}}, // AMD only
+	}
+	c := t.newCursor()
+	for b := range boxes {
+		// Every box has a present type, so eval never reports absent.
+		for ok := c.start(boxes[b][:]); ok; ok = c.next() {
+			c.eval(w)
+			if !yield(twoTypePoint(&c.p)) {
+				return
+			}
+		}
+	}
+}
+
+// twoTypePoint is the (ARM, AMD) point p as a Point. Absent types carry
+// zero counts, configurations and work, so no case split is needed.
+func twoTypePoint(p *GenericPoint) Point {
+	workARM := 0.0
+	if tot := p.Work[0] + p.Work[1]; tot > 0 {
+		workARM = p.Work[0] / tot
+	}
+	return Point{
+		Config: Configuration{
+			ARM: TypeConfig{Nodes: p.Counts[0], Config: p.Configs[0]},
+			AMD: TypeConfig{Nodes: p.Counts[1], Config: p.Configs[1]},
+		},
+		Time:    p.Time,
+		Energy:  p.Energy,
+		WorkARM: workARM,
+	}
+}
+
+// Table is the exported, reusable form of the two-type kernel view: both
+// models validated and their per-configuration coefficients precomputed
+// once, then shared across any number of evaluations, enumerations and
+// frontier queries. Enumerate* rebuilds the kernel on every call, which
+// is right for one-shot experiment drivers; a long-lived consumer — the
+// serving daemon memoizes one Table per (workload, switch-accounting)
+// pair — builds it once and amortizes the model walk across queries. The
+// node bounds are per call, so a Table's size does not depend on them. A
+// Table is immutable after construction and safe for concurrent use.
 type Table struct {
 	space    Space
-	kt       spaceKernels
+	g        *genericTable // (ARM, AMD) entries, compiled at one node per type
 	arm, amd map[hwsim.Config]int
 }
 
@@ -28,23 +114,23 @@ type Table struct {
 // validated — a Table exists to answer arbitrary later queries, either
 // side of which may be populated.
 func (s Space) NewTable() (*Table, error) {
-	kt, err := s.kernels(1, 1, nil, nil)
+	g, err := newGenericTable(s.groupTypes(1, 1, nil, nil))
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		space: s,
-		kt:    kt,
-		arm:   make(map[hwsim.Config]int, len(kt.arm)),
-		amd:   make(map[hwsim.Config]int, len(kt.amd)),
+	return newTable(s, g), nil
+}
+
+// newTable indexes g's entries by configuration for Evaluate.
+func newTable(s Space, g *genericTable) *Table {
+	index := func(entries []kernelEntry) map[hwsim.Config]int {
+		m := make(map[hwsim.Config]int, len(entries))
+		for i, e := range entries {
+			m[e.cfg] = i
+		}
+		return m
 	}
-	for i, e := range kt.arm {
-		t.arm[e.cfg] = i
-	}
-	for i, e := range kt.amd {
-		t.amd[e.cfg] = i
-	}
-	return t, nil
+	return &Table{space: s, g: g, arm: index(g.kern[0]), amd: index(g.kern[1])}
 }
 
 // Space returns the space the table was built from.
@@ -65,53 +151,52 @@ func (t *Table) Evaluate(cfg Configuration, w float64) (Point, error) {
 	if cfg.ARM.Nodes+cfg.AMD.Nodes == 0 {
 		return Point{}, fmt.Errorf("cluster: no nodes in any group")
 	}
-	var a, d kernelEntry
-	if cfg.ARM.Nodes > 0 {
-		i, ok := t.arm[cfg.ARM.Config]
-		if !ok {
+	count := [2]int{cfg.ARM.Nodes, cfg.AMD.Nodes}
+	var pick [2]int
+	var ok bool
+	if count[0] > 0 {
+		if pick[0], ok = t.arm[cfg.ARM.Config]; !ok {
 			return Point{}, fmt.Errorf("cluster: %v is not a configuration of %s",
 				cfg.ARM.Config, t.space.ARM.Spec.Name)
 		}
-		a = t.kt.arm[i]
 	}
-	if cfg.AMD.Nodes > 0 {
-		i, ok := t.amd[cfg.AMD.Config]
-		if !ok {
+	if count[1] > 0 {
+		if pick[1], ok = t.amd[cfg.AMD.Config]; !ok {
 			return Point{}, fmt.Errorf("cluster: %v is not a configuration of %s",
 				cfg.AMD.Config, t.space.AMD.Spec.Name)
 		}
-		d = t.kt.amd[i]
 	}
-	return t.kt.point(cfg.ARM.Nodes, cfg.AMD.Nodes, a, d, w), nil
+	var counts [2]int
+	var cfgs [2]hwsim.Config
+	var work [2]float64
+	p := GenericPoint{Counts: counts[:], Configs: cfgs[:], Work: work[:]}
+	t.g.eval(count[:], pick[:], w, &p)
+	return twoTypePoint(&p), nil
 }
 
 // Size returns how many points ForEach yields for the bounds.
-func (t *Table) Size(maxARM, maxAMD int) int { return t.kt.size(maxARM, maxAMD) }
+func (t *Table) Size(maxARM, maxAMD int) int { return t.g.twoTypeSize(maxARM, maxAMD) }
 
 // SizeBytes estimates the table's resident size for cache accounting:
-// the kernel-entry arrays and the config-index maps (counted at a flat
+// the kernel table and the config-index maps (counted at a flat
 // per-entry overhead), plus the struct itself.
 func (t *Table) SizeBytes() int {
-	const entrySize = int(unsafe.Sizeof(kernelEntry{}))
 	// A map entry costs roughly its key+value plus bucket overhead.
 	const mapEntry = int(unsafe.Sizeof(hwsim.Config{})) + 8 + 16
-	n := int(unsafe.Sizeof(Table{}))
-	n += (len(t.kt.arm) + len(t.kt.amd)) * entrySize
-	n += (len(t.arm) + len(t.amd)) * mapEntry
-	return n
+	return int(unsafe.Sizeof(Table{})) + t.g.sizeBytes() + (len(t.arm)+len(t.amd))*mapEntry
 }
 
 // ForEach streams every point of the bounded space to yield in
 // Enumerate's order; yield returning false stops the walk early (not an
 // error).
 func (t *Table) ForEach(maxARM, maxAMD int, w float64, yield func(Point) bool) error {
-	if maxARM < 0 || maxAMD < 0 || maxARM+maxAMD == 0 {
-		return fmt.Errorf("cluster: invalid space %dx%d", maxARM, maxAMD)
+	if err := validBounds(maxARM, maxAMD); err != nil {
+		return err
 	}
 	if err := validWork(w); err != nil {
 		return err
 	}
-	t.kt.forEachPoint(maxARM, maxAMD, w, yield)
+	t.g.forEachTwoType(maxARM, maxAMD, w, yield)
 	return nil
 }
 

@@ -169,3 +169,50 @@ func TestPointSummaryFlattens(t *testing.T) {
 		t.Errorf("AMD settings leaked into an ARM-only summary: %+v", got)
 	}
 }
+
+// TestTableAllocsAndSize pins the Table's resource contract: Evaluate
+// allocates nothing (its doc has always promised as much), each walk
+// allocates at most one cursor on top of what the frontier itself
+// retains, and the kernel table's size does not grow with node bounds —
+// the bounds arrive per call (up to the daemon's -max-nodes), so the
+// table holds per-type entries only.
+func TestTableAllocsAndSize(t *testing.T) {
+	s := epSpace(t)
+	tbl, err := s.NewTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Configuration{
+		ARM: TypeConfig{Nodes: 3, Config: maxCfg(s.ARM.Spec)},
+		AMD: TypeConfig{Nodes: 2, Config: maxCfg(s.AMD.Spec)},
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = tbl.Evaluate(cfg, 5e7) }); n != 0 {
+		t.Errorf("Table.Evaluate allocates %v times, want 0", n)
+	}
+	// One cursor: its scratch ints, configs and work, plus the cursor
+	// itself should it escape.
+	const cursorAllocs = 4
+	if n := testing.AllocsPerRun(5, func() {
+		_ = tbl.ForEach(10, 10, 5e7, func(Point) bool { return true })
+	}); n > cursorAllocs {
+		t.Errorf("Table.ForEach(10, 10) allocates %v times, want <= %d", n, cursorAllocs)
+	}
+	// The online frontier's own retention on the 10x10 ep space is 17
+	// allocations.
+	if n := testing.AllocsPerRun(5, func() { _, _, _ = tbl.Frontier(10, 10, 5e7) }); n > 17+cursorAllocs {
+		t.Errorf("Table.Frontier(10, 10) allocates %v times, want <= %d", n, 17+cursorAllocs)
+	}
+	if got := tbl.SizeBytes(); got > 4096 {
+		t.Errorf("ep Table.SizeBytes = %d, want <= 4096", got)
+	}
+	sizeAt := func(maxNodes int) int {
+		g, err := NewGenericTable(s.groupTypes(maxNodes, maxNodes, nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.SizeBytes()
+	}
+	if one, most := sizeAt(1), sizeAt(128); one != most {
+		t.Errorf("GenericTable.SizeBytes grows with node bounds: %d at 1 node, %d at 128", one, most)
+	}
+}
