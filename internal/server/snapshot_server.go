@@ -264,15 +264,18 @@ func (s *Server) preheat(path string) error {
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.applySnapshot(snap)
 	}
-	if err := s.applySnapshot(snap); err != nil {
-		var ie *snapshot.IncompatibleError
-		if errors.As(err, &ie) {
-			s.snapshotRejects.Inc()
-			return nil
-		}
+	// A file from an older build fails at decode (format version) or at
+	// apply (profile, model or build); either way it is stale, not
+	// corrupt.
+	var ie *snapshot.IncompatibleError
+	if errors.As(err, &ie) {
+		s.snapshotRejects.Inc()
+		return nil
+	}
+	if err != nil {
 		return err
 	}
 	s.snapshotLoads.Inc()

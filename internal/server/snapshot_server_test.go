@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -156,6 +157,35 @@ func TestPreheatRespectsTableByteLimit(t *testing.T) {
 	}
 	if _, ok := b.tables.Get("table|memcached@v1|false"); !ok {
 		t.Error("hottest table did not survive the byte-limited preheat")
+	}
+}
+
+// TestPreheatFromOlderFormatStartsCold: a snapshot a format-1 build
+// wrote (the file an upgraded daemon finds on disk) is a counted reject
+// and a clean cold start, never a failed New.
+func TestPreheatFromOlderFormatStartsCold(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "format1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{SnapshotPath: path})
+	if got := s.snapshotRejects.Value(); got != 1 {
+		t.Errorf("snapshot rejects = %d, want 1", got)
+	}
+	if got := s.snapshotLoads.Value(); got != 0 {
+		t.Errorf("snapshot loads = %d, want 0", got)
+	}
+	if n, m := s.cache.Len(), s.tables.Len(); n != 0 || m != 0 {
+		t.Fatalf("caches hold %d results and %d tables after a rejected preheat, want none", n, m)
+	}
+	if rr := post(t, s, "/v1/predict", snapPredictBody); rr.Code != http.StatusOK {
+		t.Fatalf("cold predict: status %d: %s", rr.Code, rr.Body)
+	} else if rr.Header().Get("X-Cache") != "miss" {
+		t.Errorf("first predict X-Cache = %q, want miss", rr.Header().Get("X-Cache"))
 	}
 }
 
