@@ -23,7 +23,10 @@ func testSuite() *experiments.Suite {
 // changes them has changed the paper's results, so they are never
 // regenerated to make this test pass.
 func TestGoldenPaperOutputs(t *testing.T) {
-	for _, cmd := range []string{"fig4", "fig5", "fig6", "fig8", "fig10", "ablation"} {
+	for _, cmd := range []string{
+		"table3", "table4", "ppr", "fig2", "fig3", "fig4", "fig5", "fig6",
+		"fig7", "fig8", "fig9", "fig10", "ablation", "headline",
+	} {
 		t.Run(cmd, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", cmd+".txt"))
 			if err != nil {
