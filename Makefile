@@ -38,7 +38,7 @@ race:
 # Race-enabled run of just the serving layer, where all the deliberate
 # concurrency lives (sharded LRU, singleflight, limiter, shutdown).
 server-race:
-	$(GO) test -race -count=1 ./internal/server ./internal/servercache ./internal/metrics
+	$(GO) test -race -count=1 ./internal/server ./internal/lru ./internal/metrics
 
 # The fleet scatter-gather layer under the race detector: Feistel
 # permutations, shard walkers, coordinator fan-out/merge/caching, the

@@ -16,7 +16,7 @@ import (
 // one table answers every work size, deadline and frontier query against
 // the same cluster. One-shot drivers can keep calling EnumerateGroups*
 // (which build a table internally); long-lived consumers — the serving
-// daemon caches tables per cluster spec in internal/tablecache — build
+// daemon caches tables per cluster spec in its table cache — build
 // once and amortize the model walk across requests. A GenericTable is
 // immutable after construction and safe for concurrent use.
 type GenericTable struct {

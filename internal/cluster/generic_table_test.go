@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestGenericTableReuseBitIdentical pins the property the tablecache
-// relies on: one compiled GenericTable answers every work size, and each
+// TestGenericTableReuseBitIdentical pins the property the daemon's table
+// cache relies on: one compiled GenericTable answers every work size, and each
 // answer is bit-identical to a fresh per-call build. Work sizes span
 // three orders of magnitude to make any hidden w-dependence in the
 // compiled coefficients visible.

@@ -18,8 +18,8 @@ import (
 
 	"heteromix/internal/cluster"
 	"heteromix/internal/hwsim"
+	"heteromix/internal/lru"
 	"heteromix/internal/model"
-	"heteromix/internal/tablecache"
 	"heteromix/internal/workloads"
 )
 
@@ -46,7 +46,7 @@ type Suite struct {
 	// switch-accounting) pair, shared across every experiment of the
 	// suite — the parallel `all` runner's stages each reuse one compiled
 	// table instead of rebuilding the kernel arrays per stage.
-	tables *tablecache.Cache
+	tables *lru.Cache[*cluster.Table]
 }
 
 // NewSuite creates a Suite with the paper's two node types.
@@ -59,7 +59,7 @@ func NewSuite(opts SuiteOptions) *Suite {
 		AMD:    hwsim.AMDOpteronK10(),
 		Opts:   opts,
 		models: make(map[string]model.NodeModel),
-		tables: tablecache.New(0),
+		tables: lru.New(lru.DefaultCapacity, 1, func(t *cluster.Table) int64 { return int64(t.SizeBytes()) }),
 	}
 }
 
@@ -153,13 +153,8 @@ func (s *Suite) Table(workload string, noSwitch bool) (*cluster.Table, error) {
 	}
 	space.NoSwitchEnergy = noSwitch
 	key := fmt.Sprintf("table|%s|%t", workload, noSwitch)
-	v, _, err := s.tables.Do(key, func() (tablecache.Artifact, error) {
-		return space.NewTable()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*cluster.Table), nil
+	tbl, _, err := s.tables.Do(key, space.NewTable)
+	return tbl, err
 }
 
 // Space returns the two-type configuration space for a workload.

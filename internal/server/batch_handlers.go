@@ -147,7 +147,7 @@ func errorResult(err error) batchResult {
 func (s *Server) runItem(it BatchItem) batchResult {
 	var innerCached bool
 	key := "batchraw|g" + strconv.FormatUint(s.calib.Generation(), 10) + "|" + it.Kind + "|" + string(it.Request)
-	v, cached, err := s.cache.Do(key, func() (any, error) {
+	v, cached, err := s.cache.Do(key, func() ([]byte, error) {
 		body, c, err := s.computeItem(it)
 		innerCached = c
 		return body, err
@@ -155,7 +155,7 @@ func (s *Server) runItem(it BatchItem) batchResult {
 	if err != nil {
 		return errorResult(err)
 	}
-	return batchResult{status: http.StatusOK, cached: cached || innerCached, body: v.([]byte)}
+	return batchResult{status: http.StatusOK, cached: cached || innerCached, body: v}
 }
 
 // computeItem computes one item exactly as its single endpoint would.

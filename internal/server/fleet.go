@@ -427,7 +427,7 @@ func (s *Server) fleetGenericBytes(r *http.Request, req EnumerateGenericRequest,
 	base.ProfileVersion = 0
 	key, keyed := s.versionedKey("enumerate-generic", base.Workload, base)
 	ctx := r.Context()
-	v, cached, stale, err := s.doFresh(key, keyed, func() (any, error) {
+	v, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
 		merged, failedShards, partDegraded, err := s.fanOutGeneric(r, req, nil)
 		if err != nil {
 			return nil, err
@@ -457,7 +457,7 @@ func (s *Server) fleetGenericBytes(r *http.Request, req EnumerateGenericRequest,
 	})
 	if stale {
 		s.degraded.Inc()
-		return v.([]byte), false, true, nil, nil
+		return v, false, true, nil, nil
 	}
 	var fp errFleetPartial
 	if errors.As(err, &fp) {
@@ -467,7 +467,7 @@ func (s *Server) fleetGenericBytes(r *http.Request, req EnumerateGenericRequest,
 	if err != nil {
 		return nil, false, false, nil, err
 	}
-	return v.([]byte), cached, false, nil, nil
+	return v, cached, false, nil, nil
 }
 
 // handleFleetGeneric serves a coordinator request end to end.

@@ -18,7 +18,6 @@ import (
 	"heteromix/internal/pareto"
 	"heteromix/internal/shard"
 	"heteromix/internal/stream"
-	"heteromix/internal/tablecache"
 )
 
 // NodeModelSource provides per-type fitted models for generic N-type
@@ -128,7 +127,7 @@ type genericTables struct {
 	full, pruned *cluster.GenericTable
 }
 
-// SizeBytes implements tablecache.Artifact.
+// SizeBytes implements tableArtifact.
 func (g *genericTables) SizeBytes() int {
 	return g.full.SizeBytes() + g.pruned.SizeBytes()
 }
@@ -154,7 +153,7 @@ func genericKey(profileTag string, types []GenericTypeRequest) string {
 // build failures are never cached.
 func (s *Server) genericTablesFor(workload string, reqTypes []GenericTypeRequest, full []cluster.GroupType) (*genericTables, error) {
 	key := genericKey(s.profileTag(workload), reqTypes)
-	v, _, err := s.tables.Do(key, func() (tablecache.Artifact, error) {
+	v, _, err := s.tables.Do(key, func() (tableArtifact, error) {
 		prunedTypes, err := cluster.PruneGroupTypes(full)
 		if err != nil {
 			return nil, err
@@ -392,7 +391,7 @@ func (s *Server) shardFrontier(ctx context.Context, plan genericPlan, req Enumer
 func (s *Server) genericBytes(r *http.Request, req EnumerateGenericRequest, plan genericPlan) (body []byte, cached, degraded bool, err error) {
 	key, keyed := s.versionedKey("enumerate-generic", req.Workload, req)
 	ctx := r.Context()
-	v, cached, stale, err := s.doFresh(key, keyed, func() (any, error) {
+	v, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
 		var out []byte
 		berr := s.breaker.Do(func() error {
 			resp := EnumerateGenericResponse{
@@ -470,12 +469,12 @@ func (s *Server) genericBytes(r *http.Request, req EnumerateGenericRequest, plan
 	})
 	if stale {
 		s.degraded.Inc()
-		return v.([]byte), false, true, nil
+		return v, false, true, nil
 	}
 	if err != nil {
 		return nil, false, false, err
 	}
-	return v.([]byte), cached, false, nil
+	return v, cached, false, nil
 }
 
 func (s *Server) handleEnumerateGeneric(w http.ResponseWriter, r *http.Request) {

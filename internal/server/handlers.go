@@ -25,7 +25,6 @@ import (
 	"heteromix/internal/hwsim"
 	"heteromix/internal/queueing"
 	"heteromix/internal/resilience"
-	"heteromix/internal/tablecache"
 	"heteromix/internal/units"
 	"heteromix/internal/workloads"
 )
@@ -235,7 +234,7 @@ func (s *Server) versionedKey(endpoint, workload string, v any) (key string, key
 
 // doCached runs compute through the result cache under key, or directly
 // and uncached when keyed is false (the canonicalKey fallback).
-func (s *Server) doCached(key string, keyed bool, compute func() (any, error)) (any, bool, error) {
+func (s *Server) doCached(key string, keyed bool, compute func() ([]byte, error)) ([]byte, bool, error) {
 	if !keyed {
 		v, err := compute()
 		return v, false, err
@@ -244,12 +243,26 @@ func (s *Server) doCached(key string, keyed bool, compute func() (any, error)) (
 }
 
 // doFresh is doCached for the TTL + degraded-stale paths.
-func (s *Server) doFresh(key string, keyed bool, compute func() (any, error)) (v any, cached, stale bool, err error) {
+func (s *Server) doFresh(key string, keyed bool, compute func() ([]byte, error)) (v []byte, cached, stale bool, err error) {
 	if !keyed {
 		v, err = compute()
 		return v, false, false, err
 	}
 	return s.cache.DoFresh(key, s.opts.CacheTTL, compute)
+}
+
+// tableArtifact is a compiled table the table cache holds: immutable,
+// shared across goroutines, and sized for the cache's byte limit.
+type tableArtifact interface {
+	SizeBytes() int
+}
+
+// twoTypeTable is a cached two-type kernel table together with the
+// inputs a snapshot loader needs to rebuild it from its dump.
+type twoTypeTable struct {
+	*cluster.Table
+	workload string
+	noSwitch bool
 }
 
 // tableFor memoizes one compiled kernel table per (workload,
@@ -259,7 +272,7 @@ func (s *Server) doFresh(key string, keyed bool, compute func() (any, error)) (v
 // identical requests collapse onto one build.
 func (s *Server) tableFor(workload string, noSwitch bool) (*cluster.Table, error) {
 	key := fmt.Sprintf("table|%s|%t", s.profileTag(workload), noSwitch)
-	v, _, err := s.tables.Do(key, func() (tablecache.Artifact, error) {
+	v, _, err := s.tables.Do(key, func() (tableArtifact, error) {
 		space, err := s.models.Space(workload)
 		if err != nil {
 			return nil, fmt.Errorf("building models for %q: %w", workload, err)
@@ -270,12 +283,12 @@ func (s *Server) tableFor(workload string, noSwitch bool) (*cluster.Table, error
 			return nil, fmt.Errorf("building kernel table for %q: %w", workload, err)
 		}
 		s.tableBuilds.Inc()
-		return tbl, nil
+		return &twoTypeTable{Table: tbl, workload: workload, noSwitch: noSwitch}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*cluster.Table), nil
+	return v.(*twoTypeTable).Table, nil
 }
 
 // --- /v1/predict -----------------------------------------------------
@@ -332,7 +345,7 @@ func (s *Server) normalizePredict(req PredictRequest) (PredictRequest, cluster.C
 // request, from cache when possible.
 func (s *Server) predictBytes(req PredictRequest, cfg cluster.Configuration) ([]byte, bool, error) {
 	key, keyed := s.versionedKey("predict", req.Workload, req)
-	v, cached, err := s.doCached(key, keyed, func() (any, error) {
+	return s.doCached(key, keyed, func() ([]byte, error) {
 		tbl, err := s.tableFor(req.Workload, req.NoSwitchEnergy)
 		if err != nil {
 			return nil, err
@@ -349,10 +362,6 @@ func (s *Server) predictBytes(req PredictRequest, cfg cluster.Configuration) ([]
 		}
 		return json.Marshal(resp)
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]byte), cached, nil
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -451,7 +460,7 @@ func (s *Server) normalizeEnumerate(req EnumerateRequest) (EnumerateRequest, err
 func (s *Server) enumerateBytes(r *http.Request, req EnumerateRequest) (body []byte, cached, degraded bool, err error) {
 	key, keyed := s.versionedKey("enumerate", req.Workload, req)
 	ctx := r.Context()
-	v, cached, stale, err := s.doFresh(key, keyed, func() (any, error) {
+	v, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
 		var out []byte
 		berr := s.breaker.Do(func() error {
 			tbl, err := s.tableFor(req.Workload, req.NoSwitchEnergy)
@@ -514,12 +523,12 @@ func (s *Server) enumerateBytes(r *http.Request, req EnumerateRequest) (body []b
 	})
 	if stale {
 		s.degraded.Inc()
-		return v.([]byte), false, true, nil
+		return v, false, true, nil
 	}
 	if err != nil {
 		return nil, false, false, err
 	}
-	return v.([]byte), cached, false, nil
+	return v, cached, false, nil
 }
 
 // markDegraded splices "degraded":true into a marshaled response so a
@@ -610,7 +619,7 @@ func (s *Server) normalizeBudget(req BudgetRequest) (BudgetRequest, error) {
 
 func (s *Server) budgetBytes(req BudgetRequest) ([]byte, bool, error) {
 	key, keyed := s.versionedKey("budget", req.Workload, req)
-	v, cached, err := s.doCached(key, keyed, func() (any, error) {
+	return s.doCached(key, keyed, func() ([]byte, error) {
 		tbl, err := s.tableFor(req.Workload, req.NoSwitchEnergy)
 		if err != nil {
 			return nil, err
@@ -663,10 +672,6 @@ func (s *Server) budgetBytes(req BudgetRequest) ([]byte, bool, error) {
 		}
 		return json.Marshal(resp)
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]byte), cached, nil
 }
 
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {

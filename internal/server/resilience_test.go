@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"heteromix/internal/resilience"
+	"heteromix/internal/snapshot"
 )
 
 func TestReadyzBeforeDrain(t *testing.T) {
@@ -130,6 +131,30 @@ func TestDrainFlipsReadyzWhileInflightCompletes(t *testing.T) {
 	}
 }
 
+// seedEnumerate answers an enumerate body on a twin server with the
+// default request timeout and no injected faults, loads the twin's
+// caches into s through the snapshot path, and returns the answer. It
+// gives a test whose own server runs on a tight deadline or under
+// chaos a known-good cached entry without putting the cold compute
+// (model fits, table compile) under that deadline: under -race the
+// cold 3x2 enumerate alone outlasts a 30 ms RequestTimeout.
+func seedEnumerate(t *testing.T, s *Server, body string) string {
+	t.Helper()
+	twin := newTestServer(t, Options{})
+	rr := post(t, twin, "/v1/enumerate", body)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("seed request: %d %s", rr.Code, rr.Body)
+	}
+	snap, err := snapshot.Decode(snapshot.Encode(twin.BuildSnapshot()))
+	if err == nil {
+		err = s.applySnapshot(snap)
+	}
+	if err != nil {
+		t.Fatalf("loading the seed: %v", err)
+	}
+	return rr.Body.String()
+}
+
 // TestEnumerateBreakerDegradedServing drives the enumerate compute path
 // into repeated failure (request timeouts), and requires: each failure
 // serves the expired cache entry marked degraded instead of an error,
@@ -146,11 +171,7 @@ func TestEnumerateBreakerDegradedServing(t *testing.T) {
 	const body = `{"workload":"ep","max_arm":3,"max_amd":2}`
 
 	// Seed the cache with a good result.
-	rr := post(t, s, "/v1/enumerate", body)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("seed request: %d %s", rr.Code, rr.Body)
-	}
-	fresh := rr.Body.String()
+	fresh := seedEnumerate(t, s, body)
 	time.Sleep(5 * time.Millisecond) // let the entry expire
 
 	// Break the compute path: every enumerate stalls past the request
@@ -187,7 +208,7 @@ func TestEnumerateBreakerDegradedServing(t *testing.T) {
 	stall.Lock()
 	stalling = false
 	stall.Unlock()
-	rr = post(t, s, "/v1/enumerate", body)
+	rr := post(t, s, "/v1/enumerate", body)
 	if rr.Code != http.StatusOK || rr.Header().Get("X-Degraded") != "true" {
 		t.Fatalf("open-breaker request: %d degraded=%q", rr.Code, rr.Header().Get("X-Degraded"))
 	}

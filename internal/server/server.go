@@ -10,12 +10,13 @@
 //	GET  /metrics       Prometheus text exposition
 //	GET  /debug/vars    expvar
 //
-// Underneath, a sharded LRU (internal/servercache) memoizes marshaled
-// results keyed on canonicalized request hashes, with singleflight
-// collapse so a thundering herd of identical enumerations computes each
-// space once; a second cache (internal/tablecache) holds compiled
-// kernel tables keyed by the cluster spec alone, so every work size and
-// deadline against one cluster shares a single compiled artifact. Every
+// Underneath, two instances of one LRU (internal/lru) memoize work. The
+// result cache, 16 shards of marshaled response bodies keyed on
+// canonicalized requests, collapses a thundering herd of identical
+// enumerations onto one computation. The table cache, one exact LRU of
+// compiled kernel tables keyed by the cluster spec alone, lets every
+// work size and deadline against one cluster share a single compiled
+// artifact; keeping it apart means result churn never evicts a table. Every
 // request runs under a per-request timeout and a configurable
 // concurrency limiter (excess load is shed with 503 rather than queued
 // without bound), and Run drains in-flight requests on shutdown.
@@ -41,11 +42,10 @@ import (
 	"heteromix/internal/calib"
 	"heteromix/internal/cluster"
 	"heteromix/internal/fleethealth"
+	"heteromix/internal/lru"
 	"heteromix/internal/metrics"
 	"heteromix/internal/resilience"
-	"heteromix/internal/servercache"
 	"heteromix/internal/shard"
-	"heteromix/internal/tablecache"
 )
 
 // ModelSource provides fitted two-type spaces per workload.
@@ -62,7 +62,7 @@ type Options struct {
 	// CacheEntries bounds the result cache (default 4096 entries).
 	CacheEntries int
 	// TableCacheEntries bounds the compiled kernel-table cache (default
-	// tablecache.DefaultCapacity). Unlike the result cache, its keys
+	// lru.DefaultCapacity). Unlike the result cache, its keys
 	// canonicalize only the cluster spec — never work size, deadline or
 	// prune flag — so every request shape against the same cluster shares
 	// one compiled artifact.
@@ -218,8 +218,8 @@ type endpointMetrics struct {
 type Server struct {
 	opts   Options
 	models ModelSource
-	cache  *servercache.Cache
-	tables *tablecache.Cache
+	cache  *lru.Cache[[]byte]
+	tables *lru.Cache[tableArtifact]
 	reg    *metrics.Registry
 	mux    *http.ServeMux
 	sem    chan struct{}
@@ -429,8 +429,8 @@ func New(opts Options) (*Server, error) {
 
 	s := &Server{
 		opts:   opts,
-		cache:  servercache.New(opts.CacheEntries),
-		tables: tablecache.New(opts.TableCacheEntries),
+		cache:  lru.New(opts.CacheEntries, 16, func(b []byte) int64 { return int64(len(b)) }),
+		tables: lru.New(opts.TableCacheEntries, 1, func(a tableArtifact) int64 { return int64(a.SizeBytes()) }),
 		reg:    opts.Registry,
 		mux:    http.NewServeMux(),
 		sem:    make(chan struct{}, opts.MaxConcurrent),
@@ -961,10 +961,10 @@ func (s *Server) Addr() string {
 }
 
 // CacheStats exposes the result cache's counters (for tests and logs).
-func (s *Server) CacheStats() servercache.Stats { return s.cache.Stats() }
+func (s *Server) CacheStats() lru.Stats { return s.cache.Stats() }
 
 // TableCacheStats exposes the compiled kernel-table cache's counters.
-func (s *Server) TableCacheStats() tablecache.Stats { return s.tables.Stats() }
+func (s *Server) TableCacheStats() lru.Stats { return s.tables.Stats() }
 
 // TableBuilds reports how many kernel tables have been built — the
 // number a singleflight-collapsed herd keeps at one per distinct space.

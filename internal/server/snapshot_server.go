@@ -38,8 +38,8 @@ import (
 	"heteromix/internal/buildinfo"
 	"heteromix/internal/cluster"
 	"heteromix/internal/fleethealth"
+	"heteromix/internal/lru"
 	"heteromix/internal/snapshot"
-	"heteromix/internal/tablecache"
 )
 
 const (
@@ -71,22 +71,6 @@ func (s *Server) modelFingerprint() string {
 	return ""
 }
 
-// parseTableKey splits a two-type table cache key
-// ("table|<workload>@v<N>|<noSwitch>") back into the restore inputs a
-// loader needs. Keys are minted by tableFor, so a parse failure means
-// the entry is not a two-type table and is skipped.
-func parseTableKey(key string) (workload string, noSwitch bool, ok bool) {
-	parts := strings.Split(key, "|")
-	if len(parts) != 3 || parts[0] != "table" {
-		return "", false, false
-	}
-	i := strings.LastIndex(parts[1], "@v")
-	if i <= 0 {
-		return "", false, false
-	}
-	return parts[1][:i], parts[2] == "true", true
-}
-
 // BuildSnapshot harvests the caches' hottest entries into a snapshot
 // bound to the current profile state, model fingerprint and build.
 // Harvesting preserves recency order (hottest first) without perturbing
@@ -114,13 +98,9 @@ func (s *Server) buildSnapshot(maxTables, maxResults int) *snapshot.Snapshot {
 		}
 		for _, e := range s.tables.Hottest(lim) {
 			switch v := e.Val.(type) {
-			case *cluster.Table:
-				workload, noSwitch, ok := parseTableKey(e.Key)
-				if !ok {
-					continue
-				}
+			case *twoTypeTable:
 				snap.Tables = append(snap.Tables, snapshot.TableEntry{
-					Key: e.Key, Workload: workload, NoSwitch: noSwitch, Dump: v.Dump(),
+					Key: e.Key, Workload: v.workload, NoSwitch: v.noSwitch, Dump: v.Dump(),
 				})
 			case *genericTables:
 				snap.Generic = append(snap.Generic, snapshot.GenericEntry{
@@ -135,31 +115,17 @@ func (s *Server) buildSnapshot(maxTables, maxResults int) *snapshot.Snapshot {
 			lim = 0
 		}
 		for _, e := range s.cache.Hottest(lim) {
-			body, ok := e.Val.([]byte)
-			if !ok {
-				// Only marshaled response bodies snapshot; other values are
-				// process-local.
-				continue
-			}
-			snap.Results = append(snap.Results, snapshot.ResultEntry{Key: e.Key, Body: body})
+			snap.Results = append(snap.Results, snapshot.ResultEntry{Key: e.Key, Body: e.Val})
 		}
 	}
 	return snap
 }
 
-// keyedArtifact pairs a rebuilt table artifact with its cache key
-// during the apply pass.
-type keyedArtifact struct {
-	key string
-	val tablecache.Artifact
-}
-
 // applySnapshot validates a decoded snapshot against this server's
 // state and loads it into the caches. All-or-nothing: any
 // incompatibility or corrupt dump returns before either cache is
-// touched. Loading is capacity-aware — each cache takes the hottest
-// prefix that fits its entry and byte limits, inserted coldest-first so
-// the insert order itself can never evict a hotter just-loaded entry.
+// touched. Each cache then loads the hottest prefix that fits its own
+// entry and byte limits (lru.Cache.Load).
 func (s *Server) applySnapshot(snap *snapshot.Snapshot) error {
 	if err := snap.Meta.Compatible(s.calib.StateHash(), s.modelFingerprint(), buildinfo.Get().String()); err != nil {
 		return err
@@ -167,8 +133,9 @@ func (s *Server) applySnapshot(snap *snapshot.Snapshot) error {
 	// Rebuild every artifact before the first insert. Because the state
 	// hash matched, the snapshot's keys embed exactly the profile
 	// versions this server would mint, and Space resolves the same
-	// models the donor compiled against.
-	arts := make([]keyedArtifact, 0, len(snap.Tables)+len(snap.Generic))
+	// models the donor compiled against. Two-type tables go first, so
+	// the predict hot path wins when the table cache cannot hold both.
+	arts := make([]lru.Entry[tableArtifact], 0, len(snap.Tables)+len(snap.Generic))
 	for _, e := range snap.Tables {
 		space, err := s.models.Space(e.Workload)
 		if err != nil {
@@ -179,7 +146,8 @@ func (s *Server) applySnapshot(snap *snapshot.Snapshot) error {
 		if err != nil {
 			return fmt.Errorf("snapshot table %q: %w", e.Key, err)
 		}
-		arts = append(arts, keyedArtifact{key: e.Key, val: tbl})
+		arts = append(arts, lru.Entry[tableArtifact]{Key: e.Key,
+			Val: &twoTypeTable{Table: tbl, workload: e.Workload, noSwitch: e.NoSwitch}})
 	}
 	for _, e := range snap.Generic {
 		full, err := cluster.NewGenericTableFromDump(e.Full)
@@ -190,55 +158,17 @@ func (s *Server) applySnapshot(snap *snapshot.Snapshot) error {
 		if err != nil {
 			return fmt.Errorf("snapshot generic %q: %w", e.Key, err)
 		}
-		arts = append(arts, keyedArtifact{key: e.Key, val: &genericTables{full: full, pruned: pruned}})
+		arts = append(arts, lru.Entry[tableArtifact]{Key: e.Key, Val: &genericTables{full: full, pruned: pruned}})
+	}
+	results := make([]lru.Entry[[]byte], len(snap.Results))
+	for i, e := range snap.Results {
+		results[i] = lru.Entry[[]byte]{Key: e.Key, Val: e.Body}
 	}
 
-	// Trim each list to the hottest prefix that fits. The combined table
-	// list walks two-type tables before generic artifacts — the predict
-	// hot path wins when the byte budget cannot hold both.
-	keptTables := 0
-	var tableBytes int64
-	capN, budget := s.tables.Capacity(), s.tables.MaxBytes()
-	for _, a := range arts {
-		if keptTables >= capN {
-			break
-		}
-		if sz := int64(a.val.SizeBytes()); budget > 0 && tableBytes+sz > budget {
-			break
-		} else {
-			tableBytes += sz
-		}
-		keptTables++
-	}
-	keptResults := 0
-	var resultBytes int64
-	rbudget := s.cache.MaxBytes()
-	for _, e := range snap.Results {
-		if keptResults >= s.opts.CacheEntries {
-			break
-		}
-		if sz := int64(len(e.Body)); rbudget > 0 && resultBytes+sz > rbudget {
-			break
-		} else {
-			resultBytes += sz
-		}
-		keptResults++
-	}
-
-	// Insert coldest-first so the caches' recency order ends hottest-
-	// first, exactly as the donor held them.
-	nTables, nGeneric := 0, 0
-	for i := keptTables - 1; i >= 0; i-- {
-		s.tables.Add(arts[i].key, arts[i].val)
-		if _, ok := arts[i].val.(*genericTables); ok {
-			nGeneric++
-		} else {
-			nTables++
-		}
-	}
-	for i := keptResults - 1; i >= 0; i-- {
-		s.cache.Add(snap.Results[i].Key, snap.Results[i].Body)
-	}
+	keptTables := s.tables.Load(arts)
+	nTables := min(keptTables, len(snap.Tables))
+	nGeneric := keptTables - nTables
+	keptResults := s.cache.Load(results)
 	s.setSnapInfo(snap, nTables, nGeneric, keptResults)
 	return nil
 }

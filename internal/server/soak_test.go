@@ -45,14 +45,9 @@ func TestChaosSoakDaemonSurvives(t *testing.T) {
 	})
 
 	// Seed the enumerate entry so the degraded path has something stale
-	// to fall back on, and the predict/table caches are warm.
+	// to fall back on, and the table cache is warm.
 	const enumBody = `{"workload":"ep","max_arm":3,"max_amd":2}`
-	for {
-		rr := post(t, s, "/v1/enumerate", enumBody)
-		if rr.Code == http.StatusOK {
-			break
-		}
-	}
+	seedEnumerate(t, s, enumBody)
 
 	deadline := time.Now().Add(20 * time.Second)
 	if testing.Short() {

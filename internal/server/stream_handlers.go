@@ -15,7 +15,7 @@ package server
 // of burning the rest of the enumeration.
 //
 // Deltas: a frontier-only stream with "delta": true is diffed against
-// the servercache-held predecessor for the same spec-minus-bounds key
+// the result-cache-held predecessor for the same spec-minus-bounds key
 // (node types and switch flags, profile-versioned — but not max_nodes,
 // work or limit), so a re-query that only moved its bounds ships
 // {"op":"add"|"del"} records instead of the whole frontier. A miss or a
@@ -302,7 +302,7 @@ func (s *Server) lookupDelta(req EnumerateGenericRequest) (key string, prev [][]
 	key = s.deltaKey(req)
 	if v, ok := s.cache.Get(key); ok {
 		s.deltaHits.Inc()
-		return key, delta.Split(v.([]byte)), "delta"
+		return key, delta.Split(v), "delta"
 	}
 	s.deltaMisses.Inc()
 	return key, nil, "full"

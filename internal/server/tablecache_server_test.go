@@ -104,7 +104,7 @@ func TestCanonicalKeyFallbackBypassesCache(t *testing.T) {
 
 	s := newTestServer(t, Options{})
 	runs := 0
-	compute := func() (any, error) {
+	compute := func() ([]byte, error) {
 		runs++
 		return []byte(`{"n":` + string(rune('0'+runs)) + `}`), nil
 	}
@@ -115,7 +115,7 @@ func TestCanonicalKeyFallbackBypassesCache(t *testing.T) {
 			t.Fatalf("unkeyed call %d: cached=%v err=%v", i, cached, err)
 		}
 		want := `{"n":` + string(rune('0'+i)) + `}`
-		if got := string(v.([]byte)); got != want {
+		if got := string(v); got != want {
 			t.Fatalf("unkeyed call %d served %q, want %q — stale cross-request body", i, got, want)
 		}
 	}
