@@ -194,10 +194,11 @@ func TestFleetShardFailoverServesFull(t *testing.T) {
 }
 
 // partialKillPlan picks the single replica to keep alive so that at
-// least one shard's top-2 ring candidates are both dead (ring order
-// depends on the ephemeral listener ports, so the choice is computed,
-// not hard-coded), and returns the shard indices expected to fail.
-// alive is -1 when no such choice exists.
+// least one shard's top-2 ring candidates are both dead while at least
+// one shard can still reach it (ring order depends on the ephemeral
+// listener ports, so the choice is computed, not hard-coded), and
+// returns the shard indices expected to fail. alive is -1 when no such
+// choice exists.
 func partialKillPlan(f *testFleet, shards int) (alive int, expectFailed []int) {
 	ring := shard.NewRing(f.urls, 0)
 	for cand := range f.urls {
@@ -208,7 +209,7 @@ func partialKillPlan(f *testFleet, shards int) (alive int, expectFailed []int) {
 				fails = append(fails, i)
 			}
 		}
-		if len(fails) > 0 {
+		if len(fails) > 0 && len(fails) < shards {
 			return cand, fails
 		}
 	}

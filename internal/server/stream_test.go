@@ -664,3 +664,126 @@ func TestStreamMetricsExposed(t *testing.T) {
 		t.Error("delta_misses_total = 0 after a first delta query")
 	}
 }
+
+// TestStreamFleetDeltaCycle pins the coordinator's streamed delta path:
+// predecessors come from complete merges only, so a degraded partial is
+// diffed but never becomes the baseline the next query diffs against.
+func TestStreamFleetDeltaCycle(t *testing.T) {
+	// The kill pattern fails up to ~6 attempts per dead replica; a high
+	// breaker threshold keeps the coordinator's replica breakers closed,
+	// so the revived fleet answers the last step at once.
+	f := newFleet(t, 4, Options{DisableHedge: true, BreakerThreshold: 100}, Options{})
+	plain := newTestServer(t, Options{})
+	spec := func(maxA9 int) string {
+		return fmt.Sprintf(`{"workload":"ep","types":[
+			{"node":"arm-cortex-a9","max_nodes":%d,"needs_switch":true},
+			{"node":"arm-cortex-a15","max_nodes":2,"needs_switch":true},
+			{"node":"amd-opteron-k10","max_nodes":2}],
+			"frontier_only":true`, maxA9)
+	}
+	deltaQuery := func(maxA9, shards int) ndjsonStream {
+		t.Helper()
+		rr := postStream(t, f.coord, "/v1/enumerate-generic",
+			fmt.Sprintf(`%s,"shards":%d,"delta":true}`, spec(maxA9), shards), nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("max_nodes %d, %d shards: %d %s", maxA9, shards, rr.Code, rr.Body)
+		}
+		return parseNDJSON(t, rr.Body.String())
+	}
+	frontierOf := func(maxA9 int) map[string]int {
+		t.Helper()
+		buf := post(t, plain, "/v1/enumerate-generic", spec(maxA9)+"}")
+		if buf.Code != http.StatusOK {
+			t.Fatalf("buffered ground truth: %d %s", buf.Code, buf.Body)
+		}
+		m := map[string]int{}
+		for _, p := range decodeBody[rawGenericResponse](t, buf).Points {
+			m[string(p)]++
+		}
+		return m
+	}
+	replay := func(held map[string]int, st ndjsonStream) map[string]int {
+		t.Helper()
+		got := map[string]int{}
+		for r, n := range held {
+			got[r] = n
+		}
+		for _, d := range st.dels {
+			got[d]--
+			if got[d] < 0 {
+				t.Fatalf("delta deletes a row the client does not hold: %s", d)
+			}
+			if got[d] == 0 {
+				delete(got, d)
+			}
+		}
+		for _, a := range st.adds {
+			got[a]++
+		}
+		return got
+	}
+	sameSet := func(what string, got, want map[string]int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: replayed frontier has %d distinct rows, want %d", what, len(got), len(want))
+		}
+		for r, n := range want {
+			if got[r] != n {
+				t.Fatalf("%s: replayed frontier misses %s", what, r)
+			}
+		}
+	}
+
+	// 1. No predecessor yet: the first sharded delta stream is full.
+	st1 := deltaQuery(2, 4)
+	if st1.head.Mode != "full" || st1.head.Shards != 4 {
+		t.Fatalf("first stream head = %+v, want mode full over 4 shards", st1.head)
+	}
+	if len(st1.adds)+len(st1.dels) != 0 || st1.trailer == nil || st1.trailer.Degraded {
+		t.Fatalf("first stream: %d ops, trailer %+v", len(st1.adds)+len(st1.dels), st1.trailer)
+	}
+	sameSet("full stream", rowSet(st1.rows), frontierOf(2))
+
+	// 2. Moved bounds: ops replay to the buffered unsharded frontier.
+	st2 := deltaQuery(3, 4)
+	if st2.head.Mode != "delta" || len(st2.rows) != 0 {
+		t.Fatalf("re-query head mode %q with %d bare rows, want delta with none", st2.head.Mode, len(st2.rows))
+	}
+	if st2.trailer == nil || st2.trailer.Degraded ||
+		st2.trailer.Adds != len(st2.adds) || st2.trailer.Dels != len(st2.dels) {
+		t.Fatalf("re-query trailer %+v vs %d adds / %d dels", st2.trailer, len(st2.adds), len(st2.dels))
+	}
+	complete := replay(rowSet(st1.rows), st2)
+	sameSet("delta re-query", complete, frontierOf(3))
+
+	// 3. A partial merge is marked degraded and diffed, but not stored.
+	const shards = 8
+	alive, expectFailed := partialKillPlan(f, shards)
+	if alive < 0 {
+		t.Skip("every shard's top-2 walk contains every replica (astronomically unlikely)")
+	}
+	for i := range f.chaos {
+		if i != alive {
+			f.chaos[i].Kill()
+		}
+	}
+	st3 := deltaQuery(4, shards)
+	if st3.trailer == nil || !st3.trailer.Degraded ||
+		fmt.Sprint(st3.trailer.FailedShards) != fmt.Sprint(expectFailed) {
+		t.Fatalf("partial merge trailer = %+v, want degraded with failed_shards %v", st3.trailer, expectFailed)
+	}
+	if st3.head.Mode != "delta" {
+		t.Fatalf("partial merge head mode %q, want delta", st3.head.Mode)
+	}
+
+	// 4. After the revive, the next query diffs against the last complete
+	// merge (bounds 3), not the partial one.
+	for i := range f.chaos {
+		f.chaos[i].Revive()
+	}
+	st4 := deltaQuery(4, 4)
+	if st4.head.Mode != "delta" || st4.trailer == nil || st4.trailer.Degraded {
+		t.Fatalf("post-revive head %+v trailer %+v", st4.head, st4.trailer)
+	}
+	sameSet("post-revive delta", replay(complete, st4), frontierOf(4))
+}
