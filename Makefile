@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X heteromix/internal/buildinfo.Version=$(VERSION) \
            -X heteromix/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: all build vet perfbench-build test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
+.PHONY: all build vet fmt perfbench-build test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
 
 all: ci
 
@@ -22,6 +22,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the tree must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # The benchmark module (perfbench/) builds against this tree through a
 # replace directive; building and vetting it here catches API breaks
@@ -164,4 +168,4 @@ bench-stream:
 		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer)' \
 		-benchmem -benchtime=3x
 
-ci: vet build perfbench-build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream
+ci: vet fmt build perfbench-build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream

@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // The 3-type benchmark space: the tri-cluster example's A9/A15/K10 mix
 // at 4 nodes per type — 384,344 configurations before pruning.
@@ -71,7 +74,7 @@ func BenchmarkEnumerateGroupsParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, tes, err := g.FrontierParallel(50e6, 0)
+		_, tes, err := g.FrontierParallel(context.Background(), 50e6, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

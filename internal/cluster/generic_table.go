@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"unsafe"
@@ -141,8 +142,10 @@ const genericFrontierChunk = 8192
 // result is identical to the serial path (including
 // first-offered-wins among exact duplicates). The space is never
 // materialized — at most the per-chunk frontiers live at once.
-// workers <= 0 selects GOMAXPROCS.
-func (g *GenericTable) FrontierParallel(w float64, workers int) ([]GenericPoint, []pareto.TE, error) {
+// workers <= 0 selects GOMAXPROCS. ctx is checked once per claimed
+// chunk, so a cancelled or expired request stops within one chunk's
+// walk and the call returns ctx's error.
+func (g *GenericTable) FrontierParallel(ctx context.Context, w float64, workers int) ([]GenericPoint, []pareto.TE, error) {
 	if err := g.check(w); err != nil {
 		return nil, nil, err
 	}
@@ -158,6 +161,9 @@ func (g *GenericTable) FrontierParallel(w float64, workers int) ([]GenericPoint,
 	err = parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) error {
 		// parallelFor claims start at chunk multiples, so lo identifies
 		// the chunk's slot in the ordered merge below.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		tr := &locals[lo/genericFrontierChunk]
 		tr.Clone = GenericPoint.Clone
 		// Point indices are 1-based (index 0 is the all-absent vector); the

@@ -61,27 +61,6 @@ type batchResult struct {
 // respBufPool recycles response-assembly buffers across requests.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodeBody marshals v through a pooled buffer and returns a
-// right-sized copy. Unlike json.Marshal on a cold encoder, a recycled
-// buffer that has served a large enumeration once is already grown, so
-// big response bodies encode in a single pass with no intermediate
-// growth copies. The output is byte-identical to json.Marshal's.
-func encodeBody(v any) ([]byte, error) {
-	buf := respBufPool.Get().(*bytes.Buffer)
-	defer func() { buf.Reset(); respBufPool.Put(buf) }()
-	enc := json.NewEncoder(buf)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	b := buf.Bytes()
-	// Encoder appends a newline Marshal does not; drop it so cached
-	// bodies keep the Marshal byte form.
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-	}
-	return append(make([]byte, 0, len(b)), b...), nil
-}
-
 // decodeItem mirrors decode's strictness for a batch item's embedded
 // request: unknown fields and trailing garbage are client errors. The
 // error text matches the single endpoint's 400 body for the same input.

@@ -201,7 +201,3 @@ func (s *Server) onProfileBump(ev calib.BumpEvent) {
 		}
 	}
 }
-
-// ProfileRegistry exposes the calibration registry (operator installs,
-// tests, benchmarks).
-func (s *Server) ProfileRegistry() *calib.Registry { return s.calib }

@@ -216,11 +216,11 @@ func (s *Server) shardCandidates(req EnumerateGenericRequest) [][]string {
 // hedging — and gathers the partial frontiers. It returns the
 // deterministic merge of the slices that answered, the indices of
 // shards that failed, and whether any surviving slice was itself served
-// degraded. onShard, when non-nil, is invoked from each shard's
-// goroutine as its outcome settles (streamed coordinators emit progress
-// records from it — the callback must serialize itself); every
-// callback has returned before fanOutGeneric does.
-func (s *Server) fanOutGeneric(r *http.Request, req EnumerateGenericRequest, onShard func(i, points int, err error)) (merged cluster.ShardFrontier[cluster.GenericPointSummary], failed []int, degraded bool, err error) {
+// degraded. onShard is invoked from each shard's goroutine as its
+// outcome settles (streamed coordinators emit progress records from it
+// — the callback must serialize itself); every callback has returned
+// before fanOutGeneric does.
+func (s *Server) fanOutGeneric(ctx context.Context, req EnumerateGenericRequest, onShard func(shardProgress)) (merged cluster.ShardFrontier[cluster.GenericPointSummary], failed []int, degraded bool, err error) {
 	cands := s.shardCandidates(req)
 	n := req.Shards
 	s.fleetFanouts.Inc()
@@ -235,11 +235,9 @@ func (s *Server) fanOutGeneric(r *http.Request, req EnumerateGenericRequest, onS
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			part, deg, err := s.shardRequestHedged(r.Context(), cands[i], req, i, n)
+			part, deg, err := s.shardRequestHedged(ctx, cands[i], req, i, n)
 			results[i] = result{part: part, deg: deg, err: err}
-			if onShard != nil {
-				onShard(i, len(part.Points), err)
-			}
+			onShard(shardProgress{Shard: i, Points: len(part.Points), Failed: err != nil})
 		}(i)
 	}
 	wg.Wait()
@@ -412,84 +410,6 @@ func (s *Server) shardRequest(ctx context.Context, target string, req EnumerateG
 		return cluster.ShardFrontier[cluster.GenericPointSummary]{}, false, berr
 	}
 	return part, degraded, nil
-}
-
-// fleetGenericBytes is the coordinator's analogue of genericBytes: the
-// fan-out runs under the UNSHARDED request's cache key, so a merged
-// fleet result serves later unsharded traffic (and vice versa), and
-// degraded partial merges ride the error path out of the cache so they
-// are never stored.
-func (s *Server) fleetGenericBytes(r *http.Request, req EnumerateGenericRequest, plan genericPlan) (body []byte, cached, degraded bool, failedBody []byte, err error) {
-	base := req
-	base.Shard = ""
-	base.Shards = 0
-	base.Replicas = nil
-	base.ProfileVersion = 0
-	key, keyed := s.versionedKey("enumerate-generic", base.Workload, base)
-	ctx := r.Context()
-	v, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
-		merged, failedShards, partDegraded, err := s.fanOutGeneric(r, req, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp := EnumerateGenericResponse{
-			Workload:     req.Workload,
-			Work:         req.Work,
-			TypeNames:    plan.names,
-			SpaceSize:    plan.spaceSize,
-			PrunedSize:   plan.prunedSize,
-			FrontierOnly: req.FrontierOnly,
-			Points:       merged.Points,
-			Returned:     len(merged.Points),
-		}
-		if plan.prunedSize > 0 {
-			s.genericPruned.Add(plan.spaceSize - plan.prunedSize)
-		}
-		if len(failedShards) > 0 || partDegraded {
-			resp.FailedShards = failedShards
-			b, err := encodeGenericResponse(ctx, &resp)
-			if err != nil {
-				return nil, err
-			}
-			return nil, errFleetPartial{body: b}
-		}
-		return encodeGenericResponse(ctx, &resp)
-	})
-	if stale {
-		s.degraded.Inc()
-		return v, false, true, nil, nil
-	}
-	var fp errFleetPartial
-	if errors.As(err, &fp) {
-		s.degraded.Inc()
-		return nil, false, true, fp.body, nil
-	}
-	if err != nil {
-		return nil, false, false, nil, err
-	}
-	return v, cached, false, nil, nil
-}
-
-// handleFleetGeneric serves a coordinator request end to end.
-func (s *Server) handleFleetGeneric(w http.ResponseWriter, r *http.Request, req EnumerateGenericRequest, plan genericPlan) {
-	body, cached, degraded, failedBody, err := s.fleetGenericBytes(r, req, plan)
-	w.Header().Set("X-Fleet-Shards", strconv.Itoa(req.Shards))
-	if err != nil {
-		replyError(w, r, err)
-		return
-	}
-	if degraded {
-		w.Header().Set("X-Degraded", "true")
-		if failedBody != nil {
-			// A live partial merge: failed_shards is already in the body.
-			s.writeBody(w, r, markDegraded(failedBody), false)
-			return
-		}
-		// A stale cached full merge served because this fan-out failed.
-		s.writeBody(w, r, markDegraded(body), false)
-		return
-	}
-	s.writeBody(w, r, body, cached)
 }
 
 // --- consistent-hash routing -----------------------------------------

@@ -452,85 +452,6 @@ func (s *Server) normalizeEnumerate(req EnumerateRequest) (EnumerateRequest, err
 	return req, nil
 }
 
-// enumerateBytes returns the marshaled response for a canonicalized
-// request. The compute path runs through the circuit breaker and the
-// cache's freshness bound: when the breaker is open or the compute
-// fails, an expired cache entry is served with degraded=true rather
-// than cascading the failure.
-func (s *Server) enumerateBytes(r *http.Request, req EnumerateRequest) (body []byte, cached, degraded bool, err error) {
-	key, keyed := s.versionedKey("enumerate", req.Workload, req)
-	ctx := r.Context()
-	v, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
-		var out []byte
-		berr := s.breaker.Do(func() error {
-			tbl, err := s.tableFor(req.Workload, req.NoSwitchEnergy)
-			if err != nil {
-				return err
-			}
-			resp := EnumerateResponse{
-				Workload:     req.Workload,
-				Work:         req.Work,
-				SpaceSize:    tbl.Size(req.MaxARM, req.MaxAMD),
-				FrontierOnly: req.FrontierOnly,
-			}
-			if req.FrontierOnly {
-				pts, _, err := tbl.Frontier(req.MaxARM, req.MaxAMD, req.Work)
-				if err != nil {
-					return err
-				}
-				resp.Points = make([]cluster.PointSummary, len(pts))
-				for i, p := range pts {
-					resp.Points[i] = p.Summary()
-				}
-			} else {
-				resp.Points = make([]cluster.PointSummary, 0, min(req.Limit, resp.SpaceSize))
-				n := 0
-				err := tbl.ForEach(req.MaxARM, req.MaxAMD, req.Work, func(p cluster.Point) bool {
-					// The walk is pure arithmetic; poll for cancellation at
-					// coarse intervals so a timed-out request stops burning CPU.
-					n++
-					if n&0x1fff == 0 && ctx.Err() != nil {
-						return false
-					}
-					if len(resp.Points) >= req.Limit {
-						resp.Truncated = true
-						return false
-					}
-					resp.Points = append(resp.Points, p.Summary())
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-			}
-			resp.Returned = len(resp.Points)
-			// The cancellation-aware encoder: a deadline that expires while
-			// a large body marshals aborts the encode, not just the walk.
-			b, err := encodeEnumerateResponse(ctx, &resp)
-			if err != nil {
-				return err
-			}
-			out = b
-			return nil
-		})
-		if berr != nil {
-			return nil, berr
-		}
-		return out, nil
-	})
-	if stale {
-		s.degraded.Inc()
-		return v, false, true, nil
-	}
-	if err != nil {
-		return nil, false, false, err
-	}
-	return v, cached, false, nil
-}
-
 // markDegraded splices "degraded":true into a marshaled response so a
 // stale body serves with the flag set without a re-marshal round trip.
 func markDegraded(body []byte) []byte {
@@ -544,33 +465,6 @@ func markDegraded(body []byte) []byte {
 		out = append(out, ',')
 	}
 	return append(out, `"degraded":true}`...)
-}
-
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[EnumerateRequest](s, w, r)
-	if !ok {
-		return
-	}
-	norm, err := s.normalizeEnumerate(req)
-	if err != nil {
-		replyError(w, r, err)
-		return
-	}
-	if wantsStream(r) {
-		s.streamEnumerate(w, r, norm)
-		return
-	}
-	body, cached, degraded, err := s.enumerateBytes(r, norm)
-	if err != nil {
-		replyError(w, r, err)
-		return
-	}
-	if degraded {
-		w.Header().Set("X-Degraded", "true")
-		s.writeBody(w, r, markDegraded(body), false)
-		return
-	}
-	s.writeBody(w, r, body, cached)
 }
 
 // --- /v1/budget ------------------------------------------------------

@@ -1,0 +1,74 @@
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+)
+
+// postDeadline drives one buffered request carrying a propagated
+// X-Deadline-Ms budget.
+func postDeadline(t testing.TB, s *Server, path, body, ms string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set(deadlineHeader, ms)
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, req)
+	return rr
+}
+
+// TestFrontierWalksHonourDeadline: frontier walks poll the request
+// context like every limited walk, so an expired deadline stops them —
+// a 503 when buffered, a terminal error record with no trailer when
+// streamed — instead of finishing the whole space first.
+func TestFrontierWalksHonourDeadline(t *testing.T) {
+	// The undeadlined walk covers 5.9 M points, seconds under -race.
+	s := newTestServer(t, Options{RequestTimeout: time.Minute})
+	twoType := func(extra string) string {
+		return `{"workload":"ep","max_arm":128,"max_amd":128,"frontier_only":true` + extra + `}`
+	}
+	// The two-type table is compiled per workload, not per bound.
+	if rr := post(t, s, "/v1/enumerate", `{"workload":"ep","max_arm":1,"max_amd":1}`); rr.Code != http.StatusOK {
+		t.Fatalf("warm-up: %d %s", rr.Code, rr.Body)
+	}
+	start := time.Now()
+	if rr := post(t, s, "/v1/enumerate", twoType("")); rr.Code != http.StatusOK {
+		t.Fatalf("undeadlined frontier: %d %s", rr.Code, rr.Body)
+	}
+	undeadlined := time.Since(start)
+
+	// Each deadlined request names its own work size, so none is a cache
+	// hit on the answer above.
+	start = time.Now()
+	rr := postDeadline(t, s, "/v1/enumerate", twoType(`,"work":1e6`), "5")
+	deadlined := time.Since(start)
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("5 ms deadline on a %v frontier walk: %d %.200s, want 503", undeadlined, rr.Code, rr.Body)
+	}
+	if deadlined*10 >= undeadlined {
+		t.Fatalf("deadlined frontier took %v, undeadlined %v: want under a tenth", deadlined, undeadlined)
+	}
+	hdr := map[string]string{deadlineHeader: "5"}
+	st := parseNDJSON(t, postStream(t, s, "/v1/enumerate", twoType(`,"work":2e6`), hdr).Body.String())
+	if st.errMsg == nil || st.trailer != nil {
+		t.Fatalf("deadlined two-type stream: error %v, trailer %+v; want an error record and no trailer", st.errMsg, st.trailer)
+	}
+
+	generic := `{"workload":"ep","types":[
+		{"node":"arm-cortex-a9","max_nodes":9,"needs_switch":true},
+		{"node":"arm-cortex-a15","max_nodes":9,"needs_switch":true},
+		{"node":"amd-opteron-k10","max_nodes":9}],"frontier_only":true`
+	// Compiles and caches the 9/9/9 tables, so the deadline covers the walk.
+	if rr := post(t, s, "/v1/enumerate-generic", generic+`}`); rr.Code != http.StatusOK {
+		t.Fatalf("undeadlined generic frontier: %d %s", rr.Code, rr.Body)
+	}
+	if rr := postDeadline(t, s, "/v1/enumerate-generic", generic+`,"work":1e6}`, "5"); rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("5 ms deadline on the generic frontier: %d %.200s, want 503", rr.Code, rr.Body)
+	}
+	st = parseNDJSON(t, postStream(t, s, "/v1/enumerate-generic", generic+`,"work":2e6}`, hdr).Body.String())
+	if st.errMsg == nil || st.trailer != nil {
+		t.Fatalf("deadlined generic stream: error %v, trailer %+v; want an error record and no trailer", st.errMsg, st.trailer)
+	}
+}

@@ -8,7 +8,41 @@ import (
 	"testing"
 
 	"heteromix/internal/cluster"
+	"heteromix/internal/stream"
 )
+
+// bufferEnumerate drives resp through the buffered sink the way the
+// executor does: head, one encoded row per point, trailer.
+func bufferEnumerate(ctx context.Context, resp *EnumerateResponse) ([]byte, error) {
+	bs := &bufferedSink{ctx: ctx, nullEmpty: resp.Points == nil}
+	defer bs.release()
+	bs.begin(&streamHead{Workload: resp.Workload, Work: resp.Work,
+		SpaceSize: uint64(resp.SpaceSize), FrontierOnly: resp.FrontierOnly})
+	for i := range resp.Points {
+		if err := bs.row(stream.AppendPointSummary(nil, &resp.Points[i])); err != nil {
+			return nil, err
+		}
+	}
+	bs.end(&streamTrailer{Returned: resp.Returned, Truncated: resp.Truncated, Degraded: resp.Degraded})
+	return bs.body, nil
+}
+
+// bufferGeneric is bufferEnumerate for the generic envelope.
+func bufferGeneric(ctx context.Context, resp *EnumerateGenericResponse) ([]byte, error) {
+	bs := &bufferedSink{ctx: ctx, generic: true, nullEmpty: resp.Points == nil}
+	defer bs.release()
+	bs.begin(&streamHead{Workload: resp.Workload, Work: resp.Work, TypeNames: resp.TypeNames,
+		SpaceSize: resp.SpaceSize, PrunedSize: resp.PrunedSize, FrontierOnly: resp.FrontierOnly,
+		Shard: resp.Shard})
+	for i := range resp.Points {
+		if err := bs.row(stream.AppendGenericPointSummary(nil, &resp.Points[i])); err != nil {
+			return nil, err
+		}
+	}
+	bs.end(&streamTrailer{Returned: resp.Returned, Truncated: resp.Truncated, Degraded: resp.Degraded,
+		FailedShards: resp.FailedShards, Indices: resp.Indices})
+	return bs.body, nil
+}
 
 // randEnumResp builds a response exercising every omitempty branch.
 func randEnumResp(rng *rand.Rand) EnumerateResponse {
@@ -99,7 +133,7 @@ func TestEncodeEnumerateResponseMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := encodeEnumerateResponse(context.Background(), &resp)
+		got, err := bufferEnumerate(context.Background(), &resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +151,7 @@ func TestEncodeGenericResponseMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := encodeGenericResponse(context.Background(), &resp)
+		got, err := bufferGeneric(context.Background(), &resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +169,11 @@ func TestEncodeRespectsCancellation(t *testing.T) {
 	cancel()
 
 	eresp := EnumerateResponse{Points: make([]cluster.PointSummary, n)}
-	if _, err := encodeEnumerateResponse(ctx, &eresp); !errors.Is(err, context.Canceled) {
-		t.Fatalf("encodeEnumerateResponse on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := bufferEnumerate(ctx, &eresp); !errors.Is(err, context.Canceled) {
+		t.Fatalf("bufferEnumerate on cancelled ctx = %v, want context.Canceled", err)
 	}
 	gresp := EnumerateGenericResponse{Points: make([]cluster.GenericPointSummary, n)}
-	if _, err := encodeGenericResponse(ctx, &gresp); !errors.Is(err, context.Canceled) {
-		t.Fatalf("encodeGenericResponse on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := bufferGeneric(ctx, &gresp); !errors.Is(err, context.Canceled) {
+		t.Fatalf("bufferGeneric on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
