@@ -46,10 +46,10 @@ server-race:
 
 # The fleet scatter-gather layer under the race detector: Feistel
 # permutations, shard walkers, coordinator fan-out/merge/caching, the
-# shard-down degraded path and consistent-hash routing all run
-# concurrently by design.
+# shard-down degraded path, consistent-hash routing and first use of a
+# table's frontier candidate set all run concurrently by design.
 fleet-race:
-	$(GO) test -race -count=1 -run 'Fleet|Shard|Route|Ring|Feistel|Permutation' \
+	$(GO) test -race -count=1 -run 'Fleet|Shard|Route|Ring|Feistel|Permutation|Candidate' \
 		./internal/server ./internal/shard ./internal/cluster ./internal/pareto
 
 # The online-calibration subsystem under the race detector: concurrent
@@ -96,11 +96,12 @@ bench:
 
 # The generic N-type enumeration paths on the tri-cluster space
 # (384,344 points): serial materialization, domination-pruned, streaming
-# frontier, and the production pruned+parallel-frontier path that must
-# stay ≥20× under the seed serial numbers (see README Performance).
+# frontier, the production pruned+parallel-frontier path that must
+# stay ≥20× under the seed serial numbers (see README Performance), and
+# a warm table's candidate-set frontier at varying work sizes.
 bench-generic:
 	$(GO) test ./internal/cluster -run '^$$' \
-		-bench 'BenchmarkEnumerateGroups(Serial|Pruned|Parallel|Frontier)' \
+		-bench 'Benchmark(EnumerateGroups(Serial|Pruned|Parallel|Frontier)|GenericTableFrontierWarm)' \
 		-benchmem -benchtime=3x
 
 # Throughput gate for the daemon's cached predict path below the HTTP

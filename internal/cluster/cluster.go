@@ -24,6 +24,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"heteromix/internal/hwsim"
 	"heteromix/internal/model"
@@ -182,16 +183,28 @@ type Configuration struct {
 }
 
 // String renders the configuration the way the paper labels its series,
-// e.g. "ARM 16:AMD 14 (arm c4@1.40GHz, amd c6@2.10GHz)".
+// e.g. "ARM 16:AMD 14 arm[c4@1.40GHz] amd[c6@2.10GHz]", built in one
+// buffer with strconv appends rather than fmt: labels are encoded once
+// per emitted row.
 func (c Configuration) String() string {
-	s := fmt.Sprintf("ARM %d:AMD %d", c.ARM.Nodes, c.AMD.Nodes)
+	var buf [64]byte
+	b := append(buf[:0], "ARM "...)
+	b = strconv.AppendInt(b, int64(c.ARM.Nodes), 10)
+	b = append(b, ":AMD "...)
+	b = strconv.AppendInt(b, int64(c.AMD.Nodes), 10)
 	if c.ARM.Nodes > 0 {
-		s += fmt.Sprintf(" arm[c%d@%v]", c.ARM.Config.Cores, c.ARM.Config.Frequency)
+		b = appendSetting(append(b, " arm["...), c.ARM.Config)
 	}
 	if c.AMD.Nodes > 0 {
-		s += fmt.Sprintf(" amd[c%d@%v]", c.AMD.Config.Cores, c.AMD.Config.Frequency)
+		b = appendSetting(append(b, " amd["...), c.AMD.Config)
 	}
-	return s
+	return string(b)
+}
+
+// appendSetting appends a per-node setting as "c<cores>@<frequency>]".
+func appendSetting(b []byte, cfg hwsim.Config) []byte {
+	b = strconv.AppendInt(append(b, 'c'), int64(cfg.Cores), 10)
+	return append(cfg.Frequency.Append(append(b, '@')), ']')
 }
 
 // Point is an evaluated configuration: one dot in Figures 4 and 5.

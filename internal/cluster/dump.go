@@ -185,5 +185,5 @@ func NewGenericTableFromDump(d GenericTableDump) (*GenericTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GenericTable{t: t}, nil
+	return wrapGenericTable(t), nil
 }

@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"heteromix/internal/hwsim"
 	"heteromix/internal/model"
@@ -64,21 +64,31 @@ func typeName(names []string, i int) string {
 	if i < len(names) {
 		return names[i]
 	}
-	return fmt.Sprintf("type%d", i)
+	return "type" + strconv.Itoa(i)
 }
 
 // Label renders the point's mix like "a9 8 : k10 2". Types with zero
 // nodes are skipped, so the label names exactly the types the
-// configuration uses.
+// configuration uses. It is built in one buffer with strconv appends
+// rather than fmt: labels are encoded once per emitted row.
 func (p GenericPoint) Label(names []string) string {
-	parts := make([]string, 0, len(p.Counts))
+	var buf [64]byte
+	b := buf[:0]
 	for i, n := range p.Counts {
 		if n == 0 {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s %d", typeName(names, i), n))
+		if len(b) > 0 {
+			b = append(b, " : "...)
+		}
+		if i < len(names) {
+			b = append(b, names[i]...)
+		} else {
+			b = strconv.AppendInt(append(b, "type"...), int64(i), 10)
+		}
+		b = strconv.AppendInt(append(b, ' '), int64(n), 10)
 	}
-	return strings.Join(parts, " : ")
+	return string(b)
 }
 
 // GenericGroupSummary is one used type of a GenericPointSummary.
@@ -108,9 +118,15 @@ func (p GenericPoint) Summary(names []string) GenericPointSummary {
 		EnergyJoules: float64(p.Energy),
 		Label:        p.Label(names),
 	}
-	total := 0.0
-	for _, w := range p.Work {
+	total, used := 0.0, 0
+	for i, w := range p.Work {
 		total += w
+		if p.Counts[i] != 0 {
+			used++
+		}
+	}
+	if used > 0 {
+		s.Groups = make([]GenericGroupSummary, 0, used)
 	}
 	for i, n := range p.Counts {
 		if n == 0 {

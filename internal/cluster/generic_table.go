@@ -18,10 +18,13 @@ import (
 // the same cluster. One-shot drivers can keep calling EnumerateGroups*
 // (which build a table internally); long-lived consumers — the serving
 // daemon caches tables per cluster spec in its table cache — build
-// once and amortize the model walk across requests. A GenericTable is
-// immutable after construction and safe for concurrent use.
+// once and amortize the model walk across requests. A GenericTable's
+// coefficients are immutable after construction; its frontier candidate
+// set is built once, by the first FrontierParallel call, and the table
+// is safe for concurrent use.
 type GenericTable struct {
-	t *genericTable
+	t    *genericTable
+	cand *candidateIndex
 }
 
 // NewGenericTable validates types and precompiles every per-node
@@ -33,7 +36,13 @@ func NewGenericTable(types []GroupType) (*GenericTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GenericTable{t: t}, nil
+	return wrapGenericTable(t), nil
+}
+
+// wrapGenericTable pairs a compiled kernel table with its (not yet
+// built) frontier candidate set.
+func wrapGenericTable(t *genericTable) *GenericTable {
+	return &GenericTable{t: t, cand: newCandidateIndex()}
 }
 
 // Types returns how many node types the table was compiled over.
@@ -45,7 +54,9 @@ func (g *GenericTable) Size() uint64 { return g.t.size }
 
 // SizeBytes estimates the table's resident size for cache accounting:
 // the per-type kernel entries dominate; headers and per-type scalars are
-// counted once. It does not grow with the node bounds.
+// counted once. It does not grow with the node bounds. The frontier
+// candidate set, built after a cache admits the table, is not counted:
+// it holds at most maxCandidates indices, a few hundred in practice.
 func (g *GenericTable) SizeBytes() int {
 	return int(unsafe.Sizeof(GenericTable{})) + g.t.sizeBytes()
 }
@@ -132,33 +143,85 @@ func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) 
 }
 
 // genericFrontierChunk is the per-claim index run of the parallel
-// frontier: large enough to amortize the per-chunk cursor and frontier,
-// small enough that the dynamic scheduler balances uneven chunks.
+// frontier and the candidate build: large enough to amortize the
+// per-chunk cursor and frontier, small enough that the dynamic scheduler
+// balances uneven chunks.
 const genericFrontierChunk = 8192
 
-// FrontierParallel is Frontier fanned out over a worker pool: each
-// claimed chunk maintains its own online frontier over scratch buffers
-// and the chunk frontiers are merged in enumeration order, so the
-// result is identical to the serial path (including
-// first-offered-wins among exact duplicates). The space is never
-// materialized — at most the per-chunk frontiers live at once.
-// workers <= 0 selects GOMAXPROCS. ctx is checked once per claimed
-// chunk, so a cancelled or expired request stops within one chunk's
-// walk and the call returns ctx's error.
+// FrontierParallel answers Frontier's query for w work units with the
+// same result, bit for bit (including first-offered-wins among exact
+// duplicates), without walking the space per call. The first call
+// builds the table's margin candidate set (candidates.go) by one
+// chunked walk at w = 1 fanned out over the worker pool; every call then
+// evaluates only the candidates, in serial order, through the same
+// online frontier. Where the set does not apply — w outside the table's
+// guarded range, or a set over its cap — it walks the whole space in
+// parallel chunks whose frontiers merge in enumeration order. The space
+// is never materialized. workers <= 0 selects GOMAXPROCS. ctx is checked
+// on entry and once per walked chunk; a cancelled or expired request
+// returns ctx's error, and a build it stopped is not kept.
 func (g *GenericTable) FrontierParallel(ctx context.Context, w float64, workers int) ([]GenericPoint, []pareto.TE, error) {
+	pts, tes, _, err := g.FrontierCounted(ctx, w, workers)
+	return pts, tes, err
+}
+
+// FrontierCounted is FrontierParallel that also reports how many points
+// it evaluated: the candidates, or the space when it walked, plus the
+// build walk's points when this call built the candidate set.
+func (g *GenericTable) FrontierCounted(ctx context.Context, w float64, workers int) (pts []GenericPoint, tes []pareto.TE, evaluated uint64, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, 0, err
+	}
 	if err := g.check(w); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	n, err := g.t.intSize()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	set, evaluated, err := g.cand.get(ctx, g.t, n, workers)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if !set.covers(w) {
+		pts, tes, err = g.t.frontierWalk(ctx, w, n, workers)
+		return pts, tes, evaluated + g.t.size, err
+	}
+	pts, tes, err = g.t.frontierOf(set.idx, w)
+	return pts, tes, evaluated + uint64(len(set.idx)), err
+}
+
+// frontierOf evaluates the points at the given ascending serial indices
+// for w work units and streams them through an online frontier, so the
+// result is what the serial walk gives when every other point is
+// strictly dominated by one of them. The points are evaluated straight
+// into one flat backing, so nothing is cloned.
+func (t *genericTable) frontierOf(idx []uint64, w float64) ([]GenericPoint, []pareto.TE, error) {
+	var tr pareto.Tracked[GenericPoint]
+	bk := newGenBacking(len(idx), len(t.kern))
+	c := t.newCursor()
+	for _, i := range idx {
+		c.seek(i + 1)
+		c.eval(w)
+		if _, err := tr.Insert(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}, bk.copy(c.p)); err != nil {
+			return nil, nil, err
+		}
+	}
+	pts, tes := tr.Frontier()
+	return pts, tes, nil
+}
+
+// frontierWalk is the chunked full walk: each claimed chunk of the n
+// points maintains its own online frontier over scratch buffers, and the
+// chunk frontiers merge in enumeration order, so the result is identical
+// to the serial walk. ctx is checked once per claimed chunk.
+func (t *genericTable) frontierWalk(ctx context.Context, w float64, n, workers int) ([]GenericPoint, []pareto.TE, error) {
 	numChunks := (n + genericFrontierChunk - 1) / genericFrontierChunk
 	locals := make([]pareto.Tracked[GenericPoint], numChunks)
-	err = parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) error {
+	err := parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) error {
 		// parallelFor claims start at chunk multiples, so lo identifies
 		// the chunk's slot in the ordered merge below.
 		if err := ctx.Err(); err != nil {
@@ -169,7 +232,7 @@ func (g *GenericTable) FrontierParallel(ctx context.Context, w float64, workers 
 		// Point indices are 1-based (index 0 is the all-absent vector); the
 		// chunk's indices are consecutive, so one seek and then odometer
 		// steps visit them.
-		c := g.t.newCursor()
+		c := t.newCursor()
 		c.seek(uint64(lo) + 1)
 		for i := lo; i < hi; i++ {
 			c.eval(w)

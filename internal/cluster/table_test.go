@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -214,5 +215,29 @@ func TestTableAllocsAndSize(t *testing.T) {
 	}
 	if one, most := sizeAt(1), sizeAt(128); one != most {
 		t.Errorf("GenericTable.SizeBytes grows with node bounds: %d at 1 node, %d at 128", one, most)
+	}
+}
+
+// TestGenericTableFrontierAllocs pins the warm candidate-set frontier's
+// allocations on the pruned 4/4/4 tri-cluster table: a cursor, one flat
+// backing for the evaluated candidates, the online frontier's growth
+// and the result copies — a few dozen, where the full walk made
+// thousands (one clone per chunk-frontier insertion).
+func TestGenericTableFrontierAllocs(t *testing.T) {
+	pruned, err := PruneGroupTypes(triTypes(t, 4, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenericTable(pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, _, err := g.FrontierParallel(ctx, 5e7, 1); err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 32
+	if n := testing.AllocsPerRun(20, func() { _, _, _ = g.FrontierParallel(ctx, 3e7, 1) }); n > maxAllocs {
+		t.Errorf("warm tri-cluster FrontierParallel allocates %v times, want <= %d", n, maxAllocs)
 	}
 }

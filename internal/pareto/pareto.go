@@ -68,6 +68,16 @@ func Dominates(a, b TE) bool {
 		(a.Time < b.Time || a.Energy < b.Energy)
 }
 
+// MarginDominates reports whether a beats b by the relative margin m on
+// both axes: a's time and energy, each scaled up by 1+m, are still no
+// worse than b's. For m > 0 it is a strict partial order on positive
+// points (irreflexive and transitive), and a point that beats another by
+// a margin far above the rounding error of its coordinates keeps
+// dominating it strictly however those coordinates are rescaled.
+func MarginDominates(a, b TE, m float64) bool {
+	return a.Time*(1+m) <= b.Time && a.Energy*(1+m) <= b.Energy
+}
+
 // OnlineFrontier maintains a Pareto frontier incrementally: points are
 // offered one at a time and the current frontier is always available.
 // Feeding every point of a set yields exactly Frontier of that set
@@ -120,6 +130,16 @@ func (f *OnlineFrontier) Insert(p TE) (pos, removed int, added bool, err error) 
 		f.pts[pos] = p
 	}
 	return pos, removed, true, nil
+}
+
+// MarginDominated reports whether some point offered so far beats p by
+// the relative margin m (MarginDominates). The frontier weakly dominates
+// every offered point, so it suffices to ask its entries; and since
+// scaled times ascend with the entries' times while energies descend,
+// the only entry to ask is the last one fast enough. O(log n).
+func (f *OnlineFrontier) MarginDominated(p TE, m float64) bool {
+	k := sort.Search(len(f.pts), func(i int) bool { return f.pts[i].Time*(1+m) > p.Time })
+	return k > 0 && MarginDominates(f.pts[k-1], p, m)
 }
 
 // Add offers p, reporting only whether it joined the frontier.

@@ -466,3 +466,41 @@ func TestOnlineFrontierDuplicateKeepsFirst(t *testing.T) {
 		t.Errorf("frontier %+v, want the first-offered point", fr)
 	}
 }
+
+// MarginDominated must answer exactly what a scan of every offered point
+// with MarginDominates answers: the frontier is the whole witness set.
+func TestOnlineFrontierMarginDominatedMatchesScan(t *testing.T) {
+	f := func(raw []uint16, probes []uint16) bool {
+		var of OnlineFrontier
+		var seen []TE
+		// A coarse grid with a margin of a quarter step makes exact ties,
+		// near ties and clear wins all common.
+		const m = 0.25
+		grid := func(v uint16) float64 { return 1 + float64(v%24)/4 }
+		for i := 0; i+1 < len(raw); i += 2 {
+			p := TE{Time: grid(raw[i]), Energy: grid(raw[i+1])}
+			seen = append(seen, p)
+			if _, err := of.Add(p); err != nil {
+				return false
+			}
+		}
+		for i := 0; i+1 < len(probes); i += 2 {
+			p := TE{Time: grid(probes[i]), Energy: grid(probes[i+1])}
+			want := false
+			for _, q := range seen {
+				want = want || MarginDominates(q, p, m)
+			}
+			if got := of.MarginDominated(p, m); got != want {
+				t.Logf("probe %v over %v: got %v, want %v", p, seen, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if MarginDominates(TE{Time: 1, Energy: 1}, TE{Time: 1, Energy: 1}, 1e-9) {
+		t.Error("a point must not beat itself by a positive margin")
+	}
+}

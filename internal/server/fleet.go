@@ -80,6 +80,21 @@ const (
 	maxShardAttempts = 2
 )
 
+// errClientDeadline is the cancellation cause of a request context whose
+// timeout a propagated X-Deadline-Ms tightened: expiry then reflects the
+// caller's budget, not this server's health.
+var errClientDeadline = errors.New("propagated deadline expired")
+
+// callerDeadline marks a local plan's error that the caller's own
+// propagated deadline caused. The enumerate breaker classifies it as
+// neutral (BreakerOptions.IsFailure), so no client can open the breaker
+// for everyone by sending tight deadlines; the server's own
+// RequestTimeout expiring still counts. The wrapped error keeps its
+// message and its errors.Is identity.
+type callerDeadline struct{ error }
+
+func (e callerDeadline) Unwrap() error { return e.error }
+
 // errFleetUnavailable marks a fan-out in which every shard failed; it
 // maps to 503 like an open breaker, never 500.
 var errFleetUnavailable = errors.New("fleet unavailable")

@@ -323,10 +323,8 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 	base := req
 	base.Shards = 0
 	base.Replicas = nil
-	key, keyed := s.versionedKey("enumerate-generic", req.Workload, base)
 	q := &query{
-		key:   key,
-		keyed: keyed,
+		key:   s.resultKey("enumerate-generic", req.Workload, base),
 		work:  req.Work,
 		limit: req.Limit,
 		delta: req.Delta,

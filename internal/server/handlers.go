@@ -219,17 +219,41 @@ func canonicalKey(endpoint string, v any) (key string, keyed bool) {
 // registry's version moves — the invalidation sweep only reclaims their
 // memory.
 func (s *Server) profileTag(workload string) string {
-	return workload + "@v" + strconv.FormatUint(s.calib.Version(workload), 10)
+	return versionTag(workload, s.calib.Version(workload))
 }
 
-// versionedKey is canonicalKey with the workload's profile tag spliced
-// in: "endpoint|workload@vN|{json}".
-func (s *Server) versionedKey(endpoint, workload string, v any) (key string, keyed bool) {
-	b, err := json.Marshal(v)
+func versionTag(workload string, version uint64) string {
+	return workload + "@v" + strconv.FormatUint(version, 10)
+}
+
+// resultKey is a result-cache key not yet minted: the endpoint, the
+// workload and the profile version current when the request was
+// canonicalized, and the canonical request the key encodes. Minting
+// costs a json.Marshal, so a query defers it to the one reader, the
+// buffered sink; streamed answers never pay for it.
+type resultKey struct {
+	endpoint, workload string
+	version            uint64
+	req                any
+}
+
+func (s *Server) resultKey(endpoint, workload string, req any) resultKey {
+	return resultKey{endpoint: endpoint, workload: workload, version: s.calib.Version(workload), req: req}
+}
+
+// mint renders "endpoint|workload@vN|{json}"; keyed is false when the
+// request cannot be encoded, and the answer then bypasses the cache.
+func (k resultKey) mint() (key string, keyed bool) {
+	b, err := json.Marshal(k.req)
 	if err != nil {
 		return "", false
 	}
-	return endpoint + "|" + s.profileTag(workload) + "|" + string(b), true
+	return k.endpoint + "|" + versionTag(k.workload, k.version) + "|" + string(b), true
+}
+
+// versionedKey mints the result-cache key of a request answered at once.
+func (s *Server) versionedKey(endpoint, workload string, v any) (key string, keyed bool) {
+	return s.resultKey(endpoint, workload, v).mint()
 }
 
 // doCached runs compute through the result cache under key, or directly

@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -25,7 +26,8 @@ type planKind int
 const (
 	// planLimited walks the space in serial order up to the query's limit.
 	planLimited planKind = iota
-	// planFrontier walks the whole space through the online frontier.
+	// planFrontier answers the whole space's online frontier: from the
+	// generic table's candidate set, or a full two-type walk.
 	planFrontier
 	// planShard walks one Feistel slice (Shard or DefaultShard) through
 	// the index-tracking frontier a coordinator merges.
@@ -51,12 +53,11 @@ func choosePlan(shards int, sh shard.Shard, frontierOnly bool) planKind {
 // query is one canonicalized enumeration request, whichever endpoint
 // and framing it arrived through.
 type query struct {
-	// key is the result-cache key of the buffered answer; keyed false
-	// means it could not be minted and the answer bypasses the cache. A
-	// fleet fan-out keys on the unsharded request, so a merge serves
-	// later single-process traffic and vice versa.
-	key   string
-	keyed bool
+	// key is the result-cache key of the buffered answer, minted only
+	// when the answer is buffered. A fleet fan-out keys on the unsharded
+	// request, so a merge serves later single-process traffic and vice
+	// versa.
+	key   resultKey
 	work  float64
 	limit int
 	delta bool
@@ -80,10 +81,8 @@ func (s *Server) enumerateQuery(req EnumerateRequest) (*query, error) {
 	if err != nil {
 		return nil, err
 	}
-	key, keyed := s.versionedKey("enumerate", req.Workload, req)
 	return &query{
-		key:   key,
-		keyed: keyed,
+		key:   s.resultKey("enumerate", req.Workload, req),
 		work:  req.Work,
 		limit: req.Limit,
 		plan:  choosePlan(0, shard.Shard{}, req.FrontierOnly),
@@ -171,13 +170,18 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *query, streame
 // directly (each replica has its own breaker) and every local plan
 // under the enumerate breaker. An error after a streamed client has
 // gone is dropped — abandonment is not a server failure and must not
-// feed the breaker.
+// feed the breaker — and one the caller's propagated deadline caused is
+// marked neutral for it.
 func (s *Server) execute(ctx context.Context, q *query, sk sink) error {
 	run := func() error {
-		if err := s.runPlan(ctx, q, sk); err != nil && !sk.shed() {
-			return err
+		err := s.runPlan(ctx, q, sk)
+		switch {
+		case err == nil || sk.shed():
+			return nil
+		case ctx.Err() != nil && errors.Is(context.Cause(ctx), errClientDeadline):
+			return callerDeadline{err}
 		}
-		return nil
+		return err
 	}
 	if q.plan == planFleet {
 		return run()
@@ -316,17 +320,18 @@ func (wk *walker) limited(ctx context.Context, work float64, limit int, emit fun
 	return walked, truncated, err
 }
 
-// frontier walks the whole space through the online frontier and emits
-// its points. The two-type walk inserts in Table.Frontier's order, so
-// its rows are bit-identical to it; the generic walk is the parallel
-// frontier, itself identical to the serial one.
+// frontier emits the space's frontier; walked counts the points
+// evaluated. The two-type walk inserts in Table.Frontier's order, so
+// its rows are bit-identical to it; the generic frontier answers from
+// the table's candidate set (a full walk only to build it), itself
+// identical to the serial walk.
 func (wk *walker) frontier(ctx context.Context, work float64, emit func([]byte) error) (walked uint64, err error) {
 	if wk.gen != nil {
-		pts, _, err := wk.gen.FrontierParallel(ctx, work, 0)
+		pts, _, walked, err := wk.gen.FrontierCounted(ctx, work, 0)
 		if err != nil {
 			return 0, err
 		}
-		return wk.gen.Size(), wk.emitGeneric(pts, emit)
+		return walked, wk.emitGeneric(pts, emit)
 	}
 	var tr pareto.Tracked[cluster.Point]
 	var insErr error

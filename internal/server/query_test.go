@@ -1,11 +1,14 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"heteromix/internal/resilience"
 )
 
 // postDeadline drives one buffered request carrying a propagated
@@ -59,16 +62,51 @@ func TestFrontierWalksHonourDeadline(t *testing.T) {
 	generic := `{"workload":"ep","types":[
 		{"node":"arm-cortex-a9","max_nodes":9,"needs_switch":true},
 		{"node":"arm-cortex-a15","max_nodes":9,"needs_switch":true},
-		{"node":"amd-opteron-k10","max_nodes":9}],"frontier_only":true`
-	// Compiles and caches the 9/9/9 tables, so the deadline covers the walk.
-	if rr := post(t, s, "/v1/enumerate-generic", generic+`}`); rr.Code != http.StatusOK {
-		t.Fatalf("undeadlined generic frontier: %d %s", rr.Code, rr.Body)
+		{"node":"amd-opteron-k10","max_nodes":9}]`
+	// Compiles and caches the 9/9/9 tables without a frontier query, so
+	// the deadlined frontiers below must run the walk that builds the
+	// pruned table's candidate set.
+	if rr := post(t, s, "/v1/enumerate-generic", generic+`,"prune":true,"limit":1}`); rr.Code != http.StatusOK {
+		t.Fatalf("generic table warm-up: %d %s", rr.Code, rr.Body)
 	}
-	if rr := postDeadline(t, s, "/v1/enumerate-generic", generic+`,"work":1e6}`, "5"); rr.Code != http.StatusServiceUnavailable {
+	frontier := generic + `,"frontier_only":true`
+	if rr := postDeadline(t, s, "/v1/enumerate-generic", frontier+`,"work":1e6}`, "5"); rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("5 ms deadline on the generic frontier: %d %.200s, want 503", rr.Code, rr.Body)
 	}
-	st = parseNDJSON(t, postStream(t, s, "/v1/enumerate-generic", generic+`,"work":2e6}`, hdr).Body.String())
+	st = parseNDJSON(t, postStream(t, s, "/v1/enumerate-generic", frontier+`,"work":2e6}`, hdr).Body.String())
 	if st.errMsg == nil || st.trailer != nil {
 		t.Fatalf("deadlined generic stream: error %v, trailer %+v; want an error record and no trailer", st.errMsg, st.trailer)
+	}
+	// The stopped builds were not kept: an undeadlined frontier builds
+	// the set and answers.
+	if rr := post(t, s, "/v1/enumerate-generic", frontier+`}`); rr.Code != http.StatusOK {
+		t.Fatalf("undeadlined generic frontier: %d %s", rr.Code, rr.Body)
+	}
+}
+
+// TestClientDeadlineLeavesBreakerClosed: expiry of a caller's propagated
+// X-Deadline-Ms says nothing about this server's health, so a burst of
+// tightly deadlined walks past the breaker threshold must not open the
+// enumerate breaker for everyone else. (The server's own RequestTimeout
+// still counts; TestEnumerateBreakerDegradedServing pins that.)
+func TestClientDeadlineLeavesBreakerClosed(t *testing.T) {
+	const threshold = 3
+	s := newTestServer(t, Options{RequestTimeout: time.Minute, BreakerThreshold: threshold, BreakerCooldown: time.Minute})
+	small := `{"workload":"ep","max_arm":1,"max_amd":1}`
+	if rr := post(t, s, "/v1/enumerate", small); rr.Code != http.StatusOK {
+		t.Fatalf("warm-up: %d %s", rr.Code, rr.Body)
+	}
+	for i := 0; i <= threshold; i++ {
+		// A 5.9 M-point two-type frontier walk, a fresh work size each time.
+		body := fmt.Sprintf(`{"workload":"ep","max_arm":128,"max_amd":128,"frontier_only":true,"work":%d}`, 1_000_000+i)
+		if rr := postDeadline(t, s, "/v1/enumerate", body, "1"); rr.Code != http.StatusServiceUnavailable {
+			t.Fatalf("deadlined walk %d: %d %.200s, want 503", i, rr.Code, rr.Body)
+		}
+	}
+	if rr := post(t, s, "/v1/enumerate", `{"workload":"ep","max_arm":2,"max_amd":2}`); rr.Code != http.StatusOK {
+		t.Fatalf("undeadlined request after %d deadlined walks: %d %.200s, want 200", threshold+1, rr.Code, rr.Body)
+	}
+	if st := s.BreakerState(); st != resilience.Closed {
+		t.Fatalf("breaker %v after deadlined walks, want closed", st)
 	}
 }

@@ -478,6 +478,7 @@ func New(opts Options) (*Server, error) {
 	s.breaker = resilience.NewBreaker(resilience.BreakerOptions{
 		FailureThreshold: opts.BreakerThreshold,
 		Cooldown:         opts.BreakerCooldown,
+		IsFailure:        func(err error) bool { return !errors.As(err, new(callerDeadline)) },
 		OnStateChange: func(_, to resilience.BreakerState) {
 			s.breakerState.Set(int64(to))
 			if to == resilience.Open {
@@ -819,6 +820,7 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 		// answer the coordinator could no longer use. Malformed values are
 		// a client error (400, never 500).
 		timeout := s.opts.RequestTimeout
+		var cause error
 		if h := r.Header.Get(deadlineHeader); h != "" && limited {
 			ms, err := strconv.ParseInt(h, 10, 64)
 			if err != nil || ms <= 0 || ms > maxDeadlineMs {
@@ -828,11 +830,11 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 				return
 			}
 			if d := time.Duration(ms) * time.Millisecond; d < timeout {
-				timeout = d
+				timeout, cause = d, errClientDeadline
 				s.deadlineCapped.Inc()
 			}
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		ctx, cancel := context.WithTimeoutCause(r.Context(), timeout, cause)
 		defer cancel()
 		r = r.WithContext(ctx)
 

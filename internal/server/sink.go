@@ -97,7 +97,8 @@ type shardProgress struct {
 // failure.
 func (s *Server) serveBuffered(w http.ResponseWriter, r *http.Request, q *query) {
 	ctx := r.Context()
-	body, cached, stale, err := s.doFresh(q.key, q.keyed, func() ([]byte, error) {
+	key, keyed := q.key.mint()
+	body, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
 		bs := &bufferedSink{ctx: ctx, generic: q.gen != nil, nullEmpty: q.plan == planFleet}
 		defer bs.release()
 		if err := s.execute(ctx, q, bs); err != nil {

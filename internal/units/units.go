@@ -10,6 +10,7 @@ package units
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -29,16 +30,19 @@ const (
 func (h Hertz) GHzValue() float64 { return float64(h) / 1e9 }
 
 // String formats the frequency with an appropriate SI prefix.
-func (h Hertz) String() string {
+func (h Hertz) String() string { return string(h.Append(nil)) }
+
+// Append appends String's form of the frequency to b, without fmt.
+func (h Hertz) Append(b []byte) []byte {
 	switch {
 	case h >= GHz:
-		return fmt.Sprintf("%.2fGHz", float64(h)/1e9)
+		return append(strconv.AppendFloat(b, float64(h)/1e9, 'f', 2, 64), "GHz"...)
 	case h >= MHz:
-		return fmt.Sprintf("%.1fMHz", float64(h)/1e6)
+		return append(strconv.AppendFloat(b, float64(h)/1e6, 'f', 1, 64), "MHz"...)
 	case h >= KHz:
-		return fmt.Sprintf("%.1fkHz", float64(h)/1e3)
+		return append(strconv.AppendFloat(b, float64(h)/1e3, 'f', 1, 64), "kHz"...)
 	default:
-		return fmt.Sprintf("%.0fHz", float64(h))
+		return append(strconv.AppendFloat(b, float64(h), 'f', 0, 64), "Hz"...)
 	}
 }
 

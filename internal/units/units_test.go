@@ -1,6 +1,7 @@
 package units
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,45 @@ func TestHertzString(t *testing.T) {
 		if got := c.h.String(); got != c.want {
 			t.Errorf("Hertz(%v).String() = %q, want %q", float64(c.h), got, c.want)
 		}
+	}
+}
+
+// fmtHertz is Hertz.String as it was written with fmt, the oracle for
+// the strconv form.
+func fmtHertz(h Hertz) string {
+	switch {
+	case h >= GHz:
+		return fmt.Sprintf("%.2fGHz", float64(h)/1e9)
+	case h >= MHz:
+		return fmt.Sprintf("%.1fMHz", float64(h)/1e6)
+	case h >= KHz:
+		return fmt.Sprintf("%.1fkHz", float64(h)/1e3)
+	default:
+		return fmt.Sprintf("%.0fHz", float64(h))
+	}
+}
+
+func TestHertzAppendMatchesFmt(t *testing.T) {
+	special := []Hertz{0, -1, 999.5, KHz, MHz - 1, GHz, 2.125 * GHz, 1.005 * GHz,
+		Hertz(math.Inf(1)), Hertz(math.Inf(-1)), Hertz(math.NaN())}
+	check := func(h Hertz) bool {
+		want := fmtHertz(h)
+		if got := string(h.Append([]byte("x"))); got != "x"+want {
+			t.Logf("Hertz(%v).Append = %q, want %q", float64(h), got, "x"+want)
+			return false
+		}
+		return h.String() == want
+	}
+	for _, h := range special {
+		if !check(h) {
+			t.Errorf("Hertz(%v) formats differently from fmt", float64(h))
+		}
+	}
+	if err := quick.Check(func(v float64) bool { return check(Hertz(v)) }, nil); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(ghz uint16) bool { return check(Hertz(float64(ghz) * 1e6)) }, nil); err != nil {
+		t.Error(err)
 	}
 }
 
