@@ -44,8 +44,8 @@ race:
 server-race:
 	$(GO) test -race -count=1 ./internal/server ./internal/lru ./internal/metrics
 
-# The fleet scatter-gather layer under the race detector: Feistel
-# permutations, shard walkers, coordinator fan-out/merge/caching, the
+# The fleet scatter-gather layer under the race detector: shard ranges,
+# shard walkers, coordinator fan-out/merge/caching, the
 # shard-down degraded path, consistent-hash routing and first use of a
 # table's frontier candidate set all run concurrently by design.
 fleet-race:
@@ -97,11 +97,12 @@ bench:
 # The generic N-type enumeration paths on the tri-cluster space
 # (384,344 points): serial materialization, domination-pruned, streaming
 # frontier, the production pruned+parallel-frontier path that must
-# stay ≥20× under the seed serial numbers (see README Performance), and
-# a warm table's candidate-set frontier at varying work sizes.
+# stay ≥20× under the seed serial numbers (see README Performance), a
+# warm table's candidate-set frontier at varying work sizes, and each
+# shard's range walk at n = 4 and n = 7 (the per-shard balance).
 bench-generic:
 	$(GO) test ./internal/cluster -run '^$$' \
-		-bench 'Benchmark(EnumerateGroups(Serial|Pruned|Parallel|Frontier)|GenericTableFrontierWarm)' \
+		-bench 'Benchmark(EnumerateGroups(Serial|Pruned|Parallel|Frontier)|GenericTableFrontier(Warm|Shard))' \
 		-benchmem -benchtime=3x
 
 # Throughput gate for the daemon's cached predict path below the HTTP

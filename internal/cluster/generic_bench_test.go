@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"heteromix/internal/shard"
 )
 
 // The 3-type benchmark space: the tri-cluster example's A9/A15/K10 mix
@@ -112,6 +115,33 @@ func BenchmarkGenericTableFrontierWarm(b *testing.B) {
 		}
 		if len(tes) == 0 {
 			b.Fatal("empty frontier")
+		}
+	}
+}
+
+// One shard's walk of the unpruned tri-cluster space (384,344 points),
+// one sub-benchmark per shard at n = 4 and n = 7: what a fleet replica
+// pays per cold shard request, and how evenly the slices split the work.
+func BenchmarkGenericTableFrontierShard(b *testing.B) {
+	g, err := NewGenericTable(benchTriTypes(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{4, 7} {
+		for i := 0; i < n; i++ {
+			sh := shard.Shard{Index: i, Count: n}
+			b.Run(fmt.Sprintf("n=%d/shard=%d", n, i), func(b *testing.B) {
+				b.ReportAllocs()
+				for k := 0; k < b.N; k++ {
+					part, err := g.FrontierShard(50e6, sh)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(part.TEs) == 0 {
+						b.Fatal("empty shard frontier")
+					}
+				}
+			})
 		}
 	}
 }

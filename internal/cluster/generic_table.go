@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"unsafe"
 
 	"heteromix/internal/pareto"
@@ -196,9 +197,10 @@ func (g *GenericTable) FrontierCounted(ctx context.Context, w float64, workers i
 
 // frontierOf evaluates the points at the given ascending serial indices
 // for w work units and streams them through an online frontier, so the
-// result is what the serial walk gives when every other point is
-// strictly dominated by one of them. The points are evaluated straight
-// into one flat backing, so nothing is cloned.
+// result is what the serial walk gives when every other point is, at w,
+// dominated by one of them or an exact duplicate of one with a smaller
+// index. The points are evaluated straight into one flat backing, so
+// nothing is cloned.
 func (t *genericTable) frontierOf(idx []uint64, w float64) ([]GenericPoint, []pareto.TE, error) {
 	var tr pareto.Tracked[GenericPoint]
 	bk := newGenBacking(len(idx), len(t.kern))
@@ -215,48 +217,23 @@ func (t *genericTable) frontierOf(idx []uint64, w float64) ([]GenericPoint, []pa
 }
 
 // frontierWalk is the chunked full walk: each claimed chunk of the n
-// points maintains its own online frontier over scratch buffers, and the
-// chunk frontiers merge in enumeration order, so the result is identical
-// to the serial walk. ctx is checked once per claimed chunk.
+// points keeps the serial indices of its own frontier (rangeFrontier),
+// and the chunks' survivors, in ascending order, pass through one
+// frontierOf. Every point a chunk drops is dominated by, or an exact
+// later duplicate of, a survivor of that chunk, so the result is
+// identical to the serial walk.
 func (t *genericTable) frontierWalk(ctx context.Context, w float64, n, workers int) ([]GenericPoint, []pareto.TE, error) {
-	numChunks := (n + genericFrontierChunk - 1) / genericFrontierChunk
-	locals := make([]pareto.Tracked[GenericPoint], numChunks)
-	err := parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) error {
+	survivors := make([][]uint64, (n+genericFrontierChunk-1)/genericFrontierChunk)
+	err := parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) (err error) {
 		// parallelFor claims start at chunk multiples, so lo identifies
-		// the chunk's slot in the ordered merge below.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tr := &locals[lo/genericFrontierChunk]
-		tr.Clone = GenericPoint.Clone
-		// Point indices are 1-based (index 0 is the all-absent vector); the
-		// chunk's indices are consecutive, so one seek and then odometer
-		// steps visit them.
-		c := t.newCursor()
-		c.seek(uint64(lo) + 1)
-		for i := lo; i < hi; i++ {
-			c.eval(w)
-			if _, err := tr.Insert(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}, c.p); err != nil {
-				return err
-			}
-			c.next()
-		}
-		return nil
+		// the chunk's slot.
+		survivors[lo/genericFrontierChunk], _, err = t.rangeFrontier(ctx, w, uint64(lo), uint64(hi))
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	// Merge chunk frontiers in enumeration order; chunk payloads are
-	// already cloned, so the merged frontier can alias them.
-	var merged pareto.Tracked[GenericPoint]
-	for ci := range locals {
-		pts, tes := locals[ci].Frontier()
-		for j := range tes {
-			if _, err := merged.Insert(pareto.TE{Time: tes[j].Time, Energy: tes[j].Energy}, pts[j]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	pts, tes := merged.Frontier()
-	return pts, tes, nil
+	all := slices.Concat(survivors...)
+	slices.Sort(all)
+	return t.frontierOf(all, w)
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -63,9 +65,9 @@ func TestShardedFrontierBitIdentical(t *testing.T) {
 }
 
 // TestShardedEnumerationPartitionsSpace: the n shard slices of
-// EnumerateGroupsShard cover every serial index exactly once, match
-// SliceSize, and every point equals the serial enumeration's point at
-// its claimed index.
+// ForEachShard cover every serial index exactly once, in ascending
+// order, match SliceSize, and every point equals the serial
+// enumeration's point at its claimed index.
 func TestShardedEnumerationPartitionsSpace(t *testing.T) {
 	const w = 50e6
 	types := triTypes(t, 1, 1, 1)
@@ -73,46 +75,46 @@ func TestShardedEnumerationPartitionsSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := NewGenericTable(types)
+	if err != nil {
+		t.Fatal(err)
+	}
 	size := uint64(len(serial))
 	for _, n := range shardSpecs {
-		seen := make([]bool, size)
-		total := uint64(0)
+		next := uint64(0)
 		for i := 0; i < n; i++ {
 			sh := shard.Shard{Index: i, Count: n}
-			pts, idxs, err := EnumerateGroupsShard(types, w, sh)
+			count := uint64(0)
+			err := g.ForEachShard(w, sh, func(p GenericPoint, idx uint64) bool {
+				if idx != next {
+					t.Fatalf("n=%d shard %d: yielded index %d, want %d", n, i, idx, next)
+				}
+				if !reflect.DeepEqual(p, serial[idx]) {
+					t.Fatalf("n=%d shard %d: point at index %d differs from serial enumeration\n got %+v\nwant %+v",
+						n, i, idx, p, serial[idx])
+				}
+				next++
+				count++
+				return true
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pts) != len(idxs) {
-				t.Fatalf("n=%d shard %d: %d points, %d indices", n, i, len(pts), len(idxs))
+			if count != sh.SliceSize(size) {
+				t.Fatalf("n=%d shard %d: %d points, SliceSize says %d", n, i, count, sh.SliceSize(size))
 			}
-			if got := uint64(len(pts)); got != sh.SliceSize(size) {
-				t.Fatalf("n=%d shard %d: %d points, SliceSize says %d", n, i, got, sh.SliceSize(size))
-			}
-			for k, idx := range idxs {
-				if idx >= size {
-					t.Fatalf("n=%d shard %d: index %d out of space", n, i, idx)
-				}
-				if seen[idx] {
-					t.Fatalf("n=%d: index %d owned by two shards", n, idx)
-				}
-				seen[idx] = true
-				if !reflect.DeepEqual(pts[k], serial[idx]) {
-					t.Fatalf("n=%d shard %d: point at index %d differs from serial enumeration\n got %+v\nwant %+v",
-						n, i, idx, pts[k], serial[idx])
-				}
-			}
-			total += uint64(len(pts))
 		}
-		if total != size {
-			t.Fatalf("n=%d: shards cover %d of %d points", n, total, size)
+		if next != size {
+			t.Fatalf("n=%d: shards cover %d of %d points", n, next, size)
 		}
 	}
 }
 
 // TestShardWalkValidation: malformed shard specs and invalid work are
-// rejected by every sharded entry point, and early stop from yield is
-// not an error.
+// rejected by every sharded entry point, early stop from yield is not
+// an error, a cancelled shard walk returns ctx's error, and a finished
+// one — an empty slice included — reports its slice's size as the
+// points evaluated.
 func TestShardWalkValidation(t *testing.T) {
 	const w = 50e6
 	types := triTypes(t, 1, 1, 1)
@@ -128,9 +130,6 @@ func TestShardWalkValidation(t *testing.T) {
 		if _, err := g.FrontierShard(w, sh); err == nil {
 			t.Fatalf("generic FrontierShard accepted %+v", sh)
 		}
-		if _, _, err := EnumerateGroupsShard(types, w, sh); err == nil {
-			t.Fatalf("EnumerateGroupsShard accepted %+v", sh)
-		}
 	}
 	if err := g.ForEachShard(-1, shard.Shard{Index: 0, Count: 1}, func(GenericPoint, uint64) bool { return true }); err == nil {
 		t.Fatal("generic ForEachShard accepted negative work")
@@ -142,6 +141,19 @@ func TestShardWalkValidation(t *testing.T) {
 	})
 	if err != nil || steps != 3 {
 		t.Fatalf("early stop: err=%v steps=%d", err, steps)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := g.FrontierShardCounted(ctx, w, shard.Shard{Index: 0, Count: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled shard walk: err=%v, want context.Canceled", err)
+	}
+	for _, sh := range []shard.Shard{{Index: 1, Count: 3}, {Index: 0, Count: int(g.Size()) + 1}} {
+		part, n, err := g.FrontierShardCounted(context.Background(), w, sh)
+		if err != nil || n != sh.SliceSize(g.Size()) || (n == 0) != (len(part.Points) == 0) {
+			t.Fatalf("shard %v walk evaluated %d points into %d (err=%v), want its slice's %d",
+				sh, n, len(part.Points), err, sh.SliceSize(g.Size()))
+		}
 	}
 
 	if _, err := MergeShardFrontiers([]ShardFrontier[int]{{Points: []int{1}, TEs: nil, Indices: []uint64{0}}}); err == nil {

@@ -387,7 +387,8 @@ func (s *Server) shardRequest(ctx context.Context, target string, req EnumerateG
 	// Shard sub-requests are buffered exchanges regardless of how the
 	// coordinator's own response is framed.
 	sub.Delta = false
-	sub.Shard = shard.Shard{Index: i, Count: n}.String()
+	sh := shard.Shard{Index: i, Count: n}
+	sub.Shard = sh.String()
 	// Pin the shard to the coordinator's active profile version: a
 	// replica that has drifted (bumped or lagging) answers 409 and its
 	// slice counts as failed, so the merge can never mix slices computed
@@ -409,11 +410,25 @@ func (s *Server) shardRequest(ctx context.Context, target string, req EnumerateG
 		if err := json.Unmarshal(b, &er); err != nil {
 			return fmt.Errorf("shard %s: %s: %v", sub.Shard, target, err)
 		}
-		// A replica that disagrees on the slice or answers ragged arrays
-		// would corrupt the merge; treat it as a failed shard.
+		// A replica that disagrees on the slice, answers ragged arrays or
+		// returns an index outside the slice's range of the walked space
+		// (a replica that partitions the space differently, such as an
+		// older version) would corrupt the merge; treat it as a failed
+		// shard.
 		if er.Shard != sub.Shard || len(er.Points) != len(er.Indices) {
 			return fmt.Errorf("shard %s: %s answered shard %q with %d points, %d indices",
 				sub.Shard, target, er.Shard, len(er.Points), len(er.Indices))
+		}
+		size := er.SpaceSize
+		if er.PrunedSize != 0 {
+			size = er.PrunedSize
+		}
+		lo, hi := sh.Range(size)
+		for _, idx := range er.Indices {
+			if idx < lo || idx >= hi {
+				return fmt.Errorf("shard %s: %s answered index %d outside the slice's range [%d, %d) of %d points",
+					sub.Shard, target, idx, lo, hi, size)
+			}
 		}
 		part.Points = er.Points
 		part.Indices = er.Indices

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -254,6 +256,53 @@ func TestFleetPartialWhenFailoverExhausted(t *testing.T) {
 	if snap := f.coord.reg.Snapshot(); snap["heteromixd_fleet_shard_errors_total"] < float64(len(expectFailed)) {
 		t.Errorf("fleet_shard_errors_total = %v, want >= %d",
 			snap["heteromixd_fleet_shard_errors_total"], len(expectFailed))
+	}
+}
+
+// TestFleetRejectsOutOfRangeShard: a shard answer holding an index
+// outside that slice's range of the walked space — what a replica that
+// partitions the space differently, such as an older version, returns —
+// fails that shard instead of corrupting the merge: the coordinator
+// serves the other slice degraded, lists the shard under failed_shards
+// and caches nothing.
+func TestFleetRejectsOutOfRangeShard(t *testing.T) {
+	replica := newTestServer(t, Options{})
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		r.Header.Del("Accept-Encoding") // the stub edits plain JSON
+		rec := httptest.NewRecorder()
+		replica.Handler().ServeHTTP(rec, r)
+		out := rec.Body.Bytes()
+		if rec.Code == http.StatusOK && bytes.Contains(body, []byte(`"shard":"1/2"`)) {
+			var er EnumerateGenericResponse
+			if err := json.Unmarshal(out, &er); err != nil || len(er.Indices) == 0 {
+				t.Errorf("stub: shard 1/2 answer %s (err %v)", out, err)
+			} else {
+				er.Indices[0] = 0 // shard 0's first index, outside [N/2, N)
+				out, _ = json.Marshal(er)
+			}
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(out)
+	}))
+	t.Cleanup(stub.Close)
+	coord := newTestServer(t, Options{Replicas: []string{stub.URL}, ProbeInterval: time.Hour})
+
+	rr := post(t, coord, "/v1/enumerate-generic", fleetShardedBody(2))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("fan-out with one out-of-range shard: %d %s", rr.Code, rr.Body)
+	}
+	if rr.Header().Get("X-Degraded") != "true" || !strings.Contains(rr.Body.String(), `"failed_shards":[1]`) {
+		t.Fatalf("out-of-range shard not failed: X-Degraded=%q body %s", rr.Header().Get("X-Degraded"), rr.Body)
+	}
+	again := post(t, coord, "/v1/enumerate-generic", fleetShardedBody(2))
+	if again.Header().Get("X-Cache") == "hit" {
+		t.Fatal("degraded partial was served from cache")
 	}
 }
 

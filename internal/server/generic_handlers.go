@@ -52,8 +52,9 @@ type EnumerateGenericRequest struct {
 	// Prune restricts each type to its (time, power) domination
 	// survivors before enumeration. Implied by FrontierOnly.
 	Prune bool `json:"prune,omitempty"`
-	// Shard restricts this server's walk to slice "i/n" of the
-	// Feistel-permuted space (see internal/shard). Requires
+	// Shard restricts this server's walk to slice "i/n": the serial
+	// indices [⌊i·N/n⌋, ⌊(i+1)·N/n⌋) of the N-point walked space (see
+	// internal/shard). Requires
 	// frontier_only; the response then carries per-point serial indices
 	// so a coordinator can merge slices deterministically.
 	Shard string `json:"shard,omitempty"`

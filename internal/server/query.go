@@ -29,8 +29,9 @@ const (
 	// planFrontier answers the whole space's online frontier: from the
 	// generic table's candidate set, or a full two-type walk.
 	planFrontier
-	// planShard walks one Feistel slice (Shard or DefaultShard) through
-	// the index-tracking frontier a coordinator merges.
+	// planShard walks one contiguous slice of serial indices (Shard or
+	// DefaultShard) into the partial frontier, with indices, that a
+	// coordinator merges.
 	planShard
 	// planFleet fans shard requests out across the replica set.
 	planFleet
@@ -366,34 +367,15 @@ func (wk *walker) frontier(ctx context.Context, work float64, emit func([]byte) 
 	return walked, nil
 }
 
-// shardFrontier walks this server's slice of the generic space through
-// an order-independent indexed frontier (duplicates resolve toward the
-// smallest serial index, so the coordinator's merge is deterministic)
-// and emits its points; indices carries each one's serial index.
+// shardFrontier emits the frontier of this server's slice of the
+// generic space; indices carries each point's serial index, the
+// coordinator's merge key.
 func (wk *walker) shardFrontier(ctx context.Context, work float64, sh shard.Shard, emit func([]byte) error) (walked uint64, indices []uint64, err error) {
-	tr := pareto.TrackedIndexed[cluster.GenericPoint]{Clone: cluster.GenericPoint.Clone}
-	var insErr error
-	err = wk.gen.ForEachShard(work, sh, func(p cluster.GenericPoint, idx uint64) bool {
-		walked++
-		if walked&pollMask == 0 && ctx.Err() != nil {
-			return false
-		}
-		if _, insErr = tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, idx, p); insErr != nil {
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = insErr
-	}
-	if err == nil {
-		err = ctx.Err()
-	}
+	part, walked, err := wk.gen.FrontierShardCounted(ctx, work, sh)
 	if err != nil {
 		return 0, nil, err
 	}
-	pts, _, indices := tr.Frontier()
-	return walked, indices, wk.emitGeneric(pts, emit)
+	return walked, part.Indices, wk.emitGeneric(part.Points, emit)
 }
 
 // emitGeneric encodes and emits generic frontier points.

@@ -1,22 +1,22 @@
 // Package shard partitions enumeration index spaces across a fleet of
-// replicas without coordination state. Its three pieces compose the
+// replicas without coordination state. Its pieces compose the
 // scatter-gather serving mode:
 //
-//   - Permutation, a keyed Feistel network over [0, size): a bijective
-//     shuffle of the mixed-radix index space computed in O(1) per index,
-//     with no materialized assignment table. Striding the *permuted*
-//     positions spreads any structure of the enumeration order (cheap
-//     prefixes, expensive suffixes) uniformly across shards, so equal
-//     cardinality implies balanced work.
 //   - Shard, the "i/n" slice spec a replica serves: shard i of n owns
-//     the permuted positions j ≡ i (mod n), a deterministic exact
-//     partition because the permutation is a bijection.
+//     the contiguous serial indices [⌊i·size/n⌋, ⌊(i+1)·size/n⌋)
+//     (Range), an exact partition whose slices differ in size by at
+//     most one. A replica walks its slice by one seek and then odometer
+//     steps, and because slices are ordered, merging them in serial
+//     index order reproduces the serial walk.
 //   - Ring, a consistent-hash ring used by the coordinator to route
 //     predict/batch traffic so each replica's compiled-table cache
-//     stays hot for the workloads it owns.
+//     stays hot for the workloads it owns, and to place shards.
+//   - Permutation, a keyed Feistel network over [0, size). No slice
+//     depends on it; it is kept only for the benchmark replay's
+//     shard.permute_ns_per_index metric.
 //
 // Everything here is a pure function of its inputs — two replicas
-// configured with the same size, seed and shard spec agree on the slice
+// configured with the same size and shard spec agree on the slice
 // with no communication.
 package shard
 
@@ -28,10 +28,8 @@ import (
 	"strings"
 )
 
-// DefaultSeed keys the fleet's permutation. Every replica and the
-// coordinator must agree on the seed for shard slices to partition the
-// space; the value only steers load balance, never coverage, so a fixed
-// fleet-wide constant is correct.
+// DefaultSeed is the key the benchmark's replay times Permutation
+// with; no shard slice depends on it.
 const DefaultSeed uint64 = 0x68657465726f6d69 // "heteromi"
 
 // feistelRounds is the number of Feistel rounds. Four already mixes
@@ -52,7 +50,9 @@ func mix64(x uint64) uint64 {
 }
 
 // Permutation is a keyed bijection over [0, size). The zero value (and
-// any size <= 1) is the identity. Safe for concurrent use.
+// any size <= 1) is the identity. Safe for concurrent use. No shard slice
+// uses it: it is kept only for the benchmark replay's
+// shard.permute_ns_per_index metric and goes when that metric does.
 type Permutation struct {
 	size     uint64
 	halfBits uint
@@ -183,14 +183,32 @@ func (s Shard) Validate() error {
 // String renders the canonical "i/n" form.
 func (s Shard) String() string { return strconv.Itoa(s.Index) + "/" + strconv.Itoa(s.Count) }
 
-// SliceSize returns how many of size total points shard s owns: the
-// count of positions j in [0, size) with j ≡ Index (mod Count), i.e.
-// within one point of size/Count for every shard.
-func (s Shard) SliceSize(size uint64) uint64 {
-	if s.Count < 1 || uint64(s.Index) >= size {
-		return 0
+// Range returns the serial indices [lo, hi) shard s owns of a
+// size-point space: [⌊Index·size/Count⌋, ⌊(Index+1)·size/Count⌋). The
+// products are taken in 128 bits, so the bounds are exact even for a
+// size saturated at math.MaxUint64. Adjacent shards' ranges meet, the
+// Count ranges cover [0, size), and each holds ⌊size/Count⌋ or
+// ⌈size/Count⌉ indices. An invalid s owns nothing.
+func (s Shard) Range(size uint64) (lo, hi uint64) {
+	if s.Validate() != nil {
+		return 0, 0
 	}
-	return (size - uint64(s.Index) + uint64(s.Count) - 1) / uint64(s.Count)
+	return rangeBound(size, s.Index, s.Count), rangeBound(size, s.Index+1, s.Count)
+}
+
+// rangeBound is ⌊i·size/n⌋ for 0 <= i <= n. The high word of i·size is
+// below n because i <= n, so the 128-by-64 division cannot overflow.
+func rangeBound(size uint64, i, n int) uint64 {
+	hi, lo := bits.Mul64(size, uint64(i))
+	q, _ := bits.Div64(hi, lo, uint64(n))
+	return q
+}
+
+// SliceSize returns how many of size total points shard s owns: the
+// length of its Range, within one point of size/Count for every shard.
+func (s Shard) SliceSize(size uint64) uint64 {
+	lo, hi := s.Range(size)
+	return hi - lo
 }
 
 // defaultVnodes is the virtual-node count per ring member: enough that

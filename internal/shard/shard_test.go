@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 )
 
@@ -111,38 +112,39 @@ func TestPermutationKeyed(t *testing.T) {
 	}
 }
 
-// TestShardSlicesPartitionSpace: the n shard slices — shard i walking
-// permuted positions j ≡ i (mod n) — partition [0, size) exactly, and
-// each shard's cardinality is within one of size/n (what SliceSize
-// reports).
+// TestShardSlicesPartitionSpace: for every size — empty, around the
+// shard count, the tri-cluster space and the saturated maximum — the n
+// ranges are adjacent, cover [0, size) exactly, match the exact
+// ⌊i·size/n⌋ bounds (so nothing overflows at math.MaxUint64), and each
+// SliceSize is within one of size/n.
 func TestShardSlicesPartitionSpace(t *testing.T) {
-	const size = 100_003 // prime: no alignment with any shard count
-	p := NewPermutation(size, DefaultSeed)
-	for _, n := range []int{1, 2, 4, 7} {
-		seen := make([]bool, size)
-		total := uint64(0)
-		for i := 0; i < n; i++ {
-			sh := Shard{Index: i, Count: n}
-			count := uint64(0)
-			for j := uint64(i); j < size; j += uint64(n) {
-				idx := p.Apply(j)
-				if seen[idx] {
-					t.Fatalf("n=%d: index %d owned by two shards", n, idx)
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 64} {
+		for _, size := range []uint64{0, 1, uint64(n) - 1, uint64(n), uint64(n) + 1, 384_344, math.MaxUint64} {
+			next := uint64(0)
+			for i := 0; i < n; i++ {
+				sh := Shard{Index: i, Count: n}
+				lo, hi := sh.Range(size)
+				if lo != next {
+					t.Fatalf("size %d n=%d shard %d: range starts at %d, previous ended at %d", size, n, i, lo, next)
 				}
-				seen[idx] = true
-				count++
+				exact := new(big.Int).Mul(new(big.Int).SetUint64(size), big.NewInt(int64(i+1)))
+				exact.Quo(exact, big.NewInt(int64(n)))
+				if !exact.IsUint64() || exact.Uint64() != hi {
+					t.Fatalf("size %d n=%d shard %d: range ends at %d, want %v", size, n, i, hi, exact)
+				}
+				if got := sh.SliceSize(size); got != hi-lo || got < size/uint64(n) || got-size/uint64(n) > 1 {
+					t.Fatalf("size %d n=%d shard %d: SliceSize %d for [%d, %d), want within one of %d",
+						size, n, i, got, lo, hi, size/uint64(n))
+				}
+				next = hi
 			}
-			if count != sh.SliceSize(size) {
-				t.Fatalf("n=%d shard %d: walked %d, SliceSize says %d", n, i, count, sh.SliceSize(size))
+			if next != size {
+				t.Fatalf("size %d n=%d: ranges cover [0, %d)", size, n, next)
 			}
-			if min, max := size/uint64(n), size/uint64(n)+1; count < min || count > max {
-				t.Fatalf("n=%d shard %d: cardinality %d outside [%d, %d]", n, i, count, min, max)
-			}
-			total += count
 		}
-		if total != size {
-			t.Fatalf("n=%d: shards cover %d of %d indices", n, total, size)
-		}
+	}
+	if lo, hi := (Shard{Index: 2, Count: 2}).Range(10); lo != 0 || hi != 0 {
+		t.Fatalf("invalid shard owns [%d, %d)", lo, hi)
 	}
 }
 
