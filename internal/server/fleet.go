@@ -27,6 +27,15 @@ package server
 // is never cached; when every shard fails the request answers 503,
 // never 500.
 //
+// Transport: the coordinator owns its replica transport rather than
+// riding http.DefaultClient. Shard answers are a few KB of JSON on a
+// loopback or LAN hop, so the transport asks for no gzip (inflating
+// each one cost a fresh ~32 KB flate window, more than the answer), and
+// its idle pool keeps maxFleetShards*maxShardAttempts connections per
+// replica, so a fan-out that lands every shard on one replica reuses
+// its connections instead of dialling. Shard answers are read into
+// pooled buffers that live only while they are decoded.
+//
 // Routing: with a RouteKey configured, predict and single-workload
 // batch requests are forwarded to the consistent-hash owner of their
 // workload, so each replica's compiled-table cache stays hot for the
@@ -124,10 +133,11 @@ func validReplicaURL(raw string) error {
 }
 
 // fleetClient is the coordinator's transport: a retrying HTTP client
-// shared across replicas plus one circuit breaker per replica URL, so a
-// dead replica fails its shards fast instead of eating the retry budget
-// on every fan-out.
+// over its own keep-alive pool, shared across replicas, plus one
+// circuit breaker per replica URL, so a dead replica fails its shards
+// fast instead of eating the retry budget on every fan-out.
 type fleetClient struct {
+	tr         *http.Transport
 	c          *resilience.Client
 	newBreaker func(target string) *resilience.Breaker
 
@@ -135,9 +145,22 @@ type fleetClient struct {
 	breakers map[string]*resilience.Breaker
 }
 
+// fleetIdlePerHost is the most connections one fan-out can hold open to
+// a single replica: every shard's primary plus its hedge or failover.
+const fleetIdlePerHost = maxFleetShards * maxShardAttempts
+
 func newFleetClient(newBreaker func(target string) *resilience.Breaker) *fleetClient {
+	// Cloned so the default proxy, dial and TLS settings are kept. No
+	// gzip: shard answers are small and the hop is cheap, so inflating
+	// them costs more than the bytes it saves. The idle pool is sized to
+	// the fan-out, with no global cap below one replica's share.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DisableCompression = true
+	tr.MaxIdleConnsPerHost = fleetIdlePerHost
+	tr.MaxIdleConns = maxFleetReplicas * fleetIdlePerHost
 	return &fleetClient{
-		c: resilience.NewClient(nil, resilience.RetryOptions{
+		tr: tr,
+		c: resilience.NewClient(&http.Client{Transport: tr}, resilience.RetryOptions{
 			MaxAttempts: 2,
 			BaseDelay:   25 * time.Millisecond,
 			MaxDelay:    250 * time.Millisecond,
@@ -160,18 +183,17 @@ func (f *fleetClient) breakerFor(target string) *resilience.Breaker {
 	return b
 }
 
-// post sends body to target's endpoint through the retry client, with
+// send posts body to target's endpoint through the retry client, with
 // the routed marker set. When ctx carries a deadline, the remaining
 // budget minus a 10% gather margin is stamped on the sub-request as
 // X-Deadline-Ms, so the replica sheds work the coordinator could no
 // longer merge; an already-exhausted budget fails fast without a wire
-// round trip. The response body is fully read and returned with the
-// status.
-func (f *fleetClient) post(ctx context.Context, target, endpoint string, body []byte) (int, []byte, error) {
+// round trip. The caller owns the response body.
+func (f *fleetClient) send(ctx context.Context, target, endpoint string, body []byte) (*http.Response, error) {
 	u := strings.TrimSuffix(target, "/") + endpoint
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(routedHeader, "1")
@@ -179,11 +201,17 @@ func (f *fleetClient) post(ctx context.Context, target, endpoint string, body []
 		budget := time.Until(dl)
 		budget -= budget / 10
 		if budget < time.Millisecond {
-			return 0, nil, fmt.Errorf("deadline exhausted: %w", context.DeadlineExceeded)
+			return nil, fmt.Errorf("deadline exhausted: %w", context.DeadlineExceeded)
 		}
 		hreq.Header.Set(deadlineHeader, strconv.FormatInt(budget.Milliseconds(), 10))
 	}
-	resp, err := f.c.Do(hreq)
+	return f.c.Do(hreq)
+}
+
+// post is send with the response body fully read and returned with the
+// status.
+func (f *fleetClient) post(ctx context.Context, target, endpoint string, body []byte) (int, []byte, error) {
+	resp, err := f.send(ctx, target, endpoint, body)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -195,6 +223,35 @@ func (f *fleetClient) post(ctx context.Context, target, endpoint string, body []
 	return resp.StatusCode, b, nil
 }
 
+// maxPooledAnswer bounds the capacity of an answer buffer returned to
+// answerPool, so one outsized answer does not pin its memory for good.
+const maxPooledAnswer = 1 << 20
+
+// answerPool recycles the buffers shard answers are read into.
+var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// exchange is post for answers that are decoded at once: read gets the
+// status and the body in a pooled buffer that is valid only until read
+// returns, so read must not keep any slice of it.
+func (f *fleetClient) exchange(ctx context.Context, target, endpoint string, body []byte, read func(status int, b []byte) error) error {
+	resp, err := f.send(ctx, target, endpoint, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	buf := answerPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledAnswer {
+			buf.Reset()
+			answerPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxFleetBody)); err != nil {
+		return err
+	}
+	return read(resp.StatusCode, buf.Bytes())
+}
+
 // shardCandidates builds each shard's ordered replica walk: the
 // consistent-hash owner first, then the next distinct ring members —
 // filtered by the health snapshot so dead replicas are skipped before a
@@ -204,26 +261,40 @@ func (f *fleetClient) post(ctx context.Context, target, endpoint string, body []
 // walk and fails without a wire attempt, which is exactly the
 // failed_shards partial path.
 func (s *Server) shardCandidates(req EnumerateGenericRequest) [][]string {
-	ring := s.shardRing
+	walks := s.shardWalks
 	var snap *fleethealth.ReplicaSet
 	if len(req.Replicas) > 0 {
-		ring = shard.NewRing(req.Replicas, 0)
+		walks = shardWalks(shard.NewRing(req.Replicas, 0), req.Shards)
 	} else if s.health != nil {
 		snap = s.health.Snapshot()
 	}
 	cands := make([][]string, req.Shards)
+	flat := make([]string, 0, req.Shards*maxShardAttempts)
 	for i := range cands {
-		for _, t := range ring.Successors("shard:" + strconv.Itoa(i)) {
+		start := len(flat)
+		for _, t := range walks[i] {
 			if snap != nil && !snap.Routable(t) {
 				continue
 			}
-			cands[i] = append(cands[i], t)
-			if len(cands[i]) == maxShardAttempts {
+			flat = append(flat, t)
+			if len(flat)-start == maxShardAttempts {
 				break
 			}
 		}
+		cands[i] = flat[start:len(flat):len(flat)]
 	}
 	return cands
+}
+
+// shardWalks returns the ring's successor walk of each of the first n
+// shard keys. The configured ring never changes, so a server computes
+// its walks once, for every shard count a fan-out may ask for.
+func shardWalks(ring *shard.Ring, n int) [][]string {
+	walks := make([][]string, n)
+	for i := range walks {
+		walks[i] = ring.Successors("shard:" + strconv.Itoa(i))
+	}
+	return walks
 }
 
 // fanOutGeneric scatters req.Shards shard requests across the replica
@@ -399,16 +470,18 @@ func (s *Server) shardRequest(ctx context.Context, target string, req EnumerateG
 		return part, false, err
 	}
 	berr := s.fleet.breakerFor(target).Do(func() error {
-		status, b, err := s.fleet.post(ctx, target, "/v1/enumerate-generic", body)
+		var er EnumerateGenericResponse
+		err := s.fleet.exchange(ctx, target, "/v1/enumerate-generic", body, func(status int, b []byte) error {
+			if status != http.StatusOK {
+				return fmt.Errorf("shard %s: %s answered %d", sub.Shard, target, status)
+			}
+			if err := json.Unmarshal(b, &er); err != nil {
+				return fmt.Errorf("shard %s: %s: %v", sub.Shard, target, err)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("shard %s: %s answered %d", sub.Shard, target, status)
-		}
-		var er EnumerateGenericResponse
-		if err := json.Unmarshal(b, &er); err != nil {
-			return fmt.Errorf("shard %s: %s: %v", sub.Shard, target, err)
 		}
 		// A replica that disagrees on the slice, answers ragged arrays or
 		// returns an index outside the slice's range of the walked space

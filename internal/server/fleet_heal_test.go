@@ -224,11 +224,15 @@ func TestFleetKillReviveSoak(t *testing.T) {
 // bound or the deadline passes — in-flight hedge losers need a moment
 // to observe their cancelled contexts. Keep-alive pool goroutines
 // (client readLoop/writeLoop pairs and the server ends of those
-// connections) are not leaks, so idle connections are torn down before
-// each count; the fleet client rides http.DefaultClient.
-func waitGoroutinesBelow(bound int, d time.Duration) int {
+// connections) are not leaks, so before each count the idle pools are
+// torn down: each coordinator's fleet transport and http.DefaultClient's,
+// which the health prober rides.
+func waitGoroutinesBelow(bound int, d time.Duration, coords ...*Server) int {
 	deadline := time.Now().Add(d)
 	for {
+		for _, s := range coords {
+			s.fleet.tr.CloseIdleConnections()
+		}
 		http.DefaultClient.CloseIdleConnections()
 		n := runtime.NumGoroutine()
 		if n <= bound || !time.Now().Before(deadline) {
@@ -288,7 +292,7 @@ func TestFleetHedgeRescuesSlowReplica(t *testing.T) {
 	// Cancelled hedge losers drain: the goroutine count settles back to
 	// (about) the baseline instead of accumulating stuck HTTP calls.
 	f.chaos[slow].Revive()
-	if n := waitGoroutinesBelow(base+8, 5*time.Second); n > base+8 {
+	if n := waitGoroutinesBelow(base+8, 5*time.Second, f.coord, noHedge); n > base+8 {
 		t.Errorf("goroutines settled at %d, baseline %d: hedge losers leaked", n, base)
 	}
 

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -490,5 +492,97 @@ func TestFleetChaosSoak(t *testing.T) {
 	}
 	if hz := get(t, f.coord, "/healthz"); hz.Code != http.StatusOK {
 		t.Fatalf("coordinator unhealthy after soak: %d", hz.Code)
+	}
+}
+
+// TestFleetReusesReplicaConnections pins the coordinator's replica
+// transport: once one fan-out has filled the idle pool, cold fan-outs
+// that put every shard on the same replica reuse those connections
+// instead of dialling, sub-requests ask for no gzip and answers come
+// back as plain JSON, and the merge stays byte-identical to the
+// unsharded answer.
+func TestFleetReusesReplicaConnections(t *testing.T) {
+	replica := newTestServer(t, Options{})
+	var dials, gzipAsks, encoded, arrived atomic.Int64
+	// The warm-up's eight shard requests wait for each other, so the
+	// warm-up holds eight connections at once and leaves them all idle.
+	warmed := make(chan struct{})
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if arrived.Add(1) == 8 {
+			close(warmed)
+		}
+		select {
+		case <-warmed:
+		case <-r.Context().Done():
+			return
+		}
+		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			gzipAsks.Add(1)
+		}
+		replica.Handler().ServeHTTP(w, r)
+		if w.Header().Get("Content-Encoding") != "" {
+			encoded.Add(1)
+		}
+	}))
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	hs.Start()
+	t.Cleanup(hs.Close)
+	coord := newTestServer(t, Options{Replicas: []string{hs.URL}, ProbeInterval: time.Hour})
+	plain := newTestServer(t, Options{})
+
+	if rr := post(t, coord, "/v1/enumerate-generic", fleetWorkBody(8, 1e7)); rr.Code != http.StatusOK {
+		t.Fatalf("warm-up fan-out: %d %s", rr.Code, rr.Body)
+	}
+	warm := dials.Load()
+	if warm != 8 {
+		t.Fatalf("warm-up fan-out of 8 shards opened %d connections, want 8", warm)
+	}
+	for round := 0; round < 20; round++ {
+		shards := 4 + 4*(round%2)
+		work := 2e7 + float64(round)
+		got := post(t, coord, "/v1/enumerate-generic", fleetWorkBody(shards, work))
+		if got.Code != http.StatusOK || got.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("round %d: %d X-Cache=%q %s", round, got.Code, got.Header().Get("X-Cache"), got.Body)
+		}
+		want := post(t, plain, "/v1/enumerate-generic", unshardedWorkBody(work))
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("round %d: %d-shard merge is not byte-identical to the unsharded answer", round, shards)
+		}
+	}
+	if n := dials.Load() - warm; n != 0 {
+		t.Errorf("20 cold fan-outs opened %d new connections after warm-up, want 0", n)
+	}
+	if n := gzipAsks.Load(); n != 0 {
+		t.Errorf("%d sub-requests asked for gzip", n)
+	}
+	if n := encoded.Load(); n != 0 {
+		t.Errorf("%d replica answers carried a Content-Encoding", n)
+	}
+}
+
+// TestShardSuccessorWalksCached: the walks a server computes once equal
+// the ring's own successor walk of every shard key, whatever the ring
+// size.
+func TestShardSuccessorWalksCached(t *testing.T) {
+	for _, r := range []int{1, 4, 16} {
+		urls := make([]string, r)
+		for i := range urls {
+			urls[i] = fmt.Sprintf("http://127.0.0.1:%d", 18300+i)
+		}
+		s := newTestServer(t, Options{Replicas: urls, ProbeInterval: time.Hour})
+		if len(s.shardWalks) != maxFleetShards {
+			t.Fatalf("%d replicas: %d cached walks, want %d", r, len(s.shardWalks), maxFleetShards)
+		}
+		ring := shard.NewRing(urls, 0)
+		for i, got := range s.shardWalks {
+			want := ring.Successors("shard:" + strconv.Itoa(i))
+			if len(want) != r || strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Fatalf("%d replicas, shard %d: cached walk %v, ring walk %v", r, i, got, want)
+			}
+		}
 	}
 }

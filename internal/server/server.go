@@ -259,10 +259,12 @@ type Server struct {
 
 	// health probes the configured replicas and publishes lock-free
 	// ReplicaSet snapshots; shardRing is the consistent-hash ring the
-	// fan-out walks for deterministic shard failover. Both are nil
-	// without Replicas.
-	health    *fleethealth.Prober
-	shardRing *shard.Ring
+	// fan-out walks for deterministic shard failover, and shardWalks
+	// holds its successor walk for each of the first maxFleetShards
+	// shard keys. All are nil without Replicas.
+	health     *fleethealth.Prober
+	shardRing  *shard.Ring
+	shardWalks [][]string
 
 	inflight          *metrics.Gauge
 	rejected          *metrics.Counter
@@ -509,6 +511,7 @@ func New(opts Options) (*Server, error) {
 			})
 		})
 		s.shardRing = shard.NewRing(opts.Replicas, 0)
+		s.shardWalks = shardWalks(s.shardRing, maxFleetShards)
 		if opts.RouteKey == "workload" || opts.RouteKey == "cluster" {
 			s.ring = s.shardRing
 		}
@@ -923,8 +926,9 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 }
 
 // Close releases the server's background resources — the fleet health
-// prober's goroutines and the snapshot writer (which persists one final
-// snapshot so a clean shutdown keeps its warmth). Idempotent and safe
+// prober's goroutines, the snapshot writer (which persists one final
+// snapshot so a clean shutdown keeps its warmth) and the idle replica
+// connections of the fleet transport. Idempotent and safe
 // on a server without replicas; callers that construct with New and
 // never Run should defer it (Run closes on exit itself).
 func (s *Server) Close() {
@@ -942,6 +946,9 @@ func (s *Server) Close() {
 	}
 	if s.health != nil {
 		s.health.Stop()
+	}
+	if s.fleet != nil {
+		s.fleet.tr.CloseIdleConnections()
 	}
 }
 
