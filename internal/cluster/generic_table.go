@@ -188,7 +188,7 @@ func (g *GenericTable) FrontierCounted(ctx context.Context, w float64, workers i
 		return nil, nil, 0, err
 	}
 	if !set.covers(w) {
-		pts, tes, err = g.t.frontierWalk(ctx, w, n, workers)
+		pts, tes, err = g.frontierWalk(ctx, w, n, workers)
 		return pts, tes, evaluated + g.t.size, err
 	}
 	pts, tes, err = g.t.frontierOf(set.idx, w)
@@ -216,24 +216,41 @@ func (t *genericTable) frontierOf(idx []uint64, w float64) ([]GenericPoint, []pa
 	return pts, tes, nil
 }
 
+// FrontierOfIndices evaluates the points at serial indices idx (any
+// order; idx is not modified) for w work units and returns their
+// frontier, offered in ascending index as in the serial walk. Given the
+// survivors of partial frontiers covering the space — frontierWalk's
+// chunks, a fleet's shards — it is the serial frontier, bit for bit. An
+// index at or past Size() is an error.
+func (g *GenericTable) FrontierOfIndices(w float64, idx []uint64) ([]GenericPoint, []pareto.TE, error) {
+	if err := g.check(w); err != nil {
+		return nil, nil, err
+	}
+	for _, i := range idx {
+		if i >= g.t.size {
+			return nil, nil, fmt.Errorf("cluster: serial index %d outside a space of %d points", i, g.t.size)
+		}
+	}
+	sorted := slices.Clone(idx)
+	slices.Sort(sorted)
+	return g.t.frontierOf(sorted, w)
+}
+
 // frontierWalk is the chunked full walk: each claimed chunk of the n
 // points keeps the serial indices of its own frontier (rangeFrontier),
-// and the chunks' survivors, in ascending order, pass through one
-// frontierOf. Every point a chunk drops is dominated by, or an exact
-// later duplicate of, a survivor of that chunk, so the result is
-// identical to the serial walk.
-func (t *genericTable) frontierWalk(ctx context.Context, w float64, n, workers int) ([]GenericPoint, []pareto.TE, error) {
+// and the chunks' survivors merge through FrontierOfIndices. Every point
+// a chunk drops is dominated by, or an exact later duplicate of, a
+// survivor of that chunk, so the result is identical to the serial walk.
+func (g *GenericTable) frontierWalk(ctx context.Context, w float64, n, workers int) ([]GenericPoint, []pareto.TE, error) {
 	survivors := make([][]uint64, (n+genericFrontierChunk-1)/genericFrontierChunk)
 	err := parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) (err error) {
 		// parallelFor claims start at chunk multiples, so lo identifies
 		// the chunk's slot.
-		survivors[lo/genericFrontierChunk], _, err = t.rangeFrontier(ctx, w, uint64(lo), uint64(hi))
+		survivors[lo/genericFrontierChunk], _, err = g.t.rangeFrontier(ctx, w, uint64(lo), uint64(hi))
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	all := slices.Concat(survivors...)
-	slices.Sort(all)
-	return t.frontierOf(all, w)
+	return g.FrontierOfIndices(w, slices.Concat(survivors...))
 }

@@ -13,12 +13,13 @@ package cluster
 //
 // Determinism rests on one rule: every point carries its index in the
 // serial enumeration order, a shard walks its range in that order, and
-// MergeShardFrontiers re-offers the partial frontiers' survivors in
-// ascending serial index. Because a Pareto frontier is order-independent
-// up to duplicate resolution, and first-offered-wins in serial order is
-// smallest-index-wins, the merged frontier equals the serial frontier
-// bit for bit — TEs and payloads — which TestShardedFrontierBitIdentical
-// pins for 1/2/4/7 shards with and without domination pruning.
+// the merge (GenericTable.FrontierOfIndices) re-evaluates the partial
+// frontiers' survivors in ascending serial index. Because a Pareto
+// frontier is order-independent up to duplicate resolution, and
+// first-offered-wins in serial order is smallest-index-wins, the merged
+// frontier equals the serial frontier bit for bit — TEs and payloads —
+// which TestShardedFrontierBitIdentical pins for 1/2/4/7 shards with and
+// without domination pruning.
 
 import (
 	"context"
@@ -139,7 +140,7 @@ func (t *genericTable) points(idx []uint64, w float64) []GenericPoint {
 // serial index, so cross-shard domination is applied and first-offered
 // wins among exact duplicates exactly as in the serial walk. Merging the
 // sh.Count slices of one space reproduces that space's serial frontier
-// bit for bit.
+// bit for bit. Kept only for the benchmark replay's shard_merge_us.
 func MergeShardFrontiers[T any](parts []ShardFrontier[T]) (ShardFrontier[T], error) {
 	type entry struct {
 		te  pareto.TE

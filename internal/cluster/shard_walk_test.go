@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"heteromix/internal/shard"
@@ -61,6 +62,50 @@ func TestShardedFrontierBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFrontierOfIndicesMergesShards: the shard slices' survivor
+// indices, gathered in any order, merge through FrontierOfIndices into
+// the serial frontier bit for bit; the caller's slice is left as it
+// was, and an index past the space is refused.
+func TestFrontierOfIndicesMergesShards(t *testing.T) {
+	const w = 50e6
+	types, err := PruneGroupTypes(triTypes(t, 2, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPts, wantTEs, err := GenericFrontierOf(types, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenericTable(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range shardSpecs {
+		var idx []uint64
+		for i := n - 1; i >= 0; i-- { // last slice first: the merge sorts
+			part, err := g.FrontierShard(w, shard.Shard{Index: i, Count: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx = append(idx, part.Indices...)
+		}
+		given := slices.Clone(idx)
+		pts, tes, err := g.FrontierOfIndices(w, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tes, wantTEs) || !reflect.DeepEqual(pts, wantPts) {
+			t.Fatalf("n=%d: merged frontier differs from the serial one\n got %v\nwant %v", n, tes, wantTEs)
+		}
+		if !slices.Equal(idx, given) {
+			t.Fatalf("n=%d: FrontierOfIndices reordered its argument", n)
+		}
+	}
+	if _, _, err := g.FrontierOfIndices(w, []uint64{0, g.Size()}); err == nil {
+		t.Fatal("FrontierOfIndices accepted an index past the space")
 	}
 }
 

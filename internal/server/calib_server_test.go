@@ -9,8 +9,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"heteromix/internal/experiments"
 	"heteromix/internal/hwsim"
 	"heteromix/internal/model"
 )
@@ -299,6 +302,59 @@ func TestProfileBumpInvalidatesCaches(t *testing.T) {
 	// The other workload's entry survived and still serves hot.
 	if rr := post(t, s, "/v1/predict", memPredict); rr.Header().Get("X-Cache") != "hit" {
 		t.Errorf("memcached predict after ep bump: cache=%q, want hit", rr.Header().Get("X-Cache"))
+	}
+}
+
+// bumpingSource is the test suite as a model source whose first
+// per-type model lookup after arming runs bump: a profile bump landing
+// while a generic request resolves its models.
+type bumpingSource struct {
+	*experiments.Suite
+	armed atomic.Bool
+	once  sync.Once
+	bump  func()
+}
+
+func (b *bumpingSource) Model(workload string, spec hwsim.NodeSpec) (model.NodeModel, error) {
+	if b.armed.Load() {
+		b.once.Do(b.bump)
+	}
+	return b.Suite.Model(workload, spec)
+}
+
+// TestGenericBumpDuringModelLookupRetiresTable: a bump that lands while
+// a generic request resolves its models must not leave the retired
+// models compiled into a table keyed under the new version. The next
+// request at the new version — another work size, so no result-cache
+// hit — must answer what a fresh server under the new profile answers.
+func TestGenericBumpDuringModelLookupRetiresTable(t *testing.T) {
+	nm := perturbedModel(t, "ep", "arm-cortex-a9", 1.25)
+	src := &bumpingSource{Suite: testSuite()}
+	s := newTestServer(t, Options{Models: src})
+	src.bump = func() {
+		if _, err := s.calib.Install("ep", "arm-cortex-a9", nm, "test"); err != nil {
+			t.Error(err)
+		}
+	}
+	src.armed.Store(true)
+	if rr := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(1e8)); rr.Code != http.StatusOK {
+		t.Fatalf("racing request: %d %s", rr.Code, rr.Body)
+	}
+	if v := s.calib.Version("ep"); v != 2 {
+		t.Fatalf("ep version after the racing request = %d, want 2", v)
+	}
+
+	fresh := newTestServer(t, Options{})
+	if _, err := fresh.calib.Install("ep", "arm-cortex-a9", nm, "test"); err != nil {
+		t.Fatal(err)
+	}
+	want := post(t, fresh, "/v1/enumerate-generic", unshardedWorkBody(2e8))
+	got := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(2e8))
+	if want.Code != http.StatusOK || got.Code != http.StatusOK {
+		t.Fatalf("post-bump requests: %d / %d", got.Code, want.Code)
+	}
+	if got.Body.String() != want.Body.String() {
+		t.Fatalf("post-bump answer was computed from retired models\n got: %s\nwant: %s", got.Body, want.Body)
 	}
 }
 

@@ -4,13 +4,16 @@ package server
 // across a replica set.
 //
 // A coordinator receives /v1/enumerate-generic with shards: n, rewrites
-// it into n shard requests ("shard": "i/n"), fans them out across its
+// it into n shard requests ("shard": "i/n") pinned to the profile
+// version its own table was compiled under, fans them out across its
 // replica URLs through the retrying client and per-replica circuit
-// breakers, and merges the partial frontiers deterministically
-// (cluster.MergeShardFrontiers), so the merged body is byte-identical
-// to what an unsharded walk of the same space would have served — and
-// is cached under the unsharded request's key, letting fleet and
-// single-process traffic share one entry.
+// breakers, and takes only the survivors' serial indices from each
+// answer: checked against its own space, they are re-evaluated on its
+// own table by the merge the local chunked walk uses
+// (cluster.GenericTable.FrontierOfIndices). The merged body is thus
+// byte-identical to an unsharded walk of the same space, and is cached
+// under the unsharded request's key, letting fleet and single-process
+// traffic share one entry.
 //
 // Self-healing: each shard is assigned along the consistent-hash ring's
 // successor walk (shard.Ring.Successors), filtered by the health
@@ -58,9 +61,7 @@ import (
 	"sync"
 	"time"
 
-	"heteromix/internal/cluster"
 	"heteromix/internal/fleethealth"
-	"heteromix/internal/pareto"
 	"heteromix/internal/resilience"
 	"heteromix/internal/shard"
 )
@@ -297,23 +298,22 @@ func shardWalks(ring *shard.Ring, n int) [][]string {
 	return walks
 }
 
-// fanOutGeneric scatters req.Shards shard requests across the replica
-// set — each shard walking its candidate replicas with failover and
-// hedging — and gathers the partial frontiers. It returns the
-// deterministic merge of the slices that answered, the indices of
-// shards that failed, and whether any surviving slice was itself served
-// degraded. onShard is invoked from each shard's goroutine as its
+// fanOutGeneric scatters q's shard requests across the replica set —
+// each shard walking its candidate replicas with failover and hedging.
+// It returns the serial indices the answered slices kept, the indices
+// of shards that failed, and whether any surviving slice was itself
+// served degraded. onShard is invoked from each shard's goroutine as its
 // outcome settles (streamed coordinators emit progress records from it
 // — the callback must serialize itself); every callback has returned
 // before fanOutGeneric does.
-func (s *Server) fanOutGeneric(ctx context.Context, req EnumerateGenericRequest, onShard func(shardProgress)) (merged cluster.ShardFrontier[cluster.GenericPointSummary], failed []int, degraded bool, err error) {
-	cands := s.shardCandidates(req)
-	n := req.Shards
+func (s *Server) fanOutGeneric(ctx context.Context, q *query, onShard func(shardProgress)) (survivors []uint64, failed []int, degraded bool, err error) {
+	n := q.gen.Shards
+	cands := s.shardCandidates(*q.gen)
 	s.fleetFanouts.Inc()
 	type result struct {
-		part cluster.ShardFrontier[cluster.GenericPointSummary]
-		deg  bool
-		err  error
+		idx []uint64
+		deg bool
+		err error
 	}
 	results := make([]result, n)
 	var wg sync.WaitGroup
@@ -321,13 +321,12 @@ func (s *Server) fanOutGeneric(ctx context.Context, req EnumerateGenericRequest,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			part, deg, err := s.shardRequestHedged(ctx, cands[i], req, i, n)
-			results[i] = result{part: part, deg: deg, err: err}
-			onShard(shardProgress{Shard: i, Points: len(part.Points), Failed: err != nil})
+			idx, deg, err := s.shardRequestHedged(ctx, cands[i], q, i, n)
+			results[i] = result{idx: idx, deg: deg, err: err}
+			onShard(shardProgress{Shard: i, Points: len(idx), Failed: err != nil})
 		}(i)
 	}
 	wg.Wait()
-	parts := make([]cluster.ShardFrontier[cluster.GenericPointSummary], 0, n)
 	for i, res := range results {
 		if res.err != nil {
 			s.fleetShardErrors.Inc()
@@ -335,16 +334,12 @@ func (s *Server) fanOutGeneric(ctx context.Context, req EnumerateGenericRequest,
 			continue
 		}
 		degraded = degraded || res.deg
-		parts = append(parts, res.part)
+		survivors = append(survivors, res.idx...)
 	}
-	if len(parts) == 0 {
-		return merged, failed, false, fmt.Errorf("%w: all %d shards failed", errFleetUnavailable, n)
+	if len(failed) == n {
+		return nil, failed, false, fmt.Errorf("%w: all %d shards failed", errFleetUnavailable, n)
 	}
-	merged, err = cluster.MergeShardFrontiers(parts)
-	if err != nil {
-		return merged, failed, false, err
-	}
-	return merged, failed, degraded, nil
+	return survivors, failed, degraded, nil
 }
 
 // hedgeDelay is how long the coordinator waits on a shard's primary
@@ -377,13 +372,12 @@ func (s *Server) hedgeDelay() time.Duration {
 // loser's context is cancelled (a neutral outcome for its breaker).
 // The results channel is buffered to the attempt count so an abandoned
 // loser never blocks on send and no goroutine outlives its HTTP call.
-func (s *Server) shardRequestHedged(ctx context.Context, cands []string, req EnumerateGenericRequest, i, n int) (cluster.ShardFrontier[cluster.GenericPointSummary], bool, error) {
-	var zero cluster.ShardFrontier[cluster.GenericPointSummary]
+func (s *Server) shardRequestHedged(ctx context.Context, cands []string, q *query, i, n int) ([]uint64, bool, error) {
 	if len(cands) == 0 {
-		return zero, false, fmt.Errorf("shard %d/%d: no routable replica", i, n)
+		return nil, false, fmt.Errorf("shard %d/%d: no routable replica", i, n)
 	}
 	type outcome struct {
-		part   cluster.ShardFrontier[cluster.GenericPointSummary]
+		idx    []uint64
 		deg    bool
 		err    error
 		hedged bool
@@ -400,11 +394,11 @@ func (s *Server) shardRequestHedged(ctx context.Context, cands []string, req Enu
 		cancels = append(cancels, cancel)
 		go func() {
 			start := time.Now()
-			part, deg, err := s.shardRequest(actx, target, req, i, n)
+			idx, deg, err := s.shardRequest(actx, target, q, i, n)
 			if err == nil {
 				s.fleetShardLatency.Observe(time.Since(start).Seconds())
 			}
-			results <- outcome{part: part, deg: deg, err: err, hedged: hedged}
+			results <- outcome{idx: idx, deg: deg, err: err, hedged: hedged}
 		}()
 	}
 	launch(cands[0], false)
@@ -429,7 +423,7 @@ func (s *Server) shardRequestHedged(ctx context.Context, cands []string, req Enu
 				if o.hedged {
 					s.fleetHedgeWins.Inc()
 				}
-				return o.part, o.deg, nil
+				return o.idx, o.deg, nil
 			}
 			if firstErr == nil {
 				firstErr = o.err
@@ -445,14 +439,24 @@ func (s *Server) shardRequestHedged(ctx context.Context, cands []string, req Enu
 			}
 		}
 	}
-	return zero, false, firstErr
+	return nil, false, firstErr
 }
 
-// shardRequest asks one replica for slice i/n of req's space, through
-// that replica's breaker, and converts the answer into a mergeable
-// partial frontier.
-func (s *Server) shardRequest(ctx context.Context, target string, req EnumerateGenericRequest, i, n int) (part cluster.ShardFrontier[cluster.GenericPointSummary], degraded bool, err error) {
-	sub := req
+// shardAnswer is what the coordinator reads of a shard answer; the
+// points are left undecoded, as the merge evaluates the indices itself.
+type shardAnswer struct {
+	Shard      string   `json:"shard"`
+	Returned   int      `json:"returned"`
+	PrunedSize uint64   `json:"pruned_size"`
+	Indices    []uint64 `json:"indices"`
+	Degraded   bool     `json:"degraded"`
+}
+
+// shardRequest asks one replica for slice i/n of q's space, through
+// that replica's breaker, and returns the serial indices the slice's
+// frontier kept.
+func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n int) (indices []uint64, degraded bool, err error) {
+	sub := *q.gen
 	sub.Shards = 0
 	sub.Replicas = nil
 	// Shard sub-requests are buffered exchanges regardless of how the
@@ -460,22 +464,22 @@ func (s *Server) shardRequest(ctx context.Context, target string, req EnumerateG
 	sub.Delta = false
 	sh := shard.Shard{Index: i, Count: n}
 	sub.Shard = sh.String()
-	// Pin the shard to the coordinator's active profile version: a
-	// replica that has drifted (bumped or lagging) answers 409 and its
-	// slice counts as failed, so the merge can never mix slices computed
-	// under different profiles.
-	sub.ProfileVersion = s.calib.Version(req.Workload)
+	// Pin the profile version q's table was compiled under: a replica on
+	// another answers 409 and its slice fails, so every survivor was
+	// chosen under the models the merge evaluates it with.
+	sub.ProfileVersion = q.key.version
 	body, err := json.Marshal(sub)
 	if err != nil {
-		return part, false, err
+		return nil, false, err
 	}
+	size := q.walker.gen.Size()
 	berr := s.fleet.breakerFor(target).Do(func() error {
-		var er EnumerateGenericResponse
+		var a shardAnswer
 		err := s.fleet.exchange(ctx, target, "/v1/enumerate-generic", body, func(status int, b []byte) error {
 			if status != http.StatusOK {
 				return fmt.Errorf("shard %s: %s answered %d", sub.Shard, target, status)
 			}
-			if err := json.Unmarshal(b, &er); err != nil {
+			if err := json.Unmarshal(b, &a); err != nil {
 				return fmt.Errorf("shard %s: %s: %v", sub.Shard, target, err)
 			}
 			return nil
@@ -483,36 +487,29 @@ func (s *Server) shardRequest(ctx context.Context, target string, req EnumerateG
 		if err != nil {
 			return err
 		}
-		// A replica that disagrees on the slice, answers ragged arrays or
-		// returns an index outside the slice's range of the walked space
-		// (a replica that partitions the space differently, such as an
-		// older version) would corrupt the merge; treat it as a failed
-		// shard.
-		if er.Shard != sub.Shard || len(er.Points) != len(er.Indices) {
-			return fmt.Errorf("shard %s: %s answered shard %q with %d points, %d indices",
-				sub.Shard, target, er.Shard, len(er.Points), len(er.Indices))
-		}
-		size := er.SpaceSize
-		if er.PrunedSize != 0 {
-			size = er.PrunedSize
+		// A replica that disagrees on the slice, answers a ragged count,
+		// pruned (fleet queries are frontier-only) to another size or
+		// returns an index outside the slice's range of this server's
+		// space (one that partitions or prunes differently, such as an
+		// older version) would corrupt the merge: fail the shard.
+		if a.Shard != sub.Shard || a.Returned != len(a.Indices) || a.PrunedSize != size {
+			return fmt.Errorf("shard %s: %s answered shard %q of %d points with %d points, %d indices; want %d points",
+				sub.Shard, target, a.Shard, a.PrunedSize, a.Returned, len(a.Indices), size)
 		}
 		lo, hi := sh.Range(size)
-		for _, idx := range er.Indices {
+		for _, idx := range a.Indices {
 			if idx < lo || idx >= hi {
 				return fmt.Errorf("shard %s: %s answered index %d outside the slice's range [%d, %d) of %d points",
 					sub.Shard, target, idx, lo, hi, size)
 			}
 		}
-		part.Points = er.Points
-		part.Indices = er.Indices
-		part.TEs = summariesToTEs(er.Points)
-		degraded = er.Degraded
+		indices, degraded = a.Indices, a.Degraded
 		return nil
 	})
 	if berr != nil {
-		return cluster.ShardFrontier[cluster.GenericPointSummary]{}, false, berr
+		return nil, false, berr
 	}
-	return part, degraded, nil
+	return indices, degraded, nil
 }
 
 // --- consistent-hash routing -----------------------------------------
@@ -601,15 +598,4 @@ func (s *Server) routeForward(w http.ResponseWriter, r *http.Request, endpoint, 
 	w.WriteHeader(status)
 	w.Write(respBody)
 	return true
-}
-
-// summariesToTEs lifts point summaries to frontier TEs for the merge.
-// JSON round-trips float64 exactly, so these are bit-equal to the
-// replica's own frontier coordinates.
-func summariesToTEs(pts []cluster.GenericPointSummary) []pareto.TE {
-	tes := make([]pareto.TE, len(pts))
-	for i, p := range pts {
-		tes[i] = pareto.TE{Time: p.TimeSeconds, Energy: p.EnergyJoules, Index: i}
-	}
-	return tes
 }

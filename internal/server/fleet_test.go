@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"heteromix/internal/hwsim"
 	"heteromix/internal/resilience"
 	"heteromix/internal/shard"
+	"heteromix/internal/workloads"
 )
 
 // fleetTri extends the canonical tri-type request (triBody, shared with
@@ -305,6 +309,141 @@ func TestFleetRejectsOutOfRangeShard(t *testing.T) {
 	again := post(t, coord, "/v1/enumerate-generic", fleetShardedBody(2))
 	if again.Header().Get("X-Cache") == "hit" {
 		t.Fatal("degraded partial was served from cache")
+	}
+}
+
+// editingCoordinator is a coordinator whose only replica is a stub in
+// front of a real replica: every sub-request reaches the replica, and
+// edit rewrites the decoded shard 1/2 answer before it is sent back.
+func editingCoordinator(t *testing.T, edit func(er *EnumerateGenericResponse)) *Server {
+	t.Helper()
+	replica := newTestServer(t, Options{})
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		replica.Handler().ServeHTTP(rec, r)
+		out := rec.Body.Bytes()
+		if rec.Code == http.StatusOK && bytes.Contains(body, []byte(`"shard":"1/2"`)) {
+			var er EnumerateGenericResponse
+			if err := json.Unmarshal(out, &er); err != nil || len(er.Indices) == 0 {
+				t.Errorf("stub: shard 1/2 answer %s (err %v)", out, err)
+			} else {
+				edit(&er)
+				out, _ = json.Marshal(er)
+			}
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(out)
+	}))
+	t.Cleanup(stub.Close)
+	return newTestServer(t, Options{Replicas: []string{stub.URL}, ProbeInterval: time.Hour})
+}
+
+// TestFleetMergeTrustsOnlyReplicaIndices: the coordinator takes only
+// the survivors' serial indices from a shard answer and evaluates them
+// on its own table. Edited point values cannot reach the merged body,
+// and an answer whose indices or counts do not fit the coordinator's
+// space fails its shard: degraded, listed under failed_shards, never
+// cached.
+func TestFleetMergeTrustsOnlyReplicaIndices(t *testing.T) {
+	plain := newTestServer(t, Options{})
+	want := post(t, plain, "/v1/enumerate-generic", fleetTri+"}")
+	if want.Code != http.StatusOK {
+		t.Fatalf("unsharded: %d %s", want.Code, want.Body)
+	}
+
+	t.Run("edited energy", func(t *testing.T) {
+		coord := editingCoordinator(t, func(er *EnumerateGenericResponse) {
+			er.Points[0].EnergyJoules /= 2
+		})
+		got := post(t, coord, "/v1/enumerate-generic", fleetShardedBody(2))
+		if got.Code != http.StatusOK || got.Header().Get("X-Degraded") != "" {
+			t.Fatalf("fan-out: %d X-Degraded=%q %s", got.Code, got.Header().Get("X-Degraded"), got.Body)
+		}
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("a replica's point values reached the merge\n fleet: %s\nsingle: %s", got.Body, want.Body)
+		}
+	})
+
+	failed := []struct {
+		name string
+		edit func(er *EnumerateGenericResponse)
+	}{
+		{"inflated space", func(er *EnumerateGenericResponse) {
+			// Every index moves past the coordinator's space, into slice
+			// 1/2's range of the doubled size the answer claims.
+			size := er.PrunedSize
+			er.PrunedSize *= 2
+			for i := range er.Indices {
+				er.Indices[i] += size
+			}
+		}},
+		{"ragged count", func(er *EnumerateGenericResponse) {
+			er.Returned++
+		}},
+	}
+	for _, tc := range failed {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := editingCoordinator(t, tc.edit)
+			rr := post(t, coord, "/v1/enumerate-generic", fleetShardedBody(2))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("fan-out: %d %s", rr.Code, rr.Body)
+			}
+			if rr.Header().Get("X-Degraded") != "true" || !strings.Contains(rr.Body.String(), `"failed_shards":[1]`) {
+				t.Fatalf("edited shard not failed: X-Degraded=%q body %s", rr.Header().Get("X-Degraded"), rr.Body)
+			}
+			if again := post(t, coord, "/v1/enumerate-generic", fleetShardedBody(2)); again.Header().Get("X-Cache") == "hit" {
+				t.Fatal("degraded partial was served from cache")
+			}
+		})
+	}
+}
+
+// TestFleetSeededDifferential runs seeded random generic spaces — 2 to
+// 4 registry node types, bounds 0 to 3, random switch flags, workload
+// and work — through a 3-replica fleet at every shard count from 1 to
+// 7, and checks each merged body byte for byte against a plain server's
+// unsharded answer. Each shard count gets its own work size, so every
+// fan-out misses the coordinator's cache and merges afresh.
+func TestFleetSeededDifferential(t *testing.T) {
+	plain := newTestServer(t, Options{})
+	f := newFleet(t, 3, Options{}, Options{})
+	nodes, wls := hwsim.Names(), workloads.Names()
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		req := EnumerateGenericRequest{Workload: wls[rng.Intn(len(wls))], FrontierOnly: true}
+		for n := 2 + rng.Intn(3); n > 0; n-- {
+			req.Types = append(req.Types, GenericTypeRequest{
+				Node:        nodes[rng.Intn(len(nodes))],
+				MaxNodes:    rng.Intn(4),
+				NeedsSwitch: rng.Intn(2) == 0,
+			})
+		}
+		if req.Types[0].MaxNodes == 0 {
+			req.Types[0].MaxNodes = 1 // never an empty space
+		}
+		for shards := 1; shards <= 7; shards++ {
+			req.Work = math.Round(math.Pow(10, 4+5*rng.Float64()))
+			req.Shards = 0
+			unsharded, _ := json.Marshal(req)
+			req.Shards = shards
+			sharded, _ := json.Marshal(req)
+			want := post(t, plain, "/v1/enumerate-generic", string(unsharded))
+			got := post(t, f.coord, "/v1/enumerate-generic", string(sharded))
+			if want.Code != http.StatusOK || got.Code != http.StatusOK || got.Header().Get("X-Cache") != "miss" {
+				t.Fatalf("seed %d, %d shards: plain %d, fleet %d (X-Cache %q) %s\nrequest: %s",
+					seed, shards, want.Code, got.Code, got.Header().Get("X-Cache"), got.Body, sharded)
+			}
+			if got.Body.String() != want.Body.String() {
+				t.Fatalf("seed %d, %d shards: merge differs from the unsharded answer\nrequest: %s\n fleet: %s\nsingle: %s",
+					seed, shards, sharded, got.Body, want.Body)
+			}
+		}
 	}
 }
 

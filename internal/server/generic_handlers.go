@@ -72,9 +72,9 @@ type EnumerateGenericRequest struct {
 	// ProfileVersion, when positive, pins the request to that profile
 	// version of its workload: a server whose active version differs
 	// answers 409 (retryable) instead of silently computing under other
-	// parameters. The fleet coordinator stamps its own version onto
-	// every shard sub-request, so a profile bump racing a fan-out can
-	// never merge slices computed under different profiles.
+	// parameters. A fleet coordinator pins every shard to the version
+	// its own table was compiled under, so a profile bump racing a
+	// fan-out can never merge slices chosen under other models.
 	ProfileVersion uint64 `json:"profile_version,omitempty"`
 	// Delta asks a streamed frontier request to ship only the points
 	// that entered or left the frontier since this client spec's
@@ -103,7 +103,7 @@ type EnumerateGenericResponse struct {
 	Points       []cluster.GenericPointSummary `json:"points"`
 	// Shard echoes a shard request's slice, and Indices carries each
 	// point's index in the serial enumeration order (parallel to
-	// Points) — the coordinator's merge key.
+	// Points), which a coordinator merges on its own table.
 	Shard   string   `json:"shard,omitempty"`
 	Indices []uint64 `json:"indices,omitempty"`
 	// FailedShards lists the shard indices whose replicas failed when a
@@ -144,12 +144,22 @@ func genericKey(profileTag string, types []GenericTypeRequest) string {
 	return b.String()
 }
 
-// genericTablesFor memoizes the compiled artifact for a cluster spec.
-// Concurrent requests for the same cluster collapse onto one build, and
-// build failures are never cached.
-func (s *Server) genericTablesFor(workload string, reqTypes []GenericTypeRequest, full []cluster.GroupType) (*genericTables, error) {
-	key := genericKey(s.profileTag(workload), reqTypes)
+// genericTablesFor memoizes the compiled artifact for a cluster spec at
+// profile version ver. Models resolve inside the build, after the key is
+// fixed, so a racing bump can leave retired models only under the
+// retired key. Concurrent requests for the same cluster collapse onto
+// one build, and build failures are never cached.
+func (s *Server) genericTablesFor(workload string, ver uint64, reqTypes []GenericTypeRequest, specs []hwsim.NodeSpec) (*genericTables, error) {
+	key := genericKey(versionTag(workload, ver), reqTypes)
 	v, _, err := s.tables.Do(key, func() (tableArtifact, error) {
+		full := make([]cluster.GroupType, len(reqTypes))
+		for i, tr := range reqTypes {
+			nm, err := s.calib.Model(workload, specs[i])
+			if err != nil {
+				return nil, err
+			}
+			full[i] = cluster.GroupType{Model: nm, MaxNodes: tr.MaxNodes, NeedsSwitch: tr.NeedsSwitch}
+		}
 		prunedTypes, err := cluster.PruneGroupTypes(full)
 		if err != nil {
 			return nil, err
@@ -183,12 +193,14 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 		return nil, err
 	}
 	req.Work = work
-	// A pinned profile version must match the active one; a matched pin
-	// canonicalizes away so pinned and unpinned requests share one cache
-	// entry (they are computed under identical parameters).
+	// One version read keys the table, the result and every shard pin. A
+	// pinned version must match it; a matched pin canonicalizes away so
+	// pinned and unpinned requests share one cache entry (they are
+	// computed under identical parameters).
+	ver := s.calib.Version(req.Workload)
 	if req.ProfileVersion != 0 {
-		if cur := s.calib.Version(req.Workload); req.ProfileVersion != cur {
-			return nil, errProfileConflict{Workload: req.Workload, Want: req.ProfileVersion, Have: cur}
+		if req.ProfileVersion != ver {
+			return nil, errProfileConflict{Workload: req.Workload, Want: req.ProfileVersion, Have: ver}
 		}
 		req.ProfileVersion = 0
 	}
@@ -199,13 +211,14 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 		return nil, badRequestf("at most %d types, got %d", maxGenericTypes, len(req.Types))
 	}
 	specs := make([]hwsim.NodeSpec, len(req.Types))
+	names := make([]string, len(req.Types))
 	total := 0
 	for i, tr := range req.Types {
 		spec, err := hwsim.ByName(tr.Node)
 		if err != nil {
 			return nil, badRequestf("types[%d].node: %v", i, err)
 		}
-		specs[i] = spec
+		specs[i], names[i] = spec, tr.Node
 		if tr.MaxNodes < 0 || tr.MaxNodes > s.opts.MaxNodes {
 			return nil, badRequestf("types[%d].max_nodes must be in [0, %d], got %d",
 				i, s.opts.MaxNodes, tr.MaxNodes)
@@ -286,24 +299,10 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 	if !s.genericOK {
 		return nil, badRequestf("generic enumeration is not supported by this server's model source")
 	}
-	fullTypes := make([]cluster.GroupType, len(req.Types))
-	names := make([]string, len(req.Types))
-	for i, tr := range req.Types {
-		nm, err := s.calib.Model(req.Workload, specs[i])
-		if err != nil {
-			return nil, err
-		}
-		fullTypes[i] = cluster.GroupType{
-			Model:       nm,
-			MaxNodes:    tr.MaxNodes,
-			NeedsSwitch: tr.NeedsSwitch,
-		}
-		names[i] = tr.Node
-	}
 	// Table compilation is cheap (cost ∝ option count, not space size)
 	// and amortized across requests by the table cache, so it runs before
 	// the size guard: the guard protects enumeration, not compilation.
-	tables, err := s.genericTablesFor(req.Workload, req.Types, fullTypes)
+	tables, err := s.genericTablesFor(req.Workload, ver, req.Types, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +324,7 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 	base.Shards = 0
 	base.Replicas = nil
 	q := &query{
-		key:   s.resultKey("enumerate-generic", req.Workload, base),
+		key:   resultKey{endpoint: "enumerate-generic", workload: req.Workload, version: ver, req: base},
 		work:  req.Work,
 		limit: req.Limit,
 		delta: req.Delta,

@@ -213,15 +213,11 @@ func canonicalKey(endpoint string, v any) (key string, keyed bool) {
 	return endpoint + "|" + string(b), true
 }
 
-// profileTag renders the versioned workload component every cache key
+// versionTag renders the versioned workload component every cache key
 // embeds: "<workload>@v<version>". A profile bump changes the tag, so
 // keys minted under the old version become unreachable the instant the
 // registry's version moves — the invalidation sweep only reclaims their
 // memory.
-func (s *Server) profileTag(workload string) string {
-	return versionTag(workload, s.calib.Version(workload))
-}
-
 func versionTag(workload string, version uint64) string {
 	return workload + "@v" + strconv.FormatUint(version, 10)
 }
@@ -295,7 +291,7 @@ type twoTypeTable struct {
 // deadline against the same cluster shares one artifact. Concurrent
 // identical requests collapse onto one build.
 func (s *Server) tableFor(workload string, noSwitch bool) (*cluster.Table, error) {
-	key := fmt.Sprintf("table|%s|%t", s.profileTag(workload), noSwitch)
+	key := fmt.Sprintf("table|%s|%t", versionTag(workload, s.calib.Version(workload)), noSwitch)
 	v, _, err := s.tables.Do(key, func() (tableArtifact, error) {
 		space, err := s.models.Space(workload)
 		if err != nil {

@@ -33,7 +33,7 @@ const (
 	// DefaultShard) into the partial frontier, with indices, that a
 	// coordinator merges.
 	planShard
-	// planFleet fans shard requests out across the replica set.
+	// planFleet fans shard requests out and merges their survivors here.
 	planFleet
 )
 
@@ -154,7 +154,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *query, streame
 		ss := &streamSink{s: s, w: w, r: r, format: format}
 		var sk sink = ss
 		if q.delta {
-			sk = &deltaSink{streamSink: ss, key: s.deltaKey(q.gen)}
+			sk = &deltaSink{streamSink: ss, key: deltaKey(q)}
 		}
 		s.finishStream(w, r, ss, s.execute(r.Context(), q, sk))
 		return
@@ -200,21 +200,21 @@ func (s *Server) runPlan(ctx context.Context, q *query, sk sink) error {
 		if err := sk.begin(&q.head); err != nil {
 			return err
 		}
-		var merged cluster.ShardFrontier[cluster.GenericPointSummary]
-		var partial bool
-		merged, tr.FailedShards, partial, err = s.fanOutGeneric(ctx, *q.gen, sk.progress)
+		survivors, failed, partial, err := s.fanOutGeneric(ctx, q, sk.progress)
 		if err != nil {
 			return err
 		}
-		tr.Degraded = len(tr.FailedShards) > 0 || partial
-		row := make([]byte, 0, rowCap)
-		for i := range merged.Points {
-			row = stream.AppendGenericPointSummary(row[:0], &merged.Points[i])
-			if err := sk.row(row); err != nil {
-				return err
-			}
+		tr.FailedShards = failed
+		tr.Degraded = len(failed) > 0 || partial
+		// Replicas are trusted only for which points survived.
+		pts, _, err := wk.gen.FrontierOfIndices(q.work, survivors)
+		if err != nil {
+			return err
 		}
-		tr.Returned = len(merged.Points)
+		tr.Returned = len(pts)
+		if err := wk.emitGeneric(pts, sk.row); err != nil {
+			return err
+		}
 	} else {
 		if wk.gen == nil {
 			// The two-type table resolves here, under the breaker, so a

@@ -429,17 +429,17 @@ type deltaSink struct {
 	rows [][]byte
 }
 
-// deltaKey is the predecessor-frontier cache key: the profile-tagged
-// workload plus the type list WITHOUT its bounds — node names and
-// switch flags only. The "|workload@vN|" infix is the shape every
-// versioned key carries, so the profile-bump sweep retires delta
-// predecessors with everything else.
-func (s *Server) deltaKey(req *EnumerateGenericRequest) string {
+// deltaKey is the predecessor-frontier cache key: the workload tagged
+// with the profile version q was compiled under, plus the type list
+// WITHOUT its bounds — node names and switch flags only. The
+// "|workload@vN|" infix is the shape every versioned key carries, so the
+// profile-bump sweep retires delta predecessors with everything else.
+func deltaKey(q *query) string {
 	var b strings.Builder
 	b.WriteString("deltaprev|")
-	b.WriteString(s.profileTag(req.Workload))
+	b.WriteString(versionTag(q.gen.Workload, q.key.version))
 	b.WriteString("|")
-	for _, tr := range req.Types {
+	for _, tr := range q.gen.Types {
 		b.WriteString("|")
 		b.WriteString(tr.Node)
 		if tr.NeedsSwitch {
