@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"heteromix/internal/atomicfile"
 	"heteromix/internal/model"
 )
 
@@ -185,27 +185,11 @@ func (r *Registry) LoadSnapshot(rd io.Reader) error {
 	return nil
 }
 
-// SaveSnapshotFile persists the snapshot atomically (temp file +
-// rename), so a crash mid-write can never leave a half-written
-// snapshot for the next start to choke on.
+// SaveSnapshotFile persists the snapshot atomically and durably
+// (internal/atomicfile), so a crash mid-write can never leave an empty
+// or half-written snapshot for the next start to choke on.
 func (r *Registry) SaveSnapshotFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".profile-snapshot-*")
-	if err != nil {
-		return fmt.Errorf("calib: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := r.SaveSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("calib: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("calib: %w", err)
-	}
-	return nil
+	return atomicfile.Write(path, r.SaveSnapshot)
 }
 
 // LoadSnapshotFile loads path; a missing file answers os.ErrNotExist

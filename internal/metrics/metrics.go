@@ -38,11 +38,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Store overwrites the count, for mirroring an external monotone source
-// (e.g. cache statistics kept by another subsystem) at export time. The
-// caller is responsible for monotonicity.
-func (c *Counter) Store(n uint64) { c.v.Store(n) }
-
 // Gauge is a value that can go up and down.
 type Gauge struct {
 	v atomic.Int64
@@ -151,15 +146,17 @@ const (
 	kindHistogram
 )
 
-// entry is one registered metric instance.
+// entry is one registered metric instance. Counters and gauges are
+// read through counter or gauge at export time, so a series can be a
+// live view of a value kept elsewhere.
 type entry struct {
-	name   string // family name, e.g. "heteromixd_requests_total"
-	help   string
-	kind   kind
-	labels []Label
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	name    string // family name, e.g. "heteromixd_requests_total"
+	help    string
+	kind    kind
+	labels  []Label
+	counter func() uint64
+	gauge   func() int64
+	h       *Histogram
 }
 
 // Registry holds registered metrics in registration order.
@@ -175,15 +172,28 @@ func NewRegistry() *Registry { return &Registry{} }
 // share a family name with distinct labels; help is taken from the first.
 func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
-	r.add(&entry{name: name, help: help, kind: kindCounter, labels: labels, c: c})
+	r.NewCounterFunc(name, help, c.Value, labels...)
 	return c
+}
+
+// NewCounterFunc registers a counter whose value is read from f at
+// export time, for a monotone count kept by another subsystem (e.g. a
+// cache's own statistics). f must be safe for concurrent use.
+func (r *Registry) NewCounterFunc(name, help string, f func() uint64, labels ...Label) {
+	r.add(&entry{name: name, help: help, kind: kindCounter, labels: labels, counter: f})
 }
 
 // NewGauge registers and returns a gauge.
 func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 	g := &Gauge{}
-	r.add(&entry{name: name, help: help, kind: kindGauge, labels: labels, g: g})
+	r.NewGaugeFunc(name, help, g.Value, labels...)
 	return g
+}
+
+// NewGaugeFunc registers a gauge whose value is read from f at export
+// time. f must be safe for concurrent use.
+func (r *Registry) NewGaugeFunc(name, help string, f func() int64, labels ...Label) {
+	r.add(&entry{name: name, help: help, kind: kindGauge, labels: labels, gauge: f})
 }
 
 // NewHistogram registers and returns a histogram with the given finite
@@ -241,9 +251,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 		switch e.kind {
 		case kindCounter:
-			fmt.Fprintf(w, "%s%s %d\n", e.name, labelString(e.labels), e.c.Value())
+			fmt.Fprintf(w, "%s%s %d\n", e.name, labelString(e.labels), e.counter())
 		case kindGauge:
-			fmt.Fprintf(w, "%s%s %d\n", e.name, labelString(e.labels), e.g.Value())
+			fmt.Fprintf(w, "%s%s %d\n", e.name, labelString(e.labels), e.gauge())
 		case kindHistogram:
 			cum := uint64(0)
 			for i, b := range e.h.bounds {
@@ -297,9 +307,9 @@ func (r *Registry) Snapshot() map[string]float64 {
 		key := e.name + labelString(e.labels)
 		switch e.kind {
 		case kindCounter:
-			out[key] = float64(e.c.Value())
+			out[key] = float64(e.counter())
 		case kindGauge:
-			out[key] = float64(e.g.Value())
+			out[key] = float64(e.gauge())
 		case kindHistogram:
 			out[key+"_count"] = float64(e.h.Count())
 			out[key+"_sum"] = e.h.Sum()

@@ -6,7 +6,7 @@ package server
 // A coordinator receives /v1/enumerate-generic with shards: n, rewrites
 // it into n shard requests ("shard": "i/n") pinned to the profile
 // version its own table was compiled under, fans them out across its
-// replica URLs through the retrying client and per-replica circuit
+// replica URLs, one attempt per replica under per-replica circuit
 // breakers, and takes only the survivors' serial indices from each
 // answer: checked against its own space, they are re-evaluated on its
 // own table by the merge the local chunked walk uses
@@ -18,7 +18,9 @@ package server
 // Self-healing: each shard is assigned along the consistent-hash ring's
 // successor walk (shard.Ring.Successors), filtered by the health
 // prober's snapshot, so a shard owned by a dead replica is reassigned
-// to the next healthy one before a byte is sent. A shard request that
+// to the next healthy one before a byte is sent. Each candidate is asked
+// at most once per fan-out: there is no retry against the same replica,
+// so failover and the hedge are the only recovery. A shard request that
 // fails outright fails over to its next candidate immediately; one that
 // is merely slow gets a hedge — a duplicate sent to the next candidate
 // after the observed latency quantile elapses — and the first success
@@ -36,16 +38,18 @@ package server
 // each one cost a fresh ~32 KB flate window, more than the answer), and
 // its idle pool keeps maxFleetShards*maxShardAttempts connections per
 // replica, so a fan-out that lands every shard on one replica reuses
-// its connections instead of dialling. Shard answers are read into
-// pooled buffers that live only while they are decoded.
+// its connections instead of dialling. Every replica call — shard
+// request, routed forward, peer-warm snapshot pull — goes through
+// fleetClient.call: one attempt under the target's breaker, its answer
+// read into a pooled buffer that lives only while it is decoded.
 //
 // Routing: with a RouteKey configured, predict and single-workload
 // batch requests are forwarded to the consistent-hash owner of their
 // workload, so each replica's compiled-table cache stays hot for the
 // clusters it owns. Forwarded requests carry X-Heteromix-Routed; a
 // request already carrying it is always served locally, which bounds
-// every request to at most one hop. A forward that fails (network,
-// 5xx, open breaker) falls back to local compute.
+// every request to at most one hop. A forward is one attempt; if it
+// fails (network, 5xx, open breaker) the request is computed locally.
 
 import (
 	"bytes"
@@ -70,7 +74,7 @@ const (
 	// maxFleetShards bounds a coordinator fan-out; more shards than this
 	// is a client error, not a bigger fleet.
 	maxFleetShards = 64
-	// maxFleetReplicas bounds the replica set, configured or per-request.
+	// maxFleetReplicas bounds the configured replica set.
 	maxFleetReplicas = 16
 	// maxFleetBody bounds one replica response read.
 	maxFleetBody = 64 << 20
@@ -133,13 +137,14 @@ func validReplicaURL(raw string) error {
 	return nil
 }
 
-// fleetClient is the coordinator's transport: a retrying HTTP client
-// over its own keep-alive pool, shared across replicas, plus one
-// circuit breaker per replica URL, so a dead replica fails its shards
-// fast instead of eating the retry budget on every fan-out.
+// fleetClient is the coordinator's transport: a plain HTTP client over
+// its own keep-alive pool, shared across replicas, plus one circuit
+// breaker per replica URL, so a dead replica fails its shards fast.
+// Every replica call is one attempt (call): recovery is the caller's
+// failover and hedging, never a retry against the same replica.
 type fleetClient struct {
 	tr         *http.Transport
-	c          *resilience.Client
+	c          *http.Client
 	newBreaker func(target string) *resilience.Breaker
 
 	mu       sync.Mutex
@@ -160,12 +165,8 @@ func newFleetClient(newBreaker func(target string) *resilience.Breaker) *fleetCl
 	tr.MaxIdleConnsPerHost = fleetIdlePerHost
 	tr.MaxIdleConns = maxFleetReplicas * fleetIdlePerHost
 	return &fleetClient{
-		tr: tr,
-		c: resilience.NewClient(&http.Client{Transport: tr}, resilience.RetryOptions{
-			MaxAttempts: 2,
-			BaseDelay:   25 * time.Millisecond,
-			MaxDelay:    250 * time.Millisecond,
-		}),
+		tr:         tr,
+		c:          &http.Client{Transport: tr},
 		newBreaker: newBreaker,
 		breakers:   map[string]*resilience.Breaker{},
 	}
@@ -184,96 +185,80 @@ func (f *fleetClient) breakerFor(target string) *resilience.Breaker {
 	return b
 }
 
-// send posts body to target's endpoint through the retry client, with
-// the routed marker set. When ctx carries a deadline, the remaining
-// budget minus a 10% gather margin is stamped on the sub-request as
-// X-Deadline-Ms, so the replica sheds work the coordinator could no
-// longer merge; an already-exhausted budget fails fast without a wire
-// round trip. The caller owns the response body.
-func (f *fleetClient) send(ctx context.Context, target, endpoint string, body []byte) (*http.Response, error) {
-	u := strings.TrimSuffix(target, "/") + endpoint
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(routedHeader, "1")
-	if dl, ok := ctx.Deadline(); ok {
-		budget := time.Until(dl)
-		budget -= budget / 10
-		if budget < time.Millisecond {
-			return nil, fmt.Errorf("deadline exhausted: %w", context.DeadlineExceeded)
-		}
-		hreq.Header.Set(deadlineHeader, strconv.FormatInt(budget.Milliseconds(), 10))
-	}
-	return f.c.Do(hreq)
-}
-
-// post is send with the response body fully read and returned with the
-// status.
-func (f *fleetClient) post(ctx context.Context, target, endpoint string, body []byte) (int, []byte, error) {
-	resp, err := f.send(ctx, target, endpoint, body)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxFleetBody))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, b, nil
-}
-
 // maxPooledAnswer bounds the capacity of an answer buffer returned to
 // answerPool, so one outsized answer does not pin its memory for good.
 const maxPooledAnswer = 1 << 20
 
-// answerPool recycles the buffers shard answers are read into.
+// answerPool recycles the buffers replica answers are read into.
 var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// exchange is post for answers that are decoded at once: read gets the
-// status and the body in a pooled buffer that is valid only until read
-// returns, so read must not keep any slice of it.
-func (f *fleetClient) exchange(ctx context.Context, target, endpoint string, body []byte, read func(status int, b []byte) error) error {
-	resp, err := f.send(ctx, target, endpoint, body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	buf := answerPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledAnswer {
-			buf.Reset()
-			answerPool.Put(buf)
+// call makes one request to target's endpoint under that replica's
+// breaker, with the routed marker set; body, when non-nil, is sent as
+// JSON. When ctx carries a deadline, the remaining budget minus a 10%
+// gather margin is stamped on the request as X-Deadline-Ms, so the
+// replica sheds work the coordinator could no longer use; an
+// already-exhausted budget fails fast without a wire round trip. At
+// most limit bytes of the answer are read into a pooled buffer, and
+// read gets the status and those bytes, valid only until read returns:
+// read must not keep any slice of them. A transport error or read's
+// error counts against the breaker.
+func (f *fleetClient) call(ctx context.Context, target, method, endpoint string, body []byte, limit int64, read func(status int, b []byte) error) error {
+	return f.breakerFor(target).Do(func() error {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
-	}()
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxFleetBody)); err != nil {
-		return err
-	}
-	return read(resp.StatusCode, buf.Bytes())
+		hreq, err := http.NewRequestWithContext(ctx, method, strings.TrimSuffix(target, "/")+endpoint, rd)
+		if err != nil {
+			return err
+		}
+		if body != nil {
+			hreq.Header.Set("Content-Type", "application/json")
+		}
+		hreq.Header.Set(routedHeader, "1")
+		if dl, ok := ctx.Deadline(); ok {
+			budget := time.Until(dl)
+			budget -= budget / 10
+			if budget < time.Millisecond {
+				return fmt.Errorf("deadline exhausted: %w", context.DeadlineExceeded)
+			}
+			hreq.Header.Set(deadlineHeader, strconv.FormatInt(budget.Milliseconds(), 10))
+		}
+		resp, err := f.c.Do(hreq)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		buf := answerPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxPooledAnswer {
+				buf.Reset()
+				answerPool.Put(buf)
+			}
+		}()
+		if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit)); err != nil {
+			return err
+		}
+		return read(resp.StatusCode, buf.Bytes())
+	})
 }
 
 // shardCandidates builds each shard's ordered replica walk: the
 // consistent-hash owner first, then the next distinct ring members —
 // filtered by the health snapshot so dead replicas are skipped before a
-// byte is sent — capped at maxShardAttempts. A request-override replica
-// set gets an ad hoc ring and no health filtering (the prober does not
-// track it). A shard whose every candidate is unroutable gets an empty
-// walk and fails without a wire attempt, which is exactly the
-// failed_shards partial path.
-func (s *Server) shardCandidates(req EnumerateGenericRequest) [][]string {
-	walks := s.shardWalks
+// byte is sent — capped at maxShardAttempts. A shard whose every
+// candidate is unroutable gets an empty walk and fails without a wire
+// attempt, which is exactly the failed_shards partial path.
+func (s *Server) shardCandidates(n int) [][]string {
 	var snap *fleethealth.ReplicaSet
-	if len(req.Replicas) > 0 {
-		walks = shardWalks(shard.NewRing(req.Replicas, 0), req.Shards)
-	} else if s.health != nil {
+	if s.health != nil {
 		snap = s.health.Snapshot()
 	}
-	cands := make([][]string, req.Shards)
-	flat := make([]string, 0, req.Shards*maxShardAttempts)
+	cands := make([][]string, n)
+	flat := make([]string, 0, n*maxShardAttempts)
 	for i := range cands {
 		start := len(flat)
-		for _, t := range walks[i] {
+		for _, t := range s.shardWalks[i] {
 			if snap != nil && !snap.Routable(t) {
 				continue
 			}
@@ -308,7 +293,7 @@ func shardWalks(ring *shard.Ring, n int) [][]string {
 // before fanOutGeneric does.
 func (s *Server) fanOutGeneric(ctx context.Context, q *query, onShard func(shardProgress)) (survivors []uint64, failed []int, degraded bool, err error) {
 	n := q.gen.Shards
-	cands := s.shardCandidates(*q.gen)
+	cands := s.shardCandidates(n)
 	s.fleetFanouts.Inc()
 	type result struct {
 		idx []uint64
@@ -458,7 +443,6 @@ type shardAnswer struct {
 func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n int) (indices []uint64, degraded bool, err error) {
 	sub := *q.gen
 	sub.Shards = 0
-	sub.Replicas = nil
 	// Shard sub-requests are buffered exchanges regardless of how the
 	// coordinator's own response is framed.
 	sub.Delta = false
@@ -473,19 +457,13 @@ func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n
 		return nil, false, err
 	}
 	size := q.walker.gen.Size()
-	berr := s.fleet.breakerFor(target).Do(func() error {
+	err = s.fleet.call(ctx, target, http.MethodPost, "/v1/enumerate-generic", body, maxFleetBody, func(status int, b []byte) error {
+		if status != http.StatusOK {
+			return fmt.Errorf("shard %s: %s answered %d", sub.Shard, target, status)
+		}
 		var a shardAnswer
-		err := s.fleet.exchange(ctx, target, "/v1/enumerate-generic", body, func(status int, b []byte) error {
-			if status != http.StatusOK {
-				return fmt.Errorf("shard %s: %s answered %d", sub.Shard, target, status)
-			}
-			if err := json.Unmarshal(b, &a); err != nil {
-				return fmt.Errorf("shard %s: %s: %v", sub.Shard, target, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+		if err := json.Unmarshal(b, &a); err != nil {
+			return fmt.Errorf("shard %s: %s: %v", sub.Shard, target, err)
 		}
 		// A replica that disagrees on the slice, answers a ragged count,
 		// pruned (fleet queries are frontier-only) to another size or
@@ -506,8 +484,8 @@ func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n
 		indices, degraded = a.Indices, a.Degraded
 		return nil
 	})
-	if berr != nil {
-		return nil, false, berr
+	if err != nil {
+		return nil, false, err
 	}
 	return indices, degraded, nil
 }
@@ -574,28 +552,21 @@ func (s *Server) routeForward(w http.ResponseWriter, r *http.Request, endpoint, 
 	if err != nil {
 		return false
 	}
-	var status int
-	var respBody []byte
-	berr := s.fleet.breakerFor(target).Do(func() error {
-		st, b, err := s.fleet.post(r.Context(), target, endpoint, body)
-		if err != nil {
-			return err
+	err = s.fleet.call(r.Context(), target, http.MethodPost, endpoint, body, maxFleetBody, func(status int, b []byte) error {
+		if status >= 500 {
+			return fmt.Errorf("%s answered %d", target, status)
 		}
-		if st >= 500 {
-			return fmt.Errorf("%s answered %d", target, st)
-		}
-		status, respBody = st, b
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("X-Routed-To", target)
+		w.WriteHeader(status)
+		w.Write(b)
 		return nil
 	})
-	if berr != nil {
+	if err != nil {
 		s.routeFallbacks.Inc()
 		return false
 	}
 	s.routedReqs.Inc()
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Routed-To", target)
-	w.WriteHeader(status)
-	w.Write(respBody)
 	return true
 }

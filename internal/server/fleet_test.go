@@ -201,6 +201,66 @@ func TestFleetShardFailoverServesFull(t *testing.T) {
 	}
 }
 
+// TestFleetFailoverAsksEachReplicaOnce: a replica that sheds load (503 +
+// Retry-After) is asked once per shard it owns, and each such shard
+// fails over at once to its next candidate; nothing waits out the
+// Retry-After or asks the shedding replica again. Hedging is off and the
+// breaker threshold high, so only failover can rescue a shard and the
+// stub stays in every walk it heads.
+func TestFleetFailoverAsksEachReplicaOnce(t *testing.T) {
+	var hits atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		if r.URL.Path == "/v1/enumerate-generic" {
+			hits.Add(1)
+		}
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "shedding", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(stub.Close)
+	replica := httptest.NewServer(newTestServer(t, Options{}).Handler())
+	t.Cleanup(replica.Close)
+	coord := newTestServer(t, Options{
+		Replicas:         []string{stub.URL, replica.URL},
+		DisableHedge:     true,
+		BreakerThreshold: 1000,
+		ProbeInterval:    time.Hour,
+	})
+	const shards = 16
+	owned := 0
+	for i := 0; i < shards; i++ {
+		if coord.shardWalks[i][0] == stub.URL {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Skip("the shedding replica owns no shard on this ring")
+	}
+
+	plain := newTestServer(t, Options{})
+	want := post(t, plain, "/v1/enumerate-generic", fleetTri+"}")
+	if want.Code != http.StatusOK {
+		t.Fatalf("unsharded: %d %s", want.Code, want.Body)
+	}
+	before := coord.reg.Snapshot()["heteromixd_fleet_failovers_total"]
+	rr := post(t, coord, "/v1/enumerate-generic", fleetShardedBody(shards))
+	if rr.Code != http.StatusOK || rr.Header().Get("X-Degraded") == "true" {
+		t.Fatalf("fan-out: %d X-Degraded=%q %s", rr.Code, rr.Header().Get("X-Degraded"), rr.Body)
+	}
+	if rr.Body.String() != want.Body.String() {
+		t.Fatalf("failover merge not bit-identical to unsharded\n fleet: %s\nsingle: %s", rr.Body, want.Body)
+	}
+	if got := hits.Load(); got != int64(owned) {
+		t.Errorf("shedding replica asked %d times, want %d (once per shard it owns)", got, owned)
+	}
+	if got := coord.reg.Snapshot()["heteromixd_fleet_failovers_total"] - before; got != float64(owned) {
+		t.Errorf("fleet_failovers_total rose by %v, want %d", got, owned)
+	}
+}
+
 // partialKillPlan picks the single replica to keep alive so that at
 // least one shard's top-2 ring candidates are both dead while at least
 // one shard can still reach it (ring order depends on the ephemeral

@@ -64,11 +64,6 @@ type EnumerateGenericRequest struct {
 	// unsharded walk. Requires frontier_only and a fleet-enabled server.
 	// Mutually exclusive with Shard.
 	Shards int `json:"shards,omitempty"`
-	// Replicas overrides the configured replica URLs for one fan-out.
-	// Only honored on a server that already has replicas configured, so
-	// a non-fleet instance can never be steered into fetching arbitrary
-	// URLs.
-	Replicas []string `json:"replicas,omitempty"`
 	// ProfileVersion, when positive, pins the request to that profile
 	// version of its workload: a server whose active version differs
 	// answers 409 (retryable) instead of silently computing under other
@@ -277,23 +272,10 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 	if req.Shards > 0 && !req.FrontierOnly {
 		return nil, badRequestf("shards requires frontier_only")
 	}
-	if len(req.Replicas) > 0 && req.Shards == 0 {
-		return nil, badRequestf("replicas requires shards")
-	}
-	if req.Shards > 0 {
-		// The fleet gate: fan-out — to configured or request-supplied
-		// URLs — only on a server explicitly started as a coordinator.
-		if len(s.opts.Replicas) == 0 {
-			return nil, badRequestf("fleet mode is not enabled on this server (start with -replicas)")
-		}
-		if len(req.Replicas) > maxFleetReplicas {
-			return nil, badRequestf("at most %d replicas, got %d", maxFleetReplicas, len(req.Replicas))
-		}
-		for i, u := range req.Replicas {
-			if err := validReplicaURL(u); err != nil {
-				return nil, badRequestf("replicas[%d]: %v", i, err)
-			}
-		}
+	// The fleet gate: fan-out only on a server explicitly started as a
+	// coordinator, and only to its configured replicas.
+	if req.Shards > 0 && len(s.opts.Replicas) == 0 {
+		return nil, badRequestf("fleet mode is not enabled on this server (start with -replicas)")
 	}
 
 	if !s.genericOK {
@@ -322,7 +304,6 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 	// single process's walk of the same space share one entry.
 	base := req
 	base.Shards = 0
-	base.Replicas = nil
 	q := &query{
 		key:   resultKey{endpoint: "enumerate-generic", workload: req.Workload, version: ver, req: base},
 		work:  req.Work,

@@ -270,15 +270,6 @@ type Server struct {
 	rejected          *metrics.Counter
 	timeouts          *metrics.Counter
 	tableBuilds       *metrics.Counter
-	cacheHits         *metrics.Counter
-	cacheMisses       *metrics.Counter
-	cacheCollap       *metrics.Counter
-	cacheEvict        *metrics.Counter
-	cacheStale        *metrics.Counter
-	tcacheHits        *metrics.Counter
-	tcacheMisses      *metrics.Counter
-	tcacheEvict       *metrics.Counter
-	tcacheBytes       *metrics.Gauge
 	batchItems        *metrics.Counter
 	batchErrors       *metrics.Counter
 	panics            *metrics.Counter
@@ -572,24 +563,28 @@ func (s *Server) registerMetrics() {
 		"requests aborted by the per-request timeout")
 	s.tableBuilds = r.NewCounter("heteromixd_kernel_table_builds_total",
 		"kernel tables built (cache misses on the table layer)")
-	s.cacheHits = r.NewCounter("heteromixd_cache_hits_total",
-		"result cache hits")
-	s.cacheMisses = r.NewCounter("heteromixd_cache_misses_total",
-		"result cache misses")
-	s.cacheCollap = r.NewCounter("heteromixd_cache_collapsed_total",
-		"requests that shared another request's computation (singleflight)")
-	s.cacheEvict = r.NewCounter("heteromixd_cache_evictions_total",
-		"result cache LRU evictions")
-	s.cacheStale = r.NewCounter("heteromixd_cache_stale_serves_total",
-		"expired cache entries served because the recompute failed")
-	s.tcacheHits = r.NewCounter("heteromixd_table_cache_hits_total",
-		"compiled kernel-table cache hits")
-	s.tcacheMisses = r.NewCounter("heteromixd_table_cache_misses_total",
-		"compiled kernel-table cache misses")
-	s.tcacheEvict = r.NewCounter("heteromixd_table_cache_evictions_total",
-		"compiled kernel-table cache LRU evictions")
-	s.tcacheBytes = r.NewGauge("heteromixd_table_cache_bytes",
-		"resident size of cached compiled kernel tables")
+	// The caches keep their own statistics; these series read them at
+	// export time, so /metrics and /debug/vars are always current.
+	r.NewCounterFunc("heteromixd_cache_hits_total",
+		"result cache hits", func() uint64 { return s.cache.Stats().Hits })
+	r.NewCounterFunc("heteromixd_cache_misses_total",
+		"result cache misses", func() uint64 { return s.cache.Stats().Misses })
+	r.NewCounterFunc("heteromixd_cache_collapsed_total",
+		"requests that shared another request's computation (singleflight)",
+		func() uint64 { return s.cache.Stats().Collapsed })
+	r.NewCounterFunc("heteromixd_cache_evictions_total",
+		"result cache LRU evictions", func() uint64 { return s.cache.Stats().Evictions })
+	r.NewCounterFunc("heteromixd_cache_stale_serves_total",
+		"expired cache entries served because the recompute failed",
+		func() uint64 { return s.cache.Stats().StaleServes })
+	r.NewCounterFunc("heteromixd_table_cache_hits_total",
+		"compiled kernel-table cache hits", func() uint64 { return s.tables.Stats().Hits })
+	r.NewCounterFunc("heteromixd_table_cache_misses_total",
+		"compiled kernel-table cache misses", func() uint64 { return s.tables.Stats().Misses })
+	r.NewCounterFunc("heteromixd_table_cache_evictions_total",
+		"compiled kernel-table cache LRU evictions", func() uint64 { return s.tables.Stats().Evictions })
+	r.NewGaugeFunc("heteromixd_table_cache_bytes",
+		"resident size of cached compiled kernel tables", func() int64 { return s.tables.Stats().Bytes })
 	s.batchItems = r.NewCounter("heteromixd_batch_items_total",
 		"items received inside /v1/batch requests")
 	s.batchErrors = r.NewCounter("heteromixd_batch_item_errors_total",
@@ -696,22 +691,6 @@ func (s *Server) registerMetrics() {
 	s.reg.Expvar("heteromixd")
 }
 
-// syncCacheMetrics mirrors the cache's own monotone counters into the
-// registry; called at export time so the scrape is always current.
-func (s *Server) syncCacheMetrics() {
-	st := s.cache.Stats()
-	s.cacheHits.Store(st.Hits)
-	s.cacheMisses.Store(st.Misses)
-	s.cacheCollap.Store(st.Collapsed)
-	s.cacheEvict.Store(st.Evictions)
-	s.cacheStale.Store(st.StaleServes)
-	ts := s.tables.Stats()
-	s.tcacheHits.Store(ts.Hits)
-	s.tcacheMisses.Store(ts.Misses)
-	s.tcacheEvict.Store(ts.Evictions)
-	s.tcacheBytes.Set(ts.Bytes)
-}
-
 func (s *Server) registerRoutes() {
 	s.mux.Handle("POST /v1/predict", s.instrument("predict", true, s.handlePredict))
 	s.mux.Handle("POST /v1/enumerate", s.instrument("enumerate", true, s.handleEnumerate))
@@ -725,10 +704,7 @@ func (s *Server) registerRoutes() {
 	s.mux.Handle("GET /v1/snapshot", s.instrument("snapshot", false, s.handleSnapshotGet))
 	s.mux.Handle("GET /healthz", s.instrument("healthz", false, s.handleHealthz))
 	s.mux.Handle("GET /readyz", s.instrument("readyz", false, s.handleReadyz))
-	s.mux.Handle("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.syncCacheMetrics()
-		s.reg.Handler().ServeHTTP(w, r)
-	}))
+	s.mux.Handle("GET /metrics", s.reg.Handler())
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	if s.opts.EnablePprof {
 		// Deliberately outside instrument(): profiling must stay reachable

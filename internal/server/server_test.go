@@ -415,6 +415,28 @@ func TestMetricsAndExpvar(t *testing.T) {
 	}
 }
 
+// TestCacheMetricsCurrentWithoutScrape: the cache series read the
+// caches' own statistics at export time, so the registry snapshot
+// behind /debug/vars is current even when /metrics was never scraped.
+func TestCacheMetricsCurrentWithoutScrape(t *testing.T) {
+	s := newTestServer(t, Options{})
+	post(t, s, "/v1/predict", `{"workload":"ep","arm":{"nodes":1}}`)
+	post(t, s, "/v1/predict", `{"workload":"ep","arm":{"nodes":1}}`)
+	snap := s.reg.Snapshot()
+	for name, want := range map[string]float64{
+		"heteromixd_cache_hits_total":         1,
+		"heteromixd_cache_misses_total":       1,
+		"heteromixd_table_cache_misses_total": 1,
+	} {
+		if got := snap[name]; got != want {
+			t.Errorf("%s = %v before any scrape, want %v", name, got, want)
+		}
+	}
+	if snap["heteromixd_table_cache_bytes"] <= 0 {
+		t.Errorf("heteromixd_table_cache_bytes = %v before any scrape, want > 0", snap["heteromixd_table_cache_bytes"])
+	}
+}
+
 func TestRoutingErrors(t *testing.T) {
 	s := newTestServer(t, Options{})
 	if rr := get(t, s, "/v1/predict"); rr.Code != http.StatusMethodNotAllowed {

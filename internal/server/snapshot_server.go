@@ -28,11 +28,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"heteromix/internal/buildinfo"
@@ -340,32 +339,25 @@ func (s *Server) peerWarmAtStartup() {
 }
 
 // WarmFromPeer pulls target's snapshot over GET /v1/snapshot and loads
-// it, breaker-guarded like every other fleet call. Exported so tests
-// and operator tooling can trigger a warm deterministically.
+// it, through the same breaker-guarded call as every other fleet
+// request. A refused, failed or oversized pull is only a counted
+// reject, not a breaker failure. Exported so tests and operator tooling
+// can trigger a warm deterministically.
 func (s *Server) WarmFromPeer(ctx context.Context, target string) error {
 	if s.fleet == nil {
 		return fmt.Errorf("peer warming requires a fleet-enabled server")
 	}
-	var status int
-	var body []byte
-	err := s.fleet.breakerFor(target).Do(func() error {
-		u := strings.TrimSuffix(target, "/") + "/v1/snapshot"
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			return err
+	var status, size int
+	var snap *snapshot.Snapshot
+	var derr error
+	endpoint := "/v1/snapshot?profile_hash=" + url.QueryEscape(s.calib.StateHash())
+	err := s.fleet.call(ctx, target, http.MethodGet, endpoint, nil, s.opts.MaxSnapshotBytes+1, func(st int, b []byte) error {
+		status, size = st, len(b)
+		if st == http.StatusOK {
+			// Decode copies every field out of b, so snap outlives the
+			// pooled buffer.
+			snap, derr = snapshot.DecodeLimited(b, s.opts.MaxSnapshotBytes)
 		}
-		req.Header.Set(routedHeader, "1")
-		req.Header.Set(profileHashHeader, s.calib.StateHash())
-		resp, err := s.fleet.c.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		body, err = io.ReadAll(io.LimitReader(resp.Body, s.opts.MaxSnapshotBytes+1))
-		if err != nil {
-			return err
-		}
-		status = resp.StatusCode
 		return nil
 	})
 	if err != nil {
@@ -378,21 +370,16 @@ func (s *Server) WarmFromPeer(ctx context.Context, target string) error {
 	case status != http.StatusOK:
 		s.snapshotRejects.Inc()
 		return fmt.Errorf("peer %s answered %d to snapshot pull", target, status)
-	case int64(len(body)) > s.opts.MaxSnapshotBytes:
+	case derr != nil:
 		s.snapshotRejects.Inc()
-		return fmt.Errorf("peer %s snapshot: %w", target, snapshot.ErrTooLarge)
-	}
-	snap, err := snapshot.DecodeLimited(body, s.opts.MaxSnapshotBytes)
-	if err != nil {
-		s.snapshotRejects.Inc()
-		return fmt.Errorf("peer %s snapshot: %w", target, err)
+		return fmt.Errorf("peer %s snapshot: %w", target, derr)
 	}
 	if err := s.applySnapshot(snap); err != nil {
 		s.snapshotRejects.Inc()
 		return fmt.Errorf("peer %s snapshot: %w", target, err)
 	}
 	s.snapshotLoads.Inc()
-	s.snapshotBytes.Set(int64(len(body)))
+	s.snapshotBytes.Set(int64(size))
 	return nil
 }
 

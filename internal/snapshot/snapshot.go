@@ -45,10 +45,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"heteromix/internal/atomicfile"
 	"heteromix/internal/cluster"
 )
 
@@ -605,10 +606,10 @@ func DecodeLimited(data []byte, maxBytes int64) (*Snapshot, error) {
 
 // --- files -----------------------------------------------------------
 
-// WriteFile persists the snapshot atomically (temp file + rename, the
-// internal/calib pattern) and verifies the written bytes decode back to
-// the same file hash before the rename — a torn or corrupted write can
-// never be installed over a good snapshot.
+// WriteFile persists the snapshot atomically and durably
+// (internal/atomicfile) and verifies the encoded bytes decode back to
+// the same file hash before writing them — a torn or corrupted write
+// can never be installed over a good snapshot.
 func WriteFile(path string, s *Snapshot) error {
 	data := Encode(s)
 	// Hash-verify the encoded bytes round-trip before installing.
@@ -619,20 +620,11 @@ func WriteFile(path string, s *Snapshot) error {
 	if chk.FileHash != s.FileHash {
 		return fmt.Errorf("snapshot: self-check hash mismatch")
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".cache-snapshot-*")
+	err = atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
