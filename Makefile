@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X heteromix/internal/buildinfo.Version=$(VERSION) \
            -X heteromix/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: all build vet fmt perfbench-build test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
+.PHONY: all build vet fmt perfbench-build perfbench test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
 
 all: ci
 
@@ -32,6 +32,18 @@ fmt:
 # before the benchmark run does.
 perfbench-build:
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
+# Opt-in, not part of ci: runs the end-to-end benchmark (perfbench/) on
+# each of its three workloads for 30 s at seed 1 and prints each
+# workload's result line (the full output stays in
+# .bench_build/perfbench-<workload>.txt). Takes about two minutes.
+perfbench:
+	@mkdir -p .bench_build
+	@for w in predict_refit frontier_cold fleet_frontier; do \
+		out=.bench_build/perfbench-$$w.txt; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 > $$out 2>&1 || { cat $$out; exit 1; }; \
+		echo "$$w: $$(tail -n 1 $$out)"; \
+	done
 
 test:
 	$(GO) test ./...

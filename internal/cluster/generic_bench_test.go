@@ -145,3 +145,39 @@ func BenchmarkGenericTableFrontierShard(b *testing.B) {
 		}
 	}
 }
+
+// A warm replica's shard request: FrontierShardCounted on each slice of
+// the pruned tri-cluster space at n = 4 (the table a fleet's
+// frontier-only sub-requests walk), after one call built the slice's
+// candidate set, at varying work sizes.
+func BenchmarkGenericTableFrontierShardWarm(b *testing.B) {
+	pruned, err := PruneGroupTypes(benchTriTypes(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := NewGenericTable(pruned)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	const n = 4
+	for i := 0; i < n; i++ {
+		sh := shard.Shard{Index: i, Count: n}
+		if _, _, err := g.FrontierShardCounted(ctx, 50e6, sh); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d/shard=%d", n, i), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for k := 0; k < b.N; k++ {
+				part, _, err := g.FrontierShardCounted(ctx, 50e6*(0.5+rng.Float64()), sh)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(part.TEs) == 0 {
+					b.Fatal("empty shard frontier")
+				}
+			}
+		})
+	}
+}

@@ -193,11 +193,15 @@ func TestShardWalkValidation(t *testing.T) {
 	if _, _, err := g.FrontierShardCounted(ctx, w, shard.Shard{Index: 0, Count: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled shard walk: err=%v, want context.Canceled", err)
 	}
+	// The first call builds the slice's candidate set (a walk of the
+	// slice) and evaluates its candidates; an empty slice evaluates
+	// nothing.
 	for _, sh := range []shard.Shard{{Index: 1, Count: 3}, {Index: 0, Count: int(g.Size()) + 1}} {
 		part, n, err := g.FrontierShardCounted(context.Background(), w, sh)
-		if err != nil || n != sh.SliceSize(g.Size()) || (n == 0) != (len(part.Points) == 0) {
-			t.Fatalf("shard %v walk evaluated %d points into %d (err=%v), want its slice's %d",
-				sh, n, len(part.Points), err, sh.SliceSize(g.Size()))
+		want := sh.SliceSize(g.Size()) + uint64(len(sliceCandidates(g, sh)))
+		if err != nil || n != want || (n == 0) != (len(part.Points) == 0) {
+			t.Fatalf("shard %v evaluated %d points into %d (err=%v), want its slice's %d plus %d candidates",
+				sh, n, len(part.Points), err, sh.SliceSize(g.Size()), len(sliceCandidates(g, sh)))
 		}
 	}
 

@@ -387,6 +387,21 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
+// Delete removes key's entry, if any, and reports whether there was one.
+func (c *Cache[V]) Delete(key string) bool {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.m[key]
+	if !ok {
+		return false
+	}
+	s.ll.Remove(el)
+	delete(s.m, key)
+	s.bytes -= c.size(el.Value.(*entry[V]).val)
+	return true
+}
+
 // DeleteFunc removes every entry whose key satisfies pred and returns
 // the number removed. It walks the shards one lock at a time, so a
 // concurrent Add racing the sweep may land after it: callers that use

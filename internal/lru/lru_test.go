@@ -525,6 +525,28 @@ func TestDeleteFunc(t *testing.T) {
 	})
 }
 
+// Delete removes one entry, fixes the byte accounting, and reports a
+// missing key.
+func TestDelete(t *testing.T) {
+	forShards(t, func(t *testing.T, shards int) {
+		c := newBytes(256, shards)
+		c.Add("a", []byte("0123456789"))
+		c.Add("b", []byte("01234"))
+		if !c.Delete("a") {
+			t.Fatal("Delete of a present key reported none")
+		}
+		if c.Delete("a") || c.Delete("missing") {
+			t.Fatal("Delete of an absent key reported one")
+		}
+		if _, ok := c.Get("a"); ok {
+			t.Fatal("deleted key still reachable")
+		}
+		if _, ok := c.Get("b"); !ok || c.Len() != 1 || c.Bytes() != 5 {
+			t.Fatalf("after Delete: b present %t, Len %d, Bytes %d; want true, 1, 5", ok, c.Len(), c.Bytes())
+		}
+	})
+}
+
 // TestBytesExactAfterSweep is the preheat-era accounting regression
 // test: after bulk inserts, value updates and a DeleteFunc sweep,
 // Stats.Bytes must equal what a cache freshly rebuilt from the

@@ -358,6 +358,45 @@ func TestGenericBumpDuringModelLookupRetiresTable(t *testing.T) {
 	}
 }
 
+// TestBumpDuringBuildLeavesNoRetiredEntries: a bump that lands while a
+// generic request resolves its models runs its sweep before that
+// request's table and answer are stored. Both are keyed under the
+// retired version, and neither may stay behind in its cache.
+func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
+	nm := perturbedModel(t, "ep", "arm-cortex-a9", 1.25)
+	src := &bumpingSource{Suite: testSuite()}
+	s := newTestServer(t, Options{Models: src})
+	src.bump = func() {
+		if _, err := s.calib.Install("ep", "arm-cortex-a9", nm, "test"); err != nil {
+			t.Error(err)
+		}
+	}
+	src.armed.Store(true)
+	if rr := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(1e8)); rr.Code != http.StatusOK {
+		t.Fatalf("racing request: %d %s", rr.Code, rr.Body)
+	}
+	if v := s.calib.Version("ep"); v != 2 {
+		t.Fatalf("ep version after the racing request = %d, want 2", v)
+	}
+	for _, e := range s.tables.Hottest(0) {
+		if strings.Contains(e.Key, "|ep@v1|") {
+			t.Errorf("table cache still holds %q", e.Key)
+		}
+	}
+	for _, e := range s.cache.Hottest(0) {
+		if strings.Contains(e.Key, "|ep@v1|") {
+			t.Errorf("result cache still holds %q", e.Key)
+		}
+	}
+	// Without a bump the same kind of request is stored as usual.
+	if rr := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(2e8)); rr.Code != http.StatusOK {
+		t.Fatalf("post-bump request: %d %s", rr.Code, rr.Body)
+	}
+	if rr := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(2e8)); rr.Header().Get("X-Cache") != "hit" {
+		t.Errorf("a repeat at the current version was not cached (X-Cache %q)", rr.Header().Get("X-Cache"))
+	}
+}
+
 // TestBatchRawMemoizationRetiredOnBump: raw batch-item entries carry
 // the global profile generation, so a bump of ANY workload retires them
 // wholesale — the coarse tier for keys that cannot see a workload

@@ -13,7 +13,9 @@ package server
 // (cluster.GenericTable.FrontierOfIndices). The merged body is thus
 // byte-identical to an unsharded walk of the same space, and is cached
 // under the unsharded request's key, letting fleet and single-process
-// traffic share one entry.
+// traffic share one entry. Replicas cache no slice bodies: a replica
+// answers each slice from that slice's work-invariant candidate set,
+// which its compiled table keeps for every work size.
 //
 // Self-healing: each shard is assigned along the consistent-hash ring's
 // successor walk (shard.Ring.Successors), filtered by the health

@@ -27,13 +27,16 @@ func fleetBenchBody(shards int) string {
 		`"frontier_only":true,"shards":%d}`, shards)
 }
 
-// chillFleet evicts every result-cache entry across the fleet so the
-// next request walks the space again. Compiled kernel tables stay warm:
-// the benchmarks isolate the enumeration walk, not table compilation.
+// chillFleet evicts every result-cache and table-cache entry across the
+// fleet so the next request walks the space again. The tables go too
+// because a table keeps its shard slices' candidate sets: with warm
+// tables a "cold" fan-out would answer from those sets, not walk.
 func chillFleet(f *testFleet) {
 	f.coord.cache.Reset()
+	f.coord.tables.Reset()
 	for _, rs := range f.replicas {
 		rs.cache.Reset()
+		rs.tables.Reset()
 	}
 }
 
@@ -57,7 +60,8 @@ func coldFleetRequest(tb testing.TB, f *testFleet, body string) time.Duration {
 func benchFleetEnumerate(b *testing.B, shards int) {
 	f := newFleet(b, 4, Options{}, Options{})
 	body := fleetBenchBody(shards)
-	// One warm-up request compiles the kernel tables everywhere.
+	// One warm-up request warms the connections and the fleet's code
+	// paths; each timed request starts from chilled caches.
 	if rr := post(b, f.coord, "/v1/enumerate-generic", body); rr.Code != http.StatusOK {
 		b.Fatalf("warm-up: %d %s", rr.Code, rr.Body)
 	}
@@ -90,7 +94,7 @@ func TestFleetColdSpeedupGate(t *testing.T) {
 		t.Skipf("GOMAXPROCS=%d: the 4-shard walk cannot parallelize below 4 CPUs", procs)
 	}
 	f := newFleet(t, 4, Options{}, Options{})
-	for _, shards := range []int{1, 4} { // warm the kernel tables
+	for _, shards := range []int{1, 4} { // warm the connections
 		if rr := post(t, f.coord, "/v1/enumerate-generic", fleetBenchBody(shards)); rr.Code != http.StatusOK {
 			t.Fatalf("warm-up shards=%d: %d %s", shards, rr.Code, rr.Body)
 		}
@@ -130,8 +134,8 @@ func benchFleetSlowReplica(b *testing.B, disableHedge bool) {
 	const stall = 25 * time.Millisecond
 	f := newFleet(b, 4, Options{DisableHedge: disableHedge}, Options{})
 	body := fleetBenchBody(4)
-	// Warm-up compiles the kernel tables everywhere and seeds the
-	// shard-latency histogram the hedge delay is derived from.
+	// Warm-up seeds the shard-latency histogram the hedge delay is
+	// derived from.
 	for i := 0; i < 3; i++ {
 		chillFleet(f)
 		if rr := post(b, f.coord, "/v1/enumerate-generic", body); rr.Code != http.StatusOK {

@@ -6,7 +6,7 @@ package server
 // rejects absurd spaces with a 400 before any enumeration runs.
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"heteromix/internal/cluster"
@@ -124,17 +124,32 @@ func (g *genericTables) SizeBytes() int {
 }
 
 // genericKey canonicalizes the cluster spec of a generic request —
-// the workload's profile tag plus the positional (node, max_nodes,
-// needs_switch) list — deliberately excluding every per-request
-// parameter (work size, limit, prune and frontier flags), so repeated
-// traffic against the same cluster shares one compiled artifact. The
-// profile tag retires the artifact on a version bump.
-func genericKey(profileTag string, types []GenericTypeRequest) string {
-	var b strings.Builder
-	b.WriteString("generic|")
-	b.WriteString(profileTag)
+// the workload's profile tag ("<workload>@v<ver>") plus the positional
+// (node, max_nodes, needs_switch) list — deliberately excluding every
+// per-request parameter (work size, limit, prune and frontier flags), so
+// repeated traffic against the same cluster shares one compiled
+// artifact. The profile tag retires the artifact on a version bump. The
+// key is built in one sized buffer, its only allocation.
+func genericKey(workload string, ver uint64, types []GenericTypeRequest) string {
+	const maxNum = 20 // digits of a uint64, or of an int64 with its sign
+	n := len("generic|@v") + len(workload) + maxNum
 	for _, tr := range types {
-		fmt.Fprintf(&b, "|%s:%d:%t", tr.Node, tr.MaxNodes, tr.NeedsSwitch)
+		n += len("|::false") + len(tr.Node) + maxNum
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var num [maxNum]byte
+	b.WriteString("generic|")
+	b.WriteString(workload)
+	b.WriteString("@v")
+	b.Write(strconv.AppendUint(num[:0], ver, 10))
+	for _, tr := range types {
+		b.WriteByte('|')
+		b.WriteString(tr.Node)
+		b.WriteByte(':')
+		b.Write(strconv.AppendInt(num[:0], int64(tr.MaxNodes), 10))
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatBool(tr.NeedsSwitch))
 	}
 	return b.String()
 }
@@ -142,11 +157,12 @@ func genericKey(profileTag string, types []GenericTypeRequest) string {
 // genericTablesFor memoizes the compiled artifact for a cluster spec at
 // profile version ver. Models resolve inside the build, after the key is
 // fixed, so a racing bump can leave retired models only under the
-// retired key. Concurrent requests for the same cluster collapse onto
-// one build, and build failures are never cached.
+// retired key, and that entry is dropped once stored (dropIfRetired).
+// Concurrent requests for the same cluster collapse onto one build, and
+// build failures are never cached.
 func (s *Server) genericTablesFor(workload string, ver uint64, reqTypes []GenericTypeRequest, specs []hwsim.NodeSpec) (*genericTables, error) {
-	key := genericKey(versionTag(workload, ver), reqTypes)
-	v, _, err := s.tables.Do(key, func() (tableArtifact, error) {
+	key := genericKey(workload, ver, reqTypes)
+	v, cached, err := s.tables.Do(key, func() (tableArtifact, error) {
 		full := make([]cluster.GroupType, len(reqTypes))
 		for i, tr := range reqTypes {
 			nm, err := s.calib.Model(workload, specs[i])
@@ -172,6 +188,9 @@ func (s *Server) genericTablesFor(workload string, ver uint64, reqTypes []Generi
 	})
 	if err != nil {
 		return nil, err
+	}
+	if !cached {
+		dropIfRetired(s, s.tables, key)
 	}
 	return v.(*genericTables), nil
 }

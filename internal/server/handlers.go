@@ -17,12 +17,14 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"heteromix/internal/budget"
 	"heteromix/internal/buildinfo"
 	"heteromix/internal/cluster"
 	"heteromix/internal/hwsim"
+	"heteromix/internal/lru"
 	"heteromix/internal/queueing"
 	"heteromix/internal/resilience"
 	"heteromix/internal/units"
@@ -259,7 +261,11 @@ func (s *Server) doCached(key string, keyed bool, compute func() ([]byte, error)
 		v, err := compute()
 		return v, false, err
 	}
-	return s.cache.Do(key, compute)
+	v, cached, err := s.cache.Do(key, compute)
+	if !cached && err == nil {
+		dropIfRetired(s, s.cache, key)
+	}
+	return v, cached, err
 }
 
 // doFresh is doCached for the TTL + degraded-stale paths.
@@ -268,7 +274,32 @@ func (s *Server) doFresh(key string, keyed bool, compute func() ([]byte, error))
 		v, err = compute()
 		return v, false, false, err
 	}
-	return s.cache.DoFresh(key, s.opts.CacheTTL, compute)
+	v, cached, stale, err = s.cache.DoFresh(key, s.opts.CacheTTL, compute)
+	if !cached && err == nil {
+		dropIfRetired(s, s.cache, key)
+	}
+	return v, cached, stale, err
+}
+
+// dropIfRetired deletes a freshly stored entry from c when the profile
+// version its key is tagged with ("<kind>|<workload>@v<N>|…") is no
+// longer current. A bump that lands while an entry is computed sweeps
+// before the entry is stored, so without this the entry would sit
+// unreachable under its retired key until eviction. Either the bump's
+// version change precedes this read, and the entry goes here, or it
+// follows the insert, and the bump's own sweep finds it. Keys without a
+// version tag are left alone.
+func dropIfRetired[V any](s *Server, c *lru.Cache[V], key string) {
+	_, rest, _ := strings.Cut(key, "|")
+	tag, _, _ := strings.Cut(rest, "|")
+	at := strings.LastIndex(tag, "@v")
+	if at < 0 {
+		return
+	}
+	ver, err := strconv.ParseUint(tag[at+2:], 10, 64)
+	if err == nil && s.calib.Version(tag[:at]) != ver {
+		c.Delete(key)
+	}
 }
 
 // tableArtifact is a compiled table the table cache holds: immutable,
@@ -291,8 +322,8 @@ type twoTypeTable struct {
 // deadline against the same cluster shares one artifact. Concurrent
 // identical requests collapse onto one build.
 func (s *Server) tableFor(workload string, noSwitch bool) (*cluster.Table, error) {
-	key := fmt.Sprintf("table|%s|%t", versionTag(workload, s.calib.Version(workload)), noSwitch)
-	v, _, err := s.tables.Do(key, func() (tableArtifact, error) {
+	key := tableKey(workload, s.calib.Version(workload), noSwitch)
+	v, cached, err := s.tables.Do(key, func() (tableArtifact, error) {
 		space, err := s.models.Space(workload)
 		if err != nil {
 			return nil, fmt.Errorf("building models for %q: %w", workload, err)
@@ -308,7 +339,15 @@ func (s *Server) tableFor(workload string, noSwitch bool) (*cluster.Table, error
 	if err != nil {
 		return nil, err
 	}
+	if !cached {
+		dropIfRetired(s, s.tables, key)
+	}
 	return v.(*twoTypeTable).Table, nil
+}
+
+// tableKey is tableFor's cache key, "table|<workload>@v<ver>|<noSwitch>".
+func tableKey(workload string, ver uint64, noSwitch bool) string {
+	return "table|" + versionTag(workload, ver) + "|" + strconv.FormatBool(noSwitch)
 }
 
 // --- /v1/predict -----------------------------------------------------

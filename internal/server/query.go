@@ -29,9 +29,10 @@ const (
 	// planFrontier answers the whole space's online frontier: from the
 	// generic table's candidate set, or a full two-type walk.
 	planFrontier
-	// planShard walks one contiguous slice of serial indices (Shard or
-	// DefaultShard) into the partial frontier, with indices, that a
-	// coordinator merges.
+	// planShard answers one contiguous slice of serial indices (Shard or
+	// DefaultShard) — from the slice's candidate set, or a walk of the
+	// slice — as the partial frontier, with indices, that a coordinator
+	// merges. Its body is never cached (serveBuffered).
 	planShard
 	// planFleet fans shard requests out and merges their survivors here.
 	planFleet
@@ -301,8 +302,7 @@ func (wk *walker) limited(ctx context.Context, work float64, limit int, emit fun
 	row := make([]byte, 0, rowCap)
 	if wk.gen != nil {
 		err = wk.gen.ForEach(work, func(p cluster.GenericPoint) bool {
-			sum := p.Summary(wk.names)
-			row = stream.AppendGenericPointSummary(row[:0], &sum)
+			row = stream.AppendGenericPoint(row[:0], &p, wk.names)
 			return yield(row)
 		})
 	} else {
@@ -382,8 +382,7 @@ func (wk *walker) shardFrontier(ctx context.Context, work float64, sh shard.Shar
 func (wk *walker) emitGeneric(pts []cluster.GenericPoint, emit func([]byte) error) error {
 	row := make([]byte, 0, rowCap)
 	for i := range pts {
-		sum := pts[i].Summary(wk.names)
-		row = stream.AppendGenericPointSummary(row[:0], &sum)
+		row = stream.AppendGenericPoint(row[:0], &pts[i], wk.names)
 		if err := emit(row); err != nil {
 			return err
 		}

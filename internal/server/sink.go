@@ -94,10 +94,15 @@ type shardProgress struct {
 // TTL freshness, an expired entry served marked degraded when the
 // recompute fails, and a degraded fleet partial served once but never
 // cached — it rides the error path out of the cache like every other
-// failure.
+// failure. A shard slice is never cached: its body answers one work
+// size for a coordinator that caches the merge, while the slice's
+// candidate set, which the table keeps, answers every work size.
 func (s *Server) serveBuffered(w http.ResponseWriter, r *http.Request, q *query) {
 	ctx := r.Context()
-	key, keyed := q.key.mint()
+	key, keyed := "", false
+	if q.plan != planShard {
+		key, keyed = q.key.mint()
+	}
 	body, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
 		bs := &bufferedSink{ctx: ctx, generic: q.gen != nil, nullEmpty: q.plan == planFleet}
 		defer bs.release()
@@ -475,6 +480,7 @@ func (d *deltaSink) end(tr *streamTrailer) error {
 		// The new frontier becomes the predecessor even if the client
 		// vanished mid-emit: it reflects a completed walk.
 		d.s.cache.Add(d.key, delta.Join(d.rows))
+		dropIfRetired(d.s, d.s.cache, d.key)
 	}
 	if err != nil {
 		return err

@@ -6,9 +6,13 @@ package server
 // aliasing every unmarshalable value onto one shared key.
 
 import (
+	"fmt"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
+
+	"heteromix/internal/hwsim"
 )
 
 // TestGenericTableCacheReuseAcrossRequests pins the tentpole property:
@@ -132,5 +136,58 @@ func TestCanonicalKeyFallbackBypassesCache(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Fatalf("compute ran %d times, want 3", runs)
+	}
+}
+
+// fmtGenericKey and fmtTableKey are the fmt renderings of the table
+// cache keys, the form the strconv builders must reproduce.
+func fmtGenericKey(workload string, ver uint64, types []GenericTypeRequest) string {
+	var b strings.Builder
+	b.WriteString("generic|")
+	b.WriteString(versionTag(workload, ver))
+	for _, tr := range types {
+		fmt.Fprintf(&b, "|%s:%d:%t", tr.Node, tr.MaxNodes, tr.NeedsSwitch)
+	}
+	return b.String()
+}
+
+func fmtTableKey(workload string, ver uint64, noSwitch bool) string {
+	return fmt.Sprintf("table|%s|%t", versionTag(workload, ver), noSwitch)
+}
+
+// TestTableKeysMatchFmt: the table cache keys are byte-identical to
+// their fmt renderings over seeded type lists, versions and bounds, and
+// a generic key costs one allocation.
+func TestTableKeysMatchFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	names := hwsim.Names()
+	workloadNames := []string{"ep", "memcached", "x264", ""}
+	var types []GenericTypeRequest
+	for i := 0; i < 2000; i++ {
+		types = types[:0]
+		for n := rng.Intn(maxGenericTypes + 1); n > 0; n-- {
+			types = append(types, GenericTypeRequest{
+				Node:        names[rng.Intn(len(names))],
+				MaxNodes:    int(rng.Int63n(1<<62)) >> rng.Intn(62) * (1 - 2*rng.Intn(2)),
+				NeedsSwitch: rng.Intn(2) == 0,
+			})
+		}
+		wl := workloadNames[rng.Intn(len(workloadNames))]
+		ver := rng.Uint64() >> rng.Intn(64)
+		if got, want := genericKey(wl, ver, types), fmtGenericKey(wl, ver, types); got != want {
+			t.Fatalf("genericKey = %q, fmt gives %q", got, want)
+		}
+		noSwitch := rng.Intn(2) == 0
+		if got, want := tableKey(wl, ver, noSwitch), fmtTableKey(wl, ver, noSwitch); got != want {
+			t.Fatalf("tableKey = %q, fmt gives %q", got, want)
+		}
+	}
+	tri := []GenericTypeRequest{
+		{Node: "arm-cortex-a9", MaxNodes: 4, NeedsSwitch: true},
+		{Node: "arm-cortex-a15", MaxNodes: 4, NeedsSwitch: true},
+		{Node: "amd-opteron-k10", MaxNodes: 4},
+	}
+	if a := testing.AllocsPerRun(200, func() { _ = genericKey("ep", 7, tri) }); a > 1 {
+		t.Errorf("genericKey made %.0f allocations, want at most 1", a)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"heteromix/internal/cluster"
+	"heteromix/internal/hwsim"
+	"heteromix/internal/units"
 )
 
 // marshal is the reference encoding the appenders must reproduce
@@ -129,6 +131,59 @@ func TestAppendGenericPointSummaryMatchesEncodingJSON(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("AppendGenericPointSummary mismatch:\n got %s\nwant %s", got, want)
 		}
+	}
+}
+
+// randGenericPoint draws a point of 1-4 types with unused types, zero
+// and mixed-sign work, and model-shaped floats; names cover every type,
+// some or none (the "type<i>" fallback), and need JSON escaping.
+func randGenericPoint(rng *rand.Rand) (cluster.GenericPoint, []string) {
+	n := 1 + rng.Intn(4)
+	p := cluster.GenericPoint{
+		Counts:  make([]int, n),
+		Configs: make([]hwsim.Config, n),
+		Work:    make([]float64, n),
+		Time:    units.Seconds(randFloat(rng)),
+		Energy:  units.Joule(randFloat(rng)),
+	}
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) > 0 {
+			p.Counts[i] = 1 + rng.Intn(200)
+			p.Configs[i] = hwsim.Config{Cores: 1 + rng.Intn(8), Frequency: units.Hertz(randFloat(rng) * 1e9)}
+		}
+		if rng.Intn(4) > 0 {
+			p.Work[i] = randFloat(rng)
+		}
+	}
+	names := make([]string, rng.Intn(n+1))
+	for i := range names {
+		names[i] = randLabel(rng)
+	}
+	return p, names
+}
+
+// TestAppendGenericPointMatchesEncodingJSON pins the direct row encoder
+// to json.Marshal of the point's summary over seeded random points.
+func TestAppendGenericPointMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 5000; i++ {
+		p, names := randGenericPoint(rng)
+		want := marshal(t, p.Summary(names))
+		got := AppendGenericPoint(nil, &p, names)
+		if string(got) != string(want) {
+			t.Fatalf("point %d (%+v, names %q):\n got %s\nwant %s", i, p, names, got, want)
+		}
+	}
+}
+
+// TestAppendGenericPointAllocs: encoding into a buffer with room
+// allocates nothing.
+func TestAppendGenericPointAllocs(t *testing.T) {
+	p, _ := randGenericPoint(rand.New(rand.NewSource(3)))
+	names := []string{"arm-cortex-a9", "arm-cortex-a15", "amd-opteron-k10"}
+	buf := make([]byte, 0, 1024)
+	if a := testing.AllocsPerRun(100, func() { buf = AppendGenericPoint(buf[:0], &p, names) }); a != 0 {
+		t.Errorf("AppendGenericPoint allocated %.0f times per row, want 0", a)
 	}
 }
 
