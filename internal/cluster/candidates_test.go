@@ -236,7 +236,7 @@ func TestCandidateBuildCancelledNotKept(t *testing.T) {
 	if _, _, err := g.cand.get(ctx, g.t, int(g.Size()), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build = %v, want context.Canceled", err)
 	}
-	if _, _, err := g.t.buildCandidates(ctx, int(g.Size()), 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := g.t.buildRangeCandidates(ctx, 0, int(g.Size()), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build walk = %v, want context.Canceled", err)
 	}
 	if g.cand.set.Load() != nil {

@@ -64,7 +64,17 @@ func typeName(names []string, i int) string {
 	if i < len(names) {
 		return names[i]
 	}
-	return "type" + strconv.Itoa(i)
+	return string(AppendTypeName(nil, names, i, nil))
+}
+
+// AppendTypeName appends typeName(names, i) through appendName, which
+// writes a name from names (an encoder passes one that escapes it); the
+// "type<i>" fallback needs no escaping.
+func AppendTypeName(b []byte, names []string, i int, appendName func([]byte, string) []byte) []byte {
+	if i < len(names) {
+		return appendName(b, names[i])
+	}
+	return strconv.AppendInt(append(b, "type"...), int64(i), 10)
 }
 
 // Label renders the point's mix like "a9 8 : k10 2". Types with zero
@@ -73,23 +83,28 @@ func typeName(names []string, i int) string {
 // rather than fmt: labels are encoded once per emitted row.
 func (p GenericPoint) Label(names []string) string {
 	var buf [64]byte
-	b := buf[:0]
+	return string(p.AppendLabel(buf[:0], names, appendRaw))
+}
+
+// AppendLabel appends Label(names), writing each type name through
+// appendName as AppendTypeName does.
+func (p GenericPoint) AppendLabel(b []byte, names []string, appendName func([]byte, string) []byte) []byte {
+	sep := false
 	for i, n := range p.Counts {
 		if n == 0 {
 			continue
 		}
-		if len(b) > 0 {
+		if sep {
 			b = append(b, " : "...)
 		}
-		if i < len(names) {
-			b = append(b, names[i]...)
-		} else {
-			b = strconv.AppendInt(append(b, "type"...), int64(i), 10)
-		}
+		sep = true
+		b = AppendTypeName(b, names, i, appendName)
 		b = strconv.AppendInt(append(b, ' '), int64(n), 10)
 	}
-	return string(b)
+	return b
 }
+
+func appendRaw(b []byte, s string) []byte { return append(b, s...) }
 
 // GenericGroupSummary is one used type of a GenericPointSummary.
 type GenericGroupSummary struct {
@@ -118,22 +133,36 @@ func (p GenericPoint) Summary(names []string) GenericPointSummary {
 		EnergyJoules: float64(p.Energy),
 		Label:        p.Label(names),
 	}
-	total, used := 0.0, 0
-	for i, w := range p.Work {
-		total += w
-		if p.Counts[i] != 0 {
+	used := 0
+	for _, n := range p.Counts {
+		if n != 0 {
 			used++
 		}
 	}
 	if used > 0 {
 		s.Groups = make([]GenericGroupSummary, 0, used)
 	}
+	p.EachGroup(func(i int, g GenericGroupSummary) {
+		g.Type = typeName(names, i)
+		s.Groups = append(s.Groups, g)
+	})
+	return s
+}
+
+// EachGroup calls yield, in type order, for each type the point uses
+// with the type's index and its summary group, Type left empty (Summary
+// fills it from names): an encoder can write the group without building
+// the summary.
+func (p GenericPoint) EachGroup(yield func(i int, g GenericGroupSummary)) {
+	total := 0.0
+	for _, w := range p.Work {
+		total += w
+	}
 	for i, n := range p.Counts {
 		if n == 0 {
 			continue
 		}
 		g := GenericGroupSummary{
-			Type:  typeName(names, i),
 			Nodes: n,
 			Cores: p.Configs[i].Cores,
 			GHz:   p.Configs[i].Frequency.GHzValue(),
@@ -141,9 +170,8 @@ func (p GenericPoint) Summary(names []string) GenericPointSummary {
 		if total > 0 {
 			g.WorkFraction = p.Work[i] / total
 		}
-		s.Groups = append(s.Groups, g)
+		yield(i, g)
 	}
-	return s
 }
 
 // EnumerateGroups evaluates every configuration of the generic space:
