@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X heteromix/internal/buildinfo.Version=$(VERSION) \
            -X heteromix/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: all build vet fmt perfbench-build perfbench test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
+.PHONY: all build vet fmt perfbench-build perfbench perfbench-pair test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
 
 all: ci
 
@@ -43,6 +43,26 @@ perfbench:
 		out=.bench_build/perfbench-$$w.txt; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 > $$out 2>&1 || { cat $$out; exit 1; }; \
 		echo "$$w: $$(tail -n 1 $$out)"; \
+	done
+
+# Opt-in, not part of ci: alternating before/after pairs of the same
+# benchmark runs, e.g. `make perfbench-pair BASE=main PAIRS=3`. BASE is
+# exported with git archive into .bench_build/base; each pair runs BASE,
+# then this tree, on each workload at seed 1 for 30 s and prints both
+# result lines (full outputs in .bench_build/pair-<side>-<workload>-<n>.txt).
+BASE  ?= HEAD
+PAIRS ?= 3
+perfbench-pair:
+	@rm -rf .bench_build/base && mkdir -p .bench_build/base
+	@git archive $(BASE) | tar -x -C .bench_build/base
+	@for i in $$(seq $(PAIRS)); do \
+		for w in predict_refit frontier_cold fleet_frontier; do \
+			base=.bench_build/pair-base-$$w-$$i.txt head=.bench_build/pair-head-$$w-$$i.txt; \
+			(cd .bench_build/base && bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0) > $$base 2>&1 || { cat $$base; exit 1; }; \
+			bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 > $$head 2>&1 || { cat $$head; exit 1; }; \
+			echo "pair $$i $$w base: $$(tail -n 1 $$base)"; \
+			echo "pair $$i $$w head: $$(tail -n 1 $$head)"; \
+		done; \
 	done
 
 test:

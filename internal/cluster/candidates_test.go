@@ -105,7 +105,7 @@ func checkMatchesWalk(t *testing.T, what string, g *GenericTable, w float64) {
 	if err != nil {
 		t.Fatalf("%v w=%v: serial walk: %v", what, w, err)
 	}
-	pts, tes, err := g.FrontierParallel(context.Background(), w, 2)
+	pts, tes, _, err := g.FrontierCounted(context.Background(), w, 2)
 	if err != nil {
 		t.Fatalf("%v w=%v: candidate frontier: %v", what, w, err)
 	}
@@ -209,7 +209,7 @@ func TestCandidateFrontierOutsideWorkRange(t *testing.T) {
 		if evaluated < g.Size() {
 			t.Errorf("w=%g: evaluated %d points, want the full %d-point walk", w, evaluated, g.Size())
 		}
-		pts, tes, _ := g.FrontierParallel(context.Background(), w, 2)
+		pts, tes, _, _ := g.FrontierCounted(context.Background(), w, 2)
 		if len(tes) != len(wantTEs) {
 			t.Fatalf("w=%g: %d points vs walk %d", w, len(tes), len(wantTEs))
 		}

@@ -19,7 +19,7 @@ import (
 // on the one evaluation kernel the two-type Space also runs on
 // (kernel.go): streaming (EnumerateGroupsFunc), per-type domination
 // pruning (PruneGroupTypes), online Pareto frontiers (GenericFrontierOf,
-// GenericTable.FrontierParallel) and sharded walks (shard_walk.go).
+// GenericTable.FrontierCounted) and sharded walks (shard_walk.go).
 
 // GroupType describes one node type available to a generic cluster.
 type GroupType struct {
@@ -180,7 +180,7 @@ func (p GenericPoint) EachGroup(yield func(i int, g GenericGroupSummary)) {
 // as the product of MaxNodes × per-type configurations over all types —
 // callers should pre-prune with PruneGroupTypes, stream aggregates with
 // EnumerateGroupsFunc/GenericFrontierOf, or fan a frontier out with
-// GenericTable.FrontierParallel.
+// GenericTable.FrontierCounted.
 //
 // The walk runs on precomputed evaluation kernels: each type's per-unit
 // coefficients are derived once, each point pays only the matching-split

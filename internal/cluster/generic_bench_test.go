@@ -78,7 +78,7 @@ func BenchmarkEnumerateGroupsParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, tes, err := g.FrontierParallel(context.Background(), 50e6, 0)
+		_, tes, _, err := g.FrontierCounted(context.Background(), 50e6, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,14 +102,14 @@ func BenchmarkGenericTableFrontierWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, _, err := g.FrontierParallel(ctx, 50e6, 0); err != nil {
+	if _, _, _, err := g.FrontierCounted(ctx, 50e6, 0); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, tes, err := g.FrontierParallel(ctx, 50e6*(0.5+rng.Float64()), 0)
+		_, tes, _, err := g.FrontierCounted(ctx, 50e6*(0.5+rng.Float64()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // daemon caches tables per cluster spec in its table cache — build
 // once and amortize the model walk across requests. A GenericTable's
 // coefficients are immutable after construction; its frontier candidate
-// set is built once, by the first FrontierParallel call, each shard
+// set is built once, by the first FrontierCounted call, each shard
 // slice's by the slice's first FrontierShardCounted call, and the table
 // is safe for concurrent use.
 type GenericTable struct {
@@ -148,85 +148,118 @@ func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) 
 	return pts, tes, nil
 }
 
-// genericFrontierChunk is the per-claim index run of the parallel
-// frontier and the candidate build: large enough to amortize the
+// genericFrontierChunk is the per-claim index run of the chunked
+// frontier walk and the candidate build: large enough to amortize the
 // per-chunk cursor and frontier, small enough that the dynamic scheduler
 // balances uneven chunks.
 const genericFrontierChunk = 8192
 
-// FrontierParallel answers Frontier's query for w work units with the
+// FrontierCounted answers Frontier's query for w work units with the
 // same result, bit for bit (including first-offered-wins among exact
-// duplicates), without walking the space per call. The first call
-// builds the table's margin candidate set (candidates.go) by one
-// chunked walk at w = 1 fanned out over the worker pool; every call then
-// evaluates only the candidates, in serial order, through the same
-// online frontier. Where the set does not apply — w outside the table's
-// guarded range, or a set over its cap — it walks the whole space in
-// parallel chunks whose frontiers merge in enumeration order. The space
-// is never materialized. workers <= 0 selects GOMAXPROCS. ctx is checked
-// on entry and once per walked chunk; a cancelled or expired request
-// returns ctx's error, and a build it stopped is not kept.
-func (g *GenericTable) FrontierParallel(ctx context.Context, w float64, workers int) ([]GenericPoint, []pareto.TE, error) {
-	pts, tes, _, err := g.FrontierCounted(ctx, w, workers)
-	return pts, tes, err
-}
-
-// FrontierCounted is FrontierParallel that also reports how many points
-// it evaluated: the candidates, or the space when it walked, plus the
-// build walk's points when this call built the candidate set.
+// duplicates), without walking the space per call, and reports how many
+// points it evaluated. It is frontierRange over the whole space: the
+// first call builds the table's margin candidate set (candidates.go) by
+// one chunked walk at w = 1 fanned out over the worker pool, and every
+// call then evaluates only the candidates. Where the set does not apply
+// — w outside the table's guarded range, or a set over its cap — it
+// walks the space in chunks over the pool. The space is never
+// materialized. workers <= 0 selects GOMAXPROCS. ctx is checked on entry
+// and while walking; a cancelled or expired request returns ctx's error,
+// and a build it stopped is not kept.
 func (g *GenericTable) FrontierCounted(ctx context.Context, w float64, workers int) (pts []GenericPoint, tes []pareto.TE, evaluated uint64, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
-	}
 	if err := g.check(w); err != nil {
-		return nil, nil, 0, err
-	}
-	n, err := g.t.intSize()
-	if err != nil {
 		return nil, nil, 0, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	set, evaluated, err := g.cand.get(ctx, g.t, n, workers)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if !set.covers(w) {
-		pts, tes, err = g.frontierWalk(ctx, w, n, workers)
-		return pts, tes, evaluated + g.t.size, err
-	}
-	pts, tes, err = g.t.frontierOf(set.idx, w)
-	return pts, tes, evaluated + uint64(len(set.idx)), err
+	part, evaluated, err := g.frontierRange(ctx, w, 0, g.t.size, workers)
+	return part.Points, part.TEs, evaluated, err
 }
 
-// frontierOf evaluates the points at the given ascending serial indices
-// for w work units and streams them through an online frontier, so the
-// result is what the serial walk gives when every other point is, at w,
-// dominated by one of them or an exact duplicate of one with a smaller
-// index. The points are evaluated straight into one flat backing, so
-// nothing is cloned.
-func (t *genericTable) frontierOf(idx []uint64, w float64) ([]GenericPoint, []pareto.TE, error) {
-	var tr pareto.Tracked[GenericPoint]
-	bk := newGenBacking(len(idx), len(t.kern))
+// frontierRange answers the frontier of the serial range [lo, hi) for w
+// work units, each point with its serial index: from the range's
+// candidate set (sliceSet) when the set covers w, and otherwise from the
+// survivors of a chunked walk of the range (walkRange). evaluated counts
+// the candidates or the range walked, plus the build walk when this call
+// built the set. A range of more than maxMaterialize points is an error.
+func (g *GenericTable) frontierRange(ctx context.Context, w float64, lo, hi uint64, workers int) (part ShardFrontier[GenericPoint], evaluated uint64, err error) {
+	if err := ctx.Err(); err != nil {
+		return part, 0, err
+	}
+	n, err := materializable(hi - lo)
+	if err != nil {
+		return part, 0, err
+	}
+	set, evaluated, err := g.sliceSet(ctx, lo, hi, workers)
+	if err != nil {
+		return part, 0, err
+	}
+	idx := set.idx
+	if set.covers(w) {
+		evaluated += uint64(len(idx))
+	} else {
+		if idx, err = g.t.walkRange(ctx, w, lo, n, workers); err != nil {
+			return part, 0, err
+		}
+		evaluated += hi - lo
+	}
+	part, err = g.t.frontierOf(idx, w)
+	return part, evaluated, err
+}
+
+// walkRange is the chunked walk of the n points from serial index base:
+// each claimed chunk keeps the serial indices of its own frontier
+// (rangeFrontier), and the chunks' survivors come back in ascending
+// order. Every point a chunk drops is dominated by, or an exact later
+// duplicate of, a survivor of that chunk, so frontierOf over the
+// survivors is the serial walk's frontier.
+func (t *genericTable) walkRange(ctx context.Context, w float64, base uint64, n, workers int) ([]uint64, error) {
+	survivors := make([][]uint64, (n+genericFrontierChunk-1)/genericFrontierChunk)
+	err := parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) (err error) {
+		// parallelFor claims start at chunk multiples, so lo identifies
+		// the chunk's slot.
+		survivors[lo/genericFrontierChunk], _, err = t.rangeFrontier(ctx, w, base+uint64(lo), base+uint64(hi))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	idx := slices.Concat(survivors...)
+	slices.Sort(idx)
+	return idx, nil
+}
+
+// frontierOf offers the points at the ascending serial indices idx,
+// evaluated for w work units, to an online frontier, each TE carrying
+// its offer position as its Index, then evaluates only the survivors
+// into one flat backing. The result is what the serial walk gives when
+// every other point is, at w, dominated by one of them or an exact
+// duplicate of one with a smaller index.
+func (t *genericTable) frontierOf(idx []uint64, w float64) (ShardFrontier[GenericPoint], error) {
+	var f pareto.OnlineFrontier
 	c := t.newCursor()
-	for _, i := range idx {
+	for k, i := range idx {
 		c.seek(i + 1)
 		c.eval(w)
-		if _, err := tr.Insert(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}, bk.copy(c.p)); err != nil {
-			return nil, nil, err
+		if _, err := f.Add(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy), Index: k}); err != nil {
+			return ShardFrontier[GenericPoint]{}, err
 		}
 	}
-	pts, tes := tr.Frontier()
-	return pts, tes, nil
+	tes := f.Frontier()
+	keep := make([]uint64, len(tes))
+	for j := range tes {
+		keep[j], tes[j].Index = idx[tes[j].Index], j
+	}
+	return ShardFrontier[GenericPoint]{Points: c.points(keep, w), TEs: tes, Indices: keep}, nil
 }
 
 // FrontierOfIndices evaluates the points at serial indices idx (any
 // order; idx is not modified) for w work units and returns their
 // frontier, offered in ascending index as in the serial walk. Given the
-// survivors of partial frontiers covering the space — frontierWalk's
-// chunks, a fleet's shards — it is the serial frontier, bit for bit. An
-// index at or past Size() is an error.
+// survivors of partial frontiers covering the space — a fleet's shards —
+// it is the serial frontier, bit for bit. An index at or past Size() is
+// an error.
 func (g *GenericTable) FrontierOfIndices(w float64, idx []uint64) ([]GenericPoint, []pareto.TE, error) {
 	if err := g.check(w); err != nil {
 		return nil, nil, err
@@ -238,24 +271,6 @@ func (g *GenericTable) FrontierOfIndices(w float64, idx []uint64) ([]GenericPoin
 	}
 	sorted := slices.Clone(idx)
 	slices.Sort(sorted)
-	return g.t.frontierOf(sorted, w)
-}
-
-// frontierWalk is the chunked full walk: each claimed chunk of the n
-// points keeps the serial indices of its own frontier (rangeFrontier),
-// and the chunks' survivors merge through FrontierOfIndices. Every point
-// a chunk drops is dominated by, or an exact later duplicate of, a
-// survivor of that chunk, so the result is identical to the serial walk.
-func (g *GenericTable) frontierWalk(ctx context.Context, w float64, n, workers int) ([]GenericPoint, []pareto.TE, error) {
-	survivors := make([][]uint64, (n+genericFrontierChunk-1)/genericFrontierChunk)
-	err := parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) (err error) {
-		// parallelFor claims start at chunk multiples, so lo identifies
-		// the chunk's slot.
-		survivors[lo/genericFrontierChunk], _, err = g.t.rangeFrontier(ctx, w, uint64(lo), uint64(hi))
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return g.FrontierOfIndices(w, slices.Concat(survivors...))
+	part, err := g.t.frontierOf(sorted, w)
+	return part.Points, part.TEs, err
 }

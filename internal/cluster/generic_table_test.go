@@ -40,7 +40,7 @@ func TestGenericTableReuseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rPts, rTEs, err := g.FrontierParallel(context.Background(), w, 4)
+		rPts, rTEs, _, err := g.FrontierCounted(context.Background(), w, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestGenericTableParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts, tes, err := g.FrontierParallel(context.Background(), w, 3)
+		pts, tes, _, err := g.FrontierCounted(context.Background(), w, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -235,7 +235,7 @@ func TestEnumerateGroupsRefusesHugeSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.FrontierParallel(context.Background(), 50e6, 2); err == nil {
+	if _, _, _, err := g.FrontierCounted(context.Background(), 50e6, 2); err == nil {
 		t.Error("the index-addressed parallel frontier over a >2^31-point space should error")
 	}
 }
@@ -293,7 +293,7 @@ func TestGenericParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		pts, tes, err := g.FrontierParallel(context.Background(), 50e6, workers)
+		pts, tes, _, err := g.FrontierCounted(context.Background(), 50e6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestGenericFrontierMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		ppts, ptes, err := g.FrontierParallel(context.Background(), 50e6, workers)
+		ppts, ptes, _, err := g.FrontierCounted(context.Background(), 50e6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,9 +481,9 @@ func genericTE(points []GenericPoint) []pareto.TE {
 	return tes
 }
 
-// TestFrontierParallelHonoursCancellation: a cancelled ctx stops the
-// parallel frontier at its first chunk claim and surfaces ctx's error.
-func TestFrontierParallelHonoursCancellation(t *testing.T) {
+// TestFrontierCountedHonoursCancellation: a cancelled ctx stops the
+// frontier before it builds or walks anything and surfaces ctx's error.
+func TestFrontierCountedHonoursCancellation(t *testing.T) {
 	g, err := NewGenericTable(triTypes(t, 4, 4, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -491,9 +491,9 @@ func TestFrontierParallelHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		pts, _, err := g.FrontierParallel(ctx, 50e6, workers)
+		pts, _, _, err := g.FrontierCounted(ctx, 50e6, workers)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: FrontierParallel on a cancelled ctx = %v, want context.Canceled", workers, err)
+			t.Fatalf("workers=%d: FrontierCounted on a cancelled ctx = %v, want context.Canceled", workers, err)
 		}
 		if pts != nil {
 			t.Fatalf("workers=%d: cancelled frontier returned %d points", workers, len(pts))

@@ -191,11 +191,15 @@ const maxMaterialize = 1 << 31
 
 // intSize returns the space size as an int for the materializing and
 // index-addressed paths.
-func (t *genericTable) intSize() (int, error) {
-	if t.size > maxMaterialize {
-		return 0, fmt.Errorf("cluster: generic space of %d points is too large to materialize; prune or stream with EnumerateGroupsFunc", t.size)
+func (t *genericTable) intSize() (int, error) { return materializable(t.size) }
+
+// materializable returns the point count n as an int, or an error when n
+// points are too many to materialize or index.
+func materializable(n uint64) (int, error) {
+	if n > maxMaterialize {
+		return 0, fmt.Errorf("cluster: generic space of %d points is too large to materialize; prune or stream with EnumerateGroupsFunc", n)
 	}
-	return int(t.size), nil
+	return int(n), nil
 }
 
 // genCursor is one walker's scratch: per type the current digit, the

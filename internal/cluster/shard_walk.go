@@ -77,45 +77,26 @@ func (g *GenericTable) FrontierShard(w float64, sh shard.Shard) (ShardFrontier[G
 	if err != nil {
 		return ShardFrontier[GenericPoint]{}, err
 	}
-	return ShardFrontier[GenericPoint]{Points: g.t.points(idx, w), TEs: tes, Indices: idx}, nil
+	c := g.t.newCursor()
+	return ShardFrontier[GenericPoint]{Points: c.points(idx, w), TEs: tes, Indices: idx}, nil
 }
 
 // FrontierShardCounted answers FrontierShard's query, bit for bit, plus
-// how many points it evaluated. The slice's first call builds its margin
-// candidate set (candidates.go) by one chunked walk of the range at
-// w = 1; every call then offers only the slice's candidates, in serial
-// order, to the online frontier. Slice 0/1 uses the table's own set.
-// Where no set applies — w outside the table's guarded range, a set over
-// its cap, a slice the table's slice budget does not admit — it walks
-// the range. evaluated counts the candidates or the range walked, plus
-// the build walk when this call built the set. ctx is checked on entry
-// and while walking; a cancelled or expired call returns its error, and
-// a build it stopped is not kept.
-func (g *GenericTable) FrontierShardCounted(ctx context.Context, w float64, sh shard.Shard) (part ShardFrontier[GenericPoint], evaluated uint64, err error) {
-	if err := ctx.Err(); err != nil {
-		return part, 0, err
-	}
+// how many points it evaluated. It is frontierRange over the slice, on
+// the calling goroutine: the slice's first call builds its margin
+// candidate set (candidates.go) by one walk of the range at w = 1, and
+// every call then offers only the slice's candidates, in serial order,
+// to the online frontier. Slice 0/1 uses the table's own set. Where no
+// set applies — w outside the table's guarded range, a set over its
+// cap, a slice the table's slice budget does not admit — it walks the
+// range. ctx is checked on entry and while walking; a cancelled or
+// expired call returns its error, and a build it stopped is not kept.
+func (g *GenericTable) FrontierShardCounted(ctx context.Context, w float64, sh shard.Shard) (ShardFrontier[GenericPoint], uint64, error) {
 	lo, hi, err := g.shardRange(w, sh)
 	if err != nil {
-		return part, 0, err
+		return ShardFrontier[GenericPoint]{}, 0, err
 	}
-	set, evaluated, err := g.sliceSet(ctx, lo, hi)
-	if err != nil {
-		return part, 0, err
-	}
-	var idx []uint64
-	var tes []pareto.TE
-	if set.covers(w) {
-		idx, tes, err = g.t.indexFrontier(set.idx, w)
-		evaluated += uint64(len(set.idx))
-	} else {
-		idx, tes, err = g.t.rangeFrontier(ctx, w, lo, hi)
-		evaluated += hi - lo
-	}
-	if err != nil {
-		return part, 0, err
-	}
-	return ShardFrontier[GenericPoint]{Points: g.t.points(idx, w), TEs: tes, Indices: idx}, evaluated, nil
+	return g.frontierRange(ctx, w, lo, hi, 1)
 }
 
 // shardRange checks a shard query and returns the slice's serial range.
@@ -134,12 +115,12 @@ func (g *GenericTable) shardRange(w float64, sh shard.Shard) (lo, hi uint64, err
 var noCandidates candidateSet
 
 // sliceSet returns the candidate set of the serial range [lo, hi),
-// building it on first use; walked counts the points the build
-// evaluated. The whole space shares the table's own set. A set is built
-// by one worker, the calling goroutine, like the range walk it replaces:
-// a fleet runs its slices in parallel across replica requests. An empty range or a space
+// building it on first use over workers goroutines; walked counts the
+// points the build evaluated. The whole space shares the table's own
+// set. Slices pass one worker, the calling goroutine: a fleet runs its
+// slices in parallel across replica requests. An empty range or a space
 // too large to index gets noCandidates.
-func (g *GenericTable) sliceSet(ctx context.Context, lo, hi uint64) (set *candidateSet, walked uint64, err error) {
+func (g *GenericTable) sliceSet(ctx context.Context, lo, hi uint64, workers int) (set *candidateSet, walked uint64, err error) {
 	if _, err := g.t.intSize(); err != nil || lo == hi {
 		return &noCandidates, 0, nil
 	}
@@ -147,7 +128,7 @@ func (g *GenericTable) sliceSet(ctx context.Context, lo, hi uint64) (set *candid
 	if lo != 0 || hi != g.t.size {
 		ci = g.slices.index(lo, hi)
 	}
-	return ci.get(ctx, g.t, int(hi-lo), 1)
+	return ci.get(ctx, g.t, int(hi-lo), workers)
 }
 
 // rangePollMask sets how often a range walk polls its context: every
@@ -180,28 +161,11 @@ func (t *genericTable) rangeFrontier(ctx context.Context, w float64, lo, hi uint
 	return idx, tes, nil
 }
 
-// indexFrontier is rangeFrontier over the ascending serial indices idx
-// instead of a whole range.
-func (t *genericTable) indexFrontier(idx []uint64, w float64) ([]uint64, []pareto.TE, error) {
-	var tr pareto.Tracked[uint64]
-	c := t.newCursor()
-	for _, i := range idx {
-		c.seek(i + 1)
-		c.eval(w)
-		if _, err := tr.Insert(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}, i); err != nil {
-			return nil, nil, err
-		}
-	}
-	out, tes := tr.Frontier()
-	return out, tes, nil
-}
-
 // points evaluates the points at the given serial indices for w work
 // units, in the given order, into one flat backing.
-func (t *genericTable) points(idx []uint64, w float64) []GenericPoint {
+func (c *genCursor) points(idx []uint64, w float64) []GenericPoint {
 	out := make([]GenericPoint, len(idx))
-	bk := newGenBacking(len(idx), len(t.kern))
-	c := t.newCursor()
+	bk := newGenBacking(len(idx), len(c.t.kern))
 	for k, i := range idx {
 		c.seek(i + 1)
 		c.eval(w)

@@ -130,6 +130,10 @@ func TestShardCandidateFrontierWalks(t *testing.T) {
 	}
 	sh := shard.Shard{Index: 1, Count: 4}
 	size := sh.SliceSize(g.Size())
+	// The walks below merge the frontiers of the slice's chunks.
+	if size <= genericFrontierChunk {
+		t.Fatalf("a %d-point slice does not span two %d-point walk chunks", size, genericFrontierChunk)
+	}
 	lo, hi := g.t.workRange()
 	checkShardMatchesWalk(t, "build", g, 5e7, sh)
 	cands := uint64(len(sliceCandidates(g, sh)))

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+
 	"heteromix/internal/pareto"
 )
 
@@ -29,32 +31,41 @@ func (s Space) EnumerateFunc(maxARM, maxAMD int, w float64, yield func(Point) bo
 // pareto.Frontier's order (time-ascending), with each Index pointing into
 // the returned point slice.
 func FrontierOf(s Space, maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, error) {
-	return frontierOfStream(func(yield func(Point) bool) error {
-		return s.EnumerateFunc(maxARM, maxAMD, w, yield)
-	})
-}
-
-// frontierOfStream runs an online Pareto frontier over any streaming
-// enumeration via pareto.Tracked; the shared core of FrontierOf and
-// Table.Frontier. Points need no Clone hook: the two-type enumerators
-// yield value-type Points with no retained backing storage.
-func frontierOfStream(enumerate func(yield func(Point) bool) error) ([]Point, []pareto.TE, error) {
-	var tr pareto.Tracked[Point]
-	var addErr error
-	err := enumerate(func(p Point) bool {
-		_, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p)
-		if err != nil {
-			addErr = err
-			return false
-		}
-		return true
-	})
+	t, err := s.compile(maxARM, maxAMD, w, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if addErr != nil {
-		return nil, nil, addErr
+	pts, tes, _, err := t.frontierTwoType(context.Background(), maxARM, maxAMD, w)
+	return pts, tes, err
+}
+
+// frontierTwoType walks the bounded two-type space in Enumerate's order
+// through an online Pareto frontier; the shared core of FrontierOf,
+// Table.Frontier and Table.FrontierCounted. walked counts the points
+// evaluated. ctx is polled every rangePollMask+1 points. Points need no
+// Clone hook: the two-type walk yields value-type Points with no
+// retained backing storage.
+func (t *genericTable) frontierTwoType(ctx context.Context, maxARM, maxAMD int, w float64) (pts []Point, tes []pareto.TE, walked uint64, err error) {
+	if err := validBounds(maxARM, maxAMD); err != nil {
+		return nil, nil, 0, err
 	}
-	pts, tes := tr.Frontier()
-	return pts, tes, nil
+	if err := validWork(w); err != nil {
+		return nil, nil, 0, err
+	}
+	var tr pareto.Tracked[Point]
+	t.forEachTwoType(maxARM, maxAMD, w, func(p Point) bool {
+		if walked&rangePollMask == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
+		walked++
+		_, err = tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p)
+		return err == nil
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	pts, tes = tr.Frontier()
+	return pts, tes, walked, nil
 }

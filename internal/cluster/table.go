@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"unsafe"
 
@@ -202,9 +203,16 @@ func (t *Table) ForEach(maxARM, maxAMD int, w float64, yield func(Point) bool) e
 
 // Frontier enumerates the bounded space and returns only its
 // Pareto-optimal points, exactly as FrontierOf does but off the
-// precomputed table.
+// precomputed table. It always walks the space: it is the serial oracle
+// FrontierCounted answers for.
 func (t *Table) Frontier(maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, error) {
-	return frontierOfStream(func(yield func(Point) bool) error {
-		return t.ForEach(maxARM, maxAMD, w, yield)
-	})
+	pts, tes, _, err := t.g.frontierTwoType(context.Background(), maxARM, maxAMD, w)
+	return pts, tes, err
+}
+
+// FrontierCounted answers Frontier's query, bit for bit, plus how many
+// points it evaluated. ctx is polled every 256 points; a cancelled or
+// expired call returns ctx's error.
+func (t *Table) FrontierCounted(ctx context.Context, maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, uint64, error) {
+	return t.g.frontierTwoType(ctx, maxARM, maxAMD, w)
 }

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"heteromix/internal/hwsim"
+	"heteromix/internal/workloads"
 )
 
 func TestTableEvaluateMatchesSpaceEvaluate(t *testing.T) {
@@ -139,6 +143,66 @@ func TestTableFrontierMatchesFrontierOf(t *testing.T) {
 	}
 }
 
+// TestTableFrontierCountedMatchesFrontier pins Table.FrontierCounted to
+// the serial oracle Table.Frontier, bit for bit — points, TE bits and TE
+// indices — over every workload, both switch conventions, three bound
+// shapes and seeded work sizes, and checks that it counts the walk and
+// honours a cancelled context.
+func TestTableFrontierCountedMatchesFrontier(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range workloads.Names() {
+		for _, noSwitch := range []bool{false, true} {
+			s := Space{
+				ARM:            nodeModel(t, hwsim.ARMCortexA9(), name),
+				AMD:            nodeModel(t, hwsim.AMDOpteronK10(), name),
+				NoSwitchEnergy: noSwitch,
+			}
+			tbl, err := s.NewTable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(26))
+			for _, b := range [][2]int{{10, 10}, {16, 4}, {3, 12}} {
+				for range 20 {
+					w := math.Pow(10, 2+6*rng.Float64())
+					where := fmt.Sprintf("%s switch=%t %dx%d w=%g", name, !noSwitch, b[0], b[1], w)
+					wantPts, wantTEs, err := tbl.Frontier(b[0], b[1], w)
+					if err != nil {
+						t.Fatalf("%s: Frontier: %v", where, err)
+					}
+					pts, tes, evaluated, err := tbl.FrontierCounted(ctx, b[0], b[1], w)
+					if err != nil {
+						t.Fatalf("%s: FrontierCounted: %v", where, err)
+					}
+					if evaluated != uint64(tbl.Size(b[0], b[1])) {
+						t.Errorf("%s: evaluated %d points, want the %d-point walk", where, evaluated, tbl.Size(b[0], b[1]))
+					}
+					if len(pts) != len(wantPts) || len(tes) != len(wantTEs) {
+						t.Fatalf("%s: frontier sizes (%d, %d), want (%d, %d)", where, len(pts), len(tes), len(wantPts), len(wantTEs))
+					}
+					for i := range pts {
+						got, want := tes[i], wantTEs[i]
+						if pts[i] != wantPts[i] || got.Index != want.Index ||
+							math.Float64bits(got.Time) != math.Float64bits(want.Time) ||
+							math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+							t.Fatalf("%s: frontier entry %d = %+v %+v, want %+v %+v", where, i, pts[i], got, wantPts[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+	tbl, err := epSpace(t).NewTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if pts, _, _, err := tbl.FrontierCounted(cancelled, 10, 10, 5e7); !errors.Is(err, context.Canceled) || pts != nil {
+		t.Errorf("FrontierCounted on a cancelled ctx = %d points, %v; want context.Canceled", len(pts), err)
+	}
+}
+
 func TestPointSummaryFlattens(t *testing.T) {
 	s := epSpace(t)
 	p, err := s.Evaluate(Configuration{
@@ -203,6 +267,10 @@ func TestTableAllocsAndSize(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { _, _, _ = tbl.Frontier(10, 10, 5e7) }); n > 17+cursorAllocs {
 		t.Errorf("Table.Frontier(10, 10) allocates %v times, want <= %d", n, 17+cursorAllocs)
 	}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(5, func() { _, _, _, _ = tbl.FrontierCounted(ctx, 10, 10, 5e7) }); n > 17+cursorAllocs {
+		t.Errorf("Table.FrontierCounted(10, 10) allocates %v times, want <= %d", n, 17+cursorAllocs)
+	}
 	if got := tbl.SizeBytes(); got > 4096 {
 		t.Errorf("ep Table.SizeBytes = %d, want <= 4096", got)
 	}
@@ -233,11 +301,11 @@ func TestGenericTableFrontierAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, _, err := g.FrontierParallel(ctx, 5e7, 1); err != nil {
+	if _, _, _, err := g.FrontierCounted(ctx, 5e7, 1); err != nil {
 		t.Fatal(err)
 	}
 	const maxAllocs = 32
-	if n := testing.AllocsPerRun(20, func() { _, _, _ = g.FrontierParallel(ctx, 3e7, 1) }); n > maxAllocs {
-		t.Errorf("warm tri-cluster FrontierParallel allocates %v times, want <= %d", n, maxAllocs)
+	if n := testing.AllocsPerRun(20, func() { _, _, _, _ = g.FrontierCounted(ctx, 3e7, 1) }); n > maxAllocs {
+		t.Errorf("warm tri-cluster FrontierCounted allocates %v times, want <= %d", n, maxAllocs)
 	}
 }

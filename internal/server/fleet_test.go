@@ -221,7 +221,10 @@ func TestFleetFailoverAsksEachReplicaOnce(t *testing.T) {
 		http.Error(w, "shedding", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(stub.Close)
-	replica := httptest.NewServer(newTestServer(t, Options{}).Handler())
+	const shards = 16
+	// Every shard may land on the real replica at once; its limiter must
+	// admit them all, or its own shedding would degrade the fan-out.
+	replica := httptest.NewServer(newTestServer(t, Options{MaxConcurrent: 2 * shards}).Handler())
 	t.Cleanup(replica.Close)
 	coord := newTestServer(t, Options{
 		Replicas:         []string{stub.URL, replica.URL},
@@ -229,7 +232,6 @@ func TestFleetFailoverAsksEachReplicaOnce(t *testing.T) {
 		BreakerThreshold: 1000,
 		ProbeInterval:    time.Hour,
 	})
-	const shards = 16
 	owned := 0
 	for i := 0; i < shards; i++ {
 		if coord.shardWalks[i][0] == stub.URL {

@@ -203,18 +203,6 @@ func (s *Server) resolveGroup(side string, g GroupRequest, spec hwsim.NodeSpec) 
 	return g, hwsim.Config{Cores: g.Cores, Frequency: freq}, nil
 }
 
-// canonicalKey renders a canonicalized request as a cache key. keyed is
-// false when the value cannot marshal: such requests must bypass the
-// cache entirely — a shared fallback key would alias every unmarshalable
-// request onto one entry and serve one request's body for another's.
-func canonicalKey(endpoint string, v any) (key string, keyed bool) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", false
-	}
-	return endpoint + "|" + string(b), true
-}
-
 // versionTag renders the versioned workload component every cache key
 // embeds: "<workload>@v<version>". A profile bump changes the tag, so
 // keys minted under the old version become unreachable the instant the
@@ -240,7 +228,9 @@ func (s *Server) resultKey(endpoint, workload string, req any) resultKey {
 }
 
 // mint renders "endpoint|workload@vN|{json}"; keyed is false when the
-// request cannot be encoded, and the answer then bypasses the cache.
+// request cannot be encoded, and the answer then bypasses the cache
+// entirely — a shared fallback key would alias every unmarshalable
+// request onto one entry and serve one request's body for another's.
 func (k resultKey) mint() (key string, keyed bool) {
 	b, err := json.Marshal(k.req)
 	if err != nil {
@@ -255,7 +245,7 @@ func (s *Server) versionedKey(endpoint, workload string, v any) (key string, key
 }
 
 // doCached runs compute through the result cache under key, or directly
-// and uncached when keyed is false (the canonicalKey fallback).
+// and uncached when keyed is false (the resultKey.mint fallback).
 func (s *Server) doCached(key string, keyed bool, compute func() ([]byte, error)) ([]byte, bool, error) {
 	if !keyed {
 		v, err := compute()

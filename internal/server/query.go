@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"heteromix/internal/cluster"
-	"heteromix/internal/pareto"
 	"heteromix/internal/shard"
 	"heteromix/internal/stream"
 )
@@ -322,10 +321,9 @@ func (wk *walker) limited(ctx context.Context, work float64, limit int, emit fun
 }
 
 // frontier emits the space's frontier; walked counts the points
-// evaluated. The two-type walk inserts in Table.Frontier's order, so
-// its rows are bit-identical to it; the generic frontier answers from
-// the table's candidate set (a full walk only to build it), itself
-// identical to the serial walk.
+// evaluated. The two-type frontier is Table.Frontier's, bit for bit; the
+// generic frontier answers from the table's candidate set (a full walk
+// only to build it), itself identical to the serial walk.
 func (wk *walker) frontier(ctx context.Context, work float64, emit func([]byte) error) (walked uint64, err error) {
 	if wk.gen != nil {
 		pts, _, walked, err := wk.gen.FrontierCounted(ctx, work, 0)
@@ -334,28 +332,10 @@ func (wk *walker) frontier(ctx context.Context, work float64, emit func([]byte) 
 		}
 		return walked, wk.emitGeneric(pts, emit)
 	}
-	var tr pareto.Tracked[cluster.Point]
-	var insErr error
-	err = wk.two.ForEach(wk.maxARM, wk.maxAMD, work, func(p cluster.Point) bool {
-		walked++
-		if walked&pollMask == 0 && ctx.Err() != nil {
-			return false
-		}
-		if _, insErr = tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p); insErr != nil {
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = insErr
-	}
-	if err == nil {
-		err = ctx.Err()
-	}
+	pts, _, walked, err := wk.two.FrontierCounted(ctx, wk.maxARM, wk.maxAMD, work)
 	if err != nil {
 		return 0, err
 	}
-	pts, _ := tr.Frontier()
 	row := make([]byte, 0, rowCap)
 	for i := range pts {
 		sum := pts[i].Summary()

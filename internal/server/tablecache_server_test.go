@@ -2,7 +2,7 @@ package server
 
 // Tests for the compiled kernel-table cache behind the handlers: warm
 // requests over an already-seen cluster must never rebuild a table, and
-// the canonicalKey fallback must bypass the result cache instead of
+// the resultKey.mint fallback must bypass the result cache instead of
 // aliasing every unmarshalable value onto one shared key.
 
 import (
@@ -99,11 +99,12 @@ func TestTableCacheMetricsExposed(t *testing.T) {
 // served for every later one. The fallback now disables caching for the
 // request entirely.
 func TestCanonicalKeyFallbackBypassesCache(t *testing.T) {
-	if _, keyed := canonicalKey("predict", struct{ C chan int }{}); keyed {
+	if _, keyed := (resultKey{endpoint: "predict", workload: "ep", version: 3, req: struct{ C chan int }{}}).mint(); keyed {
 		t.Fatal("unmarshalable value should report keyed=false")
 	}
-	if key, keyed := canonicalKey("predict", map[string]int{"a": 1}); !keyed || key != `predict|{"a":1}` {
-		t.Fatalf("marshalable value should key canonically, got (%q, %v)", key, keyed)
+	key, keyed := (resultKey{endpoint: "predict", workload: "ep", version: 3, req: map[string]int{"a": 1}}).mint()
+	if want := `predict|ep@v3|{"a":1}`; !keyed || key != want {
+		t.Fatalf("marshalable value should key canonically, got (%q, %v), want %q", key, keyed, want)
 	}
 
 	s := newTestServer(t, Options{})
