@@ -79,7 +79,8 @@ server-race:
 # The fleet scatter-gather layer under the race detector: shard ranges,
 # shard walkers, coordinator fan-out/merge/caching, the
 # shard-down degraded path, consistent-hash routing and first use of a
-# table's frontier candidate set all run concurrently by design.
+# frontier candidate set (a generic table's, a shard slice's, or a
+# two-type table's per bounds box) all run concurrently by design.
 fleet-race:
 	$(GO) test -race -count=1 -run 'Fleet|Shard|Route|Ring|Feistel|Permutation|Candidate' \
 		./internal/server ./internal/shard ./internal/cluster ./internal/pareto
@@ -131,10 +132,11 @@ bench:
 # frontier, the production pruned+parallel-frontier path that must
 # stay ≥20× under the seed serial numbers (see README Performance), a
 # warm table's candidate-set frontier at varying work sizes, and each
-# shard's range walk at n = 4 and n = 7 (the per-shard balance).
+# shard's range walk at n = 4 and n = 7 (the per-shard balance); plus a
+# warm two-type table's candidate-set frontier on the 10x10 ep space.
 bench-generic:
 	$(GO) test ./internal/cluster -run '^$$' \
-		-bench 'Benchmark(EnumerateGroups(Serial|Pruned|Parallel|Frontier)|GenericTableFrontier(Warm|Shard))' \
+		-bench 'Benchmark(EnumerateGroups(Serial|Pruned|Parallel|Frontier)|GenericTableFrontier(Warm|Shard)|TableFrontierWarm)' \
 		-benchmem -benchtime=3x
 
 # Throughput gate for the daemon's cached predict path below the HTTP

@@ -46,6 +46,21 @@ import (
 // whole table, so it guards every slice as well. A shard slice therefore
 // answers from its own candidate set (FrontierShardCounted) bit for bit
 // like the walk of its range.
+//
+// A two-type Table's bounds box is such a subset too. The Table is
+// compiled at one node per type and takes its node bounds per call, but
+// eval's arithmetic depends only on each point's counts and entries, so
+// the maxARM×maxAMD space is a set of points evaluated exactly as any
+// other. Its walk (forEachTwoType) offers them in a different order than
+// the serial one: the heterogeneous box, then ARM only, then AMD only.
+// The candidates are kept as positions in that order and offered
+// ascending, so first-offered-wins among exact duplicates is the walk's.
+// What the box must bring is its own guarded range: workRange takes the
+// per-type node bounds, and at the box's bounds it bounds every
+// intermediate of the box's points (the largest throughput and switch
+// count come from maxARM and maxAMD nodes, not from the one node the
+// Table is compiled at). Table.FrontierCounted therefore answers from
+// the box's candidate set bit for bit like Table.Frontier's walk.
 
 // candidateMargin is the relative margin by which a point must be beaten
 // on both axes at w = 1 to be left out of the candidate set.
@@ -54,13 +69,14 @@ const candidateMargin = 1e-9
 // maxCandidates caps the candidate set. A build whose running set grows
 // past it is abandoned and the table keeps answering frontier queries by
 // the full walk. It is also the shared budget of all of a served table's
-// slice sets (sliceSets).
+// slice sets (sliceSets): a GenericTable's shard slices, or a Table's
+// bounds boxes.
 const maxCandidates = 1 << 12
 
 // sliceEntryCost is what one slice entry — its map slot, semaphore and
 // set header, about 256 bytes — is charged against the slice budget, in
-// index-sized units, so arbitrary "i/n" requests cannot grow the map
-// past the budget either.
+// index-sized units, so arbitrary "i/n" requests or node bounds cannot
+// grow the map past the budget either.
 const sliceEntryCost = 32
 
 // maxCandidateTypes bounds the type count the rounding analysis above
@@ -73,7 +89,8 @@ const maxCandidateTypes = 1 << 10
 const workSlack = 1 << 10
 
 // candidateSet is a table's built index: the serial indices of the
-// margin candidates in ascending order, and the work range in which they
+// margin candidates (for a Table's bounds box, their positions in the
+// box's walk order) in ascending order, and the work range in which they
 // answer for the full walk. ok is false when the build overflowed
 // maxCandidates or w = 1 itself lies outside the guarded range; such a
 // table always walks.
@@ -88,18 +105,18 @@ func (s *candidateSet) covers(w float64) bool {
 	return s.ok && w >= s.lo && w <= s.hi
 }
 
-// candidateIndex is the lazily built candidate set of the serial range
-// [lo, lo+n): a GenericTable's whole space, or one shard slice of it.
-// lock is a one-slot semaphore held by the caller building the set, so
-// concurrent first callers wait for one build instead of racing their
-// own, and a waiter whose context ends gives up without waiting further.
-// A slice's index charges itself and its set to the table's slice
-// budget: cost is what it holds there, 0 once it has been dropped, and
-// lastUse the tick it was last asked for; both are guarded by slices.mu.
+// candidateIndex is the lazily built candidate set of a sub-space: a
+// GenericTable's whole space, one shard slice of it, or a two-type
+// Table's bounds box. lock is a one-slot semaphore held by the caller
+// building the set, so concurrent first callers wait for one build
+// instead of racing their own, and a waiter whose context ends gives up
+// without waiting further. A slice's index charges itself and its set to
+// the table's slice budget: cost is what it holds there, 0 once it has
+// been dropped, and lastUse the tick it was last asked for; both are
+// guarded by slices.mu.
 type candidateIndex struct {
 	lock    chan struct{}
 	set     atomic.Pointer[candidateSet]
-	lo      uint64
 	slices  *sliceSets
 	cost    int
 	lastUse uint64
@@ -109,11 +126,11 @@ func newCandidateIndex() *candidateIndex {
 	return &candidateIndex{lock: make(chan struct{}, 1)}
 }
 
-// get returns the candidate set of the n points from ci.lo, building it
-// by one chunked walk at w = 1 on first use; walked counts the points
-// this call evaluated to build it. A build stopped by ctx returns ctx's
-// error and is not kept, so the next call builds again.
-func (ci *candidateIndex) get(ctx context.Context, t *genericTable, n, workers int) (set *candidateSet, walked uint64, err error) {
+// get returns the sub-space's candidate set, running build (one walk at
+// w = 1) on first use; walked counts the points this call evaluated to
+// build it. A build stopped by ctx returns ctx's error and is not kept,
+// so the next call builds again.
+func (ci *candidateIndex) get(ctx context.Context, build func() (*candidateSet, uint64, error)) (set *candidateSet, walked uint64, err error) {
 	if set := ci.set.Load(); set != nil {
 		return set, 0, nil
 	}
@@ -126,7 +143,7 @@ func (ci *candidateIndex) get(ctx context.Context, t *genericTable, n, workers i
 	if set := ci.set.Load(); set != nil {
 		return set, 0, nil
 	}
-	if set, walked, err = t.buildRangeCandidates(ctx, ci.lo, n, workers); err != nil {
+	if set, walked, err = build(); err != nil {
 		return nil, 0, err
 	}
 	if ci.slices != nil {
@@ -136,8 +153,8 @@ func (ci *candidateIndex) get(ctx context.Context, t *genericTable, n, workers i
 	return set, walked, nil
 }
 
-// candidate is one point under consideration: its serial index and its
-// time and energy at w = 1.
+// candidate is one point under consideration: its serial index (or
+// box-order position) and its time and energy at w = 1.
 type candidate struct {
 	idx uint64
 	te  pareto.TE
@@ -176,6 +193,15 @@ func (b *candidateBuilder) offer(c candidate) {
 	_, _ = b.front.Add(c.te)
 }
 
+// indices returns the kept candidates' indices, in kept order.
+func (b *candidateBuilder) indices() []uint64 {
+	idx := make([]uint64, len(b.kept))
+	for i, k := range b.kept {
+		idx[i] = k.idx
+	}
+	return idx
+}
+
 // errTooManyCandidates stops a build whose set outgrew maxCandidates.
 var errTooManyCandidates = errors.New("cluster: candidate set over cap")
 
@@ -187,7 +213,7 @@ var errTooManyCandidates = errors.New("cluster: candidate set over cap")
 // evaluated.
 func (t *genericTable) buildRangeCandidates(ctx context.Context, base uint64, n, workers int) (set *candidateSet, walked uint64, err error) {
 	set = &candidateSet{}
-	set.lo, set.hi = t.workRange()
+	set.lo, set.hi = t.workRange(t.maxNodes)
 	if !(set.lo <= 1 && 1 <= set.hi) {
 		return set, 0, nil
 	}
@@ -224,35 +250,73 @@ func (t *genericTable) buildRangeCandidates(ctx context.Context, base uint64, n,
 	if err != nil {
 		return nil, 0, err
 	}
-	set.idx = make([]uint64, len(shared.kept))
-	for i, k := range shared.kept {
-		set.idx[i] = k.idx
-	}
+	set.idx = shared.indices()
 	sort.Slice(set.idx, func(i, j int) bool { return set.idx[i] < set.idx[j] })
 	set.ok = true
 	return set, walked, nil
 }
 
-// sliceSets holds a table's shard-slice candidate indexes by serial
-// range. All of them share one budget, maxCandidates units for a served
-// table: an entry costs sliceEntryCost and its built set its indices.
-// When a new entry or a freshly built set needs room, the least recently
-// asked-for entries are dropped until it fits, so a burst of unusual
-// shard counts cannot keep the counts the fleet normally uses walking. A
-// built set that would not fit even alone is kept empty (it covers no
-// w), and that slice keeps walking its range.
+// buildBoxCandidates walks the maxARM×maxAMD two-type space at w = 1 in
+// forEachTwoType's order, on the calling goroutine, and keeps the
+// positions in that order of its margin candidates, ascending. ctx is
+// polled every rangePollMask+1 points; walked counts the points
+// evaluated. A set that outgrows maxCandidates stops the walk and covers
+// no w.
+func (t *genericTable) buildBoxCandidates(ctx context.Context, maxARM, maxAMD int) (set *candidateSet, walked uint64, err error) {
+	set = &candidateSet{}
+	set.lo, set.hi = t.workRange([]int{maxARM, maxAMD})
+	if !(set.lo <= 1 && 1 <= set.hi) {
+		return set, 0, nil
+	}
+	var b candidateBuilder
+	c := t.newCursor()
+	for _, box := range t.twoTypeBoxes(maxARM, maxAMD) {
+		for ok := c.start(box[:]); ok; ok = c.next() {
+			if walked&rangePollMask == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, 0, err
+				}
+			}
+			c.eval(1)
+			b.offer(candidate{idx: walked, te: pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}})
+			walked++
+			if b.over {
+				return set, walked, nil
+			}
+		}
+	}
+	// Positions are offered ascending and offer keeps the kept points in
+	// offer order, so the set needs no sort.
+	set.idx = b.indices()
+	set.ok = true
+	return set, walked, nil
+}
+
+// subspace names the part of a table's space a slice set covers: for a
+// GenericTable the serial range [a, b), for a two-type Table the bounds
+// box a×b, maxARM by maxAMD.
+type subspace struct{ a, b uint64 }
+
+// sliceSets holds a table's candidate indexes by sub-space: a
+// GenericTable's shard slices, or a Table's bounds boxes. All of them
+// share one budget, maxCandidates units for a served table: an entry
+// costs sliceEntryCost and its built set its indices. When a new entry
+// or a freshly built set needs room, the least recently asked-for
+// entries are dropped until it fits, so a burst of unusual shard counts
+// or bounds cannot keep the ones in steady use walking. A built set that
+// would not fit even alone is kept empty (it covers no w), and that
+// sub-space keeps walking.
 type sliceSets struct {
 	mu     sync.Mutex
-	m      map[[2]uint64]*candidateIndex
+	m      map[subspace]*candidateIndex
 	used   int
 	budget int
 	tick   uint64
 }
 
-// index returns the candidate index of the serial range [lo, hi), making
-// it on first use, and marks it as the most recently used.
-func (s *sliceSets) index(lo, hi uint64) *candidateIndex {
-	key := [2]uint64{lo, hi}
+// index returns the candidate index of the sub-space key, making it on
+// first use, and marks it as the most recently used.
+func (s *sliceSets) index(key subspace) *candidateIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tick++
@@ -262,10 +326,10 @@ func (s *sliceSets) index(lo, hi uint64) *candidateIndex {
 	}
 	s.makeRoom(sliceEntryCost, nil)
 	if s.m == nil {
-		s.m = make(map[[2]uint64]*candidateIndex)
+		s.m = make(map[subspace]*candidateIndex)
 	}
 	s.used += sliceEntryCost
-	ci := &candidateIndex{lock: make(chan struct{}, 1), lo: lo, slices: s, cost: sliceEntryCost, lastUse: s.tick}
+	ci := &candidateIndex{lock: make(chan struct{}, 1), slices: s, cost: sliceEntryCost, lastUse: s.tick}
 	s.m[key] = ci
 	return ci
 }
@@ -298,7 +362,7 @@ func (s *sliceSets) charge(ci *candidateIndex, set *candidateSet) {
 func (s *sliceSets) makeRoom(need int, keep *candidateIndex) {
 	for s.used+need > s.budget {
 		var (
-			key    [2]uint64
+			key    subspace
 			oldest *candidateIndex
 		)
 		for k, ci := range s.m {
@@ -316,24 +380,27 @@ func (s *sliceSets) makeRoom(need int, keep *candidateIndex) {
 // intermediate of eval stays a normal float with workSlack to spare: the
 // throughput products w·thr, the time w/Σthr, the work shares, each
 // energy term and their sum. It bounds each intermediate at w = 1 over
-// the whole space from the per-type coefficient extremes (one node at
-// the slowest entry to MaxNodes at the fastest), so it costs O(entries),
-// not a walk. An empty range (lo > hi) means no w qualifies.
-func (t *genericTable) workRange() (lo, hi float64) {
+// every point with at most maxNodes[i] nodes of type i, from the
+// per-type coefficient extremes (one node at the slowest entry to
+// maxNodes at the fastest), so it costs O(entries), not a walk. A
+// GenericTable passes its own MaxNodes, a Table a call's node bounds; a
+// type with no entries or a zero bound is absent. An empty range
+// (lo > hi) means no w qualifies.
+func (t *genericTable) workRange(maxNodes []int) (lo, hi float64) {
 	if len(t.kern) > maxCandidateTypes {
 		return 1, 0
 	}
 	small, large := math.Inf(1), 0.0
 	totalMin, totalMax := math.Inf(1), 0.0
 	for i, entries := range t.kern {
-		if len(entries) == 0 {
+		if len(entries) == 0 || maxNodes[i] == 0 {
 			continue
 		}
 		kMin, kMax := math.Inf(1), 0.0
 		for _, e := range entries {
 			kMin, kMax = math.Min(kMin, e.k), math.Max(kMax, e.k)
 		}
-		thrMin, thrMax := 1/kMax, float64(t.maxNodes[i])/kMin
+		thrMin, thrMax := 1/kMax, float64(maxNodes[i])/kMin
 		totalMin, totalMax = math.Min(totalMin, thrMin), totalMax+thrMax
 		small, large = math.Min(small, thrMin), math.Max(large, thrMax)
 	}
@@ -341,7 +408,7 @@ func (t *genericTable) workRange() (lo, hi float64) {
 	small, large = math.Min(small, ttMin), math.Max(large, ttMax)
 	energyMax := 0.0
 	for i, entries := range t.kern {
-		if len(entries) == 0 {
+		if len(entries) == 0 || maxNodes[i] == 0 {
 			continue
 		}
 		kMax, epuMin, epuMax := 0.0, math.Inf(1), 0.0
@@ -356,7 +423,7 @@ func (t *genericTable) workRange() (lo, hi float64) {
 		term := epuMax
 		if t.switchW[i] > 0 {
 			small = math.Min(small, t.switchW[i]*ttMin)
-			term += t.switchW[i] * float64(armSwitches(t.maxNodes[i])) * ttMax
+			term += t.switchW[i] * float64(armSwitches(maxNodes[i])) * ttMax
 		}
 		energyMax += term
 	}

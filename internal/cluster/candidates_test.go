@@ -190,7 +190,7 @@ func TestCandidateFrontierOutsideWorkRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := g.t.workRange()
+	lo, hi := g.t.workRange(g.t.maxNodes)
 	if !(lo < 1e-200 && hi > 1e200) {
 		t.Fatalf("guarded work range [%g, %g] should span ordinary work sizes by far", lo, hi)
 	}
@@ -233,7 +233,7 @@ func TestCandidateBuildCancelledNotKept(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := g.cand.get(ctx, g.t, int(g.Size()), 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := g.sliceSet(ctx, 0, g.Size(), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build = %v, want context.Canceled", err)
 	}
 	if _, _, err := g.t.buildRangeCandidates(ctx, 0, int(g.Size()), 2); !errors.Is(err, context.Canceled) {

@@ -144,7 +144,7 @@ func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) 
 	if insErr != nil {
 		return nil, nil, insErr
 	}
-	pts, tes := tr.Frontier()
+	pts, tes := tr.TakeFrontier()
 	return pts, tes, nil
 }
 
@@ -246,7 +246,7 @@ func (t *genericTable) frontierOf(idx []uint64, w float64) (ShardFrontier[Generi
 			return ShardFrontier[GenericPoint]{}, err
 		}
 	}
-	tes := f.Frontier()
+	tes := f.TakeFrontier()
 	keep := make([]uint64, len(tes))
 	for j := range tes {
 		keep[j], tes[j].Index = idx[tes[j].Index], j

@@ -126,9 +126,11 @@ func (g *GenericTable) sliceSet(ctx context.Context, lo, hi uint64, workers int)
 	}
 	ci := g.cand
 	if lo != 0 || hi != g.t.size {
-		ci = g.slices.index(lo, hi)
+		ci = g.slices.index(subspace{lo, hi})
 	}
-	return ci.get(ctx, g.t, int(hi-lo), workers)
+	return ci.get(ctx, func() (*candidateSet, uint64, error) {
+		return g.t.buildRangeCandidates(ctx, lo, int(hi-lo), workers)
+	})
 }
 
 // rangePollMask sets how often a range walk polls its context: every
@@ -157,7 +159,7 @@ func (t *genericTable) rangeFrontier(ctx context.Context, w float64, lo, hi uint
 		}
 		c.next()
 	}
-	idx, tes := tr.Frontier()
+	idx, tes := tr.TakeFrontier()
 	return idx, tes, nil
 }
 
@@ -207,7 +209,7 @@ func MergeShardFrontiers[T any](parts []ShardFrontier[T]) (ShardFrontier[T], err
 			return ShardFrontier[T]{}, err
 		}
 	}
-	pos, tes := tr.Frontier()
+	pos, tes := tr.TakeFrontier()
 	merged := ShardFrontier[T]{Points: make([]T, len(pos)), TEs: tes, Indices: make([]uint64, len(pos))}
 	for j, k := range pos {
 		merged.Points[j], merged.Indices[j] = entries[k].v, entries[k].idx

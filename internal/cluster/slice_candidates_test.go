@@ -18,7 +18,7 @@ func sliceCandidates(g *GenericTable, sh shard.Shard) []uint64 {
 	ci := g.cand
 	if lo != 0 || hi != g.Size() {
 		g.slices.mu.Lock()
-		ci = g.slices.m[[2]uint64{lo, hi}]
+		ci = g.slices.m[subspace{lo, hi}]
 		g.slices.mu.Unlock()
 	}
 	if ci == nil {
@@ -134,7 +134,7 @@ func TestShardCandidateFrontierWalks(t *testing.T) {
 	if size <= genericFrontierChunk {
 		t.Fatalf("a %d-point slice does not span two %d-point walk chunks", size, genericFrontierChunk)
 	}
-	lo, hi := g.t.workRange()
+	lo, hi := g.t.workRange(g.t.maxNodes)
 	checkShardMatchesWalk(t, "build", g, 5e7, sh)
 	cands := uint64(len(sliceCandidates(g, sh)))
 	if cands == 0 || cands >= size {
@@ -177,28 +177,28 @@ func TestShardCandidateFrontierWalks(t *testing.T) {
 	}
 }
 
-// checkSliceBudget checks the slice sets' accounting: the units the
+// checkSliceBudget checks a table's slice-set accounting: the units the
 // entries and their sets hold are the units accounted, within budget.
-func checkSliceBudget(t *testing.T, g *GenericTable) {
+func checkSliceBudget(t *testing.T, s *sliceSets) {
 	t.Helper()
-	g.slices.mu.Lock()
-	defer g.slices.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	units := 0
-	for _, ci := range g.slices.m {
+	for key, ci := range s.m {
 		held := sliceEntryCost
 		if set := ci.set.Load(); set != nil {
 			held += len(set.idx)
 		}
 		if held != ci.cost {
-			t.Fatalf("slice entry at %d holds %d units, charged %d", ci.lo, held, ci.cost)
+			t.Fatalf("slice entry %v holds %d units, charged %d", key, held, ci.cost)
 		}
 		units += held
 	}
-	if units != g.slices.used || units > g.slices.budget {
-		t.Fatalf("slice sets hold %d units (accounted %d), budget %d", units, g.slices.used, g.slices.budget)
+	if units != s.used || units > s.budget {
+		t.Fatalf("slice sets hold %d units (accounted %d), budget %d", units, s.used, s.budget)
 	}
-	if len(g.slices.m) > g.slices.budget/sliceEntryCost {
-		t.Fatalf("%d slice entries, at most %d fit the budget", len(g.slices.m), g.slices.budget/sliceEntryCost)
+	if len(s.m) > s.budget/sliceEntryCost {
+		t.Fatalf("%d slice entries, at most %d fit the budget", len(s.m), s.budget/sliceEntryCost)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestShardCandidateSetsBounded(t *testing.T) {
 	if g.slices.budget != maxCandidates {
 		t.Fatalf("slice budget %d, want %d", g.slices.budget, maxCandidates)
 	}
-	checkSliceBudget(t, g)
+	checkSliceBudget(t, &g.slices)
 	if len(g.slices.m) < 8 {
 		t.Fatalf("only %d slices got a set; the budget should admit many small ones", len(g.slices.m))
 	}
@@ -256,7 +256,7 @@ func TestShardCandidateSetsMakeRoom(t *testing.T) {
 	if asked*sliceEntryCost <= maxCandidates {
 		t.Fatalf("%d slices cannot fill the budget", asked)
 	}
-	checkSliceBudget(t, g)
+	checkSliceBudget(t, &g.slices)
 	// fromSet checks that a warm slice of 4 answers from its set.
 	fromSet := func(what string, i int, w float64) {
 		t.Helper()
@@ -282,7 +282,7 @@ func TestShardCandidateSetsMakeRoom(t *testing.T) {
 			fromSet("in steady use", i, float64(n)*1e5)
 		}
 	}
-	checkSliceBudget(t, g)
+	checkSliceBudget(t, &g.slices)
 }
 
 // TestShardCandidateBuildCancelledNotKept: a slice build stopped by ctx
@@ -296,10 +296,10 @@ func TestShardCandidateBuildCancelledNotKept(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	lo, hi := sh.Range(g.Size())
-	ci := g.slices.index(lo, hi)
-	if _, _, err := ci.get(ctx, g.t, int(hi-lo), 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := g.sliceSet(ctx, lo, hi, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled slice build = %v, want context.Canceled", err)
 	}
+	ci := g.slices.index(subspace{lo, hi})
 	if ci.set.Load() != nil {
 		t.Fatal("a cancelled slice build was kept")
 	}

@@ -66,6 +66,6 @@ func (t *genericTable) frontierTwoType(ctx context.Context, maxARM, maxAMD int, 
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	pts, tes = tr.Frontier()
+	pts, tes = tr.TakeFrontier()
 	return pts, tes, walked, nil
 }

@@ -158,6 +158,15 @@ func (f *OnlineFrontier) Frontier() []TE {
 	return append([]TE(nil), f.pts...)
 }
 
+// TakeFrontier returns what Frontier would, without copying it: the
+// caller gets the frontier's own backing slice, and f is left empty and
+// ready for reuse. It suits a caller that drops f right after.
+func (f *OnlineFrontier) TakeFrontier() []TE {
+	pts := f.pts
+	f.pts = nil
+	return pts
+}
+
 // EnergyAtDeadline returns the minimum energy any frontier point achieves
 // within the deadline, and that point. The frontier must be the output of
 // Frontier (time-ascending, energy-descending). It returns ok = false

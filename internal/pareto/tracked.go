@@ -52,3 +52,16 @@ func (t *Tracked[T]) Frontier() ([]T, []TE) {
 	}
 	return append([]T(nil), t.payload...), tes
 }
+
+// TakeFrontier returns what Frontier would, without copying either
+// slice: the caller gets the tracker's own backings, and t is left empty
+// (Clone kept) and ready for reuse.
+func (t *Tracked[T]) TakeFrontier() ([]T, []TE) {
+	tes := t.f.TakeFrontier()
+	for i := range tes {
+		tes[i].Index = i
+	}
+	payload := t.payload
+	t.payload = nil
+	return payload, tes
+}

@@ -1,6 +1,10 @@
 package pareto
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestTrackedMirrorsFrontier(t *testing.T) {
 	var tr Tracked[string]
@@ -81,5 +85,49 @@ func TestTrackedRejectsInvalid(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Error("failed insert must not grow the payload")
+	}
+}
+
+// TestTakeFrontierMatchesFrontier: the consuming accessors return
+// exactly what Frontier returns (nil for an empty frontier), and the
+// emptied value takes a new set of offers as a fresh one would.
+func TestTakeFrontierMatchesFrontier(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	offers := func(n int) []TE {
+		out := make([]TE, n)
+		for i := range out {
+			// Coarse coordinates give ties and exact duplicates.
+			out[i] = TE{Time: float64(1 + rng.Intn(40)), Energy: float64(1 + rng.Intn(40))}
+		}
+		return out
+	}
+	var took Tracked[int]
+	var tookF OnlineFrontier
+	for round, n := range []int{0, 1, 200, 0, 50} {
+		var ref Tracked[int]
+		var refF OnlineFrontier
+		for k, te := range offers(n) {
+			for _, tr := range []*Tracked[int]{&ref, &took} {
+				if _, err := tr.Insert(te, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, f := range []*OnlineFrontier{&refF, &tookF} {
+				if _, err := f.Add(te); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wantPts, wantTEs := ref.Frontier()
+		gotPts, gotTEs := took.TakeFrontier()
+		if !reflect.DeepEqual(gotPts, wantPts) || !reflect.DeepEqual(gotTEs, wantTEs) {
+			t.Fatalf("round %d: Tracked.TakeFrontier = %v %v, Frontier = %v %v", round, gotPts, gotTEs, wantPts, wantTEs)
+		}
+		if want, got := refF.Frontier(), tookF.TakeFrontier(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: OnlineFrontier.TakeFrontier = %v, Frontier = %v", round, got, want)
+		}
+		if took.Len() != 0 || tookF.Len() != 0 {
+			t.Fatalf("round %d: %d and %d points left after TakeFrontier", round, took.Len(), tookF.Len())
+		}
 	}
 }

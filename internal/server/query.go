@@ -321,9 +321,10 @@ func (wk *walker) limited(ctx context.Context, work float64, limit int, emit fun
 }
 
 // frontier emits the space's frontier; walked counts the points
-// evaluated. The two-type frontier is Table.Frontier's, bit for bit; the
-// generic frontier answers from the table's candidate set (a full walk
-// only to build it), itself identical to the serial walk.
+// evaluated. Both kinds answer from the table's candidate set — the
+// generic table's one set, or the two-type table's set for these
+// bounds — with a full walk only to build it, and are bit for bit the
+// serial walk's (GenericTable.Frontier, Table.Frontier).
 func (wk *walker) frontier(ctx context.Context, work float64, emit func([]byte) error) (walked uint64, err error) {
 	if wk.gen != nil {
 		pts, _, walked, err := wk.gen.FrontierCounted(ctx, work, 0)

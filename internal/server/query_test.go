@@ -29,15 +29,18 @@ func postDeadline(t testing.TB, s *Server, path, body, ms string) *httptest.Resp
 func TestFrontierWalksHonourDeadline(t *testing.T) {
 	// The undeadlined walk covers 5.9 M points, seconds under -race.
 	s := newTestServer(t, Options{RequestTimeout: time.Minute})
-	twoType := func(extra string) string {
-		return `{"workload":"ep","max_arm":128,"max_amd":128,"frontier_only":true` + extra + `}`
+	twoType := func(maxAMD int, extra string) string {
+		return fmt.Sprintf(`{"workload":"ep","max_arm":128,"max_amd":%d,"frontier_only":true%s}`, maxAMD, extra)
 	}
 	// The two-type table is compiled per workload, not per bound.
 	if rr := post(t, s, "/v1/enumerate", `{"workload":"ep","max_arm":1,"max_amd":1}`); rr.Code != http.StatusOK {
 		t.Fatalf("warm-up: %d %s", rr.Code, rr.Body)
 	}
+	// The table keeps a candidate set per bounds pair, so the walk is
+	// timed on neighbouring bounds: the deadlined frontiers below must
+	// run the walk that builds the 128x128 set.
 	start := time.Now()
-	if rr := post(t, s, "/v1/enumerate", twoType("")); rr.Code != http.StatusOK {
+	if rr := post(t, s, "/v1/enumerate", twoType(127, "")); rr.Code != http.StatusOK {
 		t.Fatalf("undeadlined frontier: %d %s", rr.Code, rr.Body)
 	}
 	undeadlined := time.Since(start)
@@ -45,7 +48,7 @@ func TestFrontierWalksHonourDeadline(t *testing.T) {
 	// Each deadlined request names its own work size, so none is a cache
 	// hit on the answer above.
 	start = time.Now()
-	rr := postDeadline(t, s, "/v1/enumerate", twoType(`,"work":1e6`), "5")
+	rr := postDeadline(t, s, "/v1/enumerate", twoType(128, `,"work":1e6`), "5")
 	deadlined := time.Since(start)
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("5 ms deadline on a %v frontier walk: %d %.200s, want 503", undeadlined, rr.Code, rr.Body)
@@ -54,7 +57,7 @@ func TestFrontierWalksHonourDeadline(t *testing.T) {
 		t.Fatalf("deadlined frontier took %v, undeadlined %v: want under a tenth", deadlined, undeadlined)
 	}
 	hdr := map[string]string{deadlineHeader: "5"}
-	st := parseNDJSON(t, postStream(t, s, "/v1/enumerate", twoType(`,"work":2e6`), hdr).Body.String())
+	st := parseNDJSON(t, postStream(t, s, "/v1/enumerate", twoType(128, `,"work":2e6`), hdr).Body.String())
 	if st.errMsg == nil || st.trailer != nil {
 		t.Fatalf("deadlined two-type stream: error %v, trailer %+v; want an error record and no trailer", st.errMsg, st.trailer)
 	}
@@ -81,6 +84,9 @@ func TestFrontierWalksHonourDeadline(t *testing.T) {
 	// the set and answers.
 	if rr := post(t, s, "/v1/enumerate-generic", frontier+`}`); rr.Code != http.StatusOK {
 		t.Fatalf("undeadlined generic frontier: %d %s", rr.Code, rr.Body)
+	}
+	if rr := post(t, s, "/v1/enumerate", twoType(128, "")); rr.Code != http.StatusOK {
+		t.Fatalf("undeadlined two-type frontier: %d %s", rr.Code, rr.Body)
 	}
 }
 
