@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X heteromix/internal/buildinfo.Version=$(VERSION) \
            -X heteromix/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: all build vet fmt perfbench-build perfbench perfbench-pair test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream ci
+.PHONY: all build vet fmt perfbench-build perfbench perfbench-pair test race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream bench-check ci
 
 all: ci
 
@@ -195,13 +195,28 @@ bench-preheat:
 # Streaming wire-protocol gates: the O(frontier)-not-O(space) allocation
 # claim on the streamed 384k-point walk, the >= 5x time-to-first-point
 # win over the buffered response on the same walk, plus fixed-iteration
-# row-throughput and gzip-pooling benchmarks. Baselines in
-# BENCH_serving.json.
+# row-throughput and gzip-pooling benchmarks, and the buffered frontier
+# answer as a result-cache hit against the same answer from a warm
+# candidate set. Baselines in BENCH_serving.json.
 bench-stream:
 	HETEROMIX_STREAM_GATE=1 $(GO) test ./internal/server -count=1 \
 		-run 'TestStreamAllocGate|TestStreamTTFPGate' -v
 	$(GO) test ./internal/server -run '^$$' \
-		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer)' \
+		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer|Frontier(CacheHit|Fresh)(Generic|TwoType))' \
 		-benchmem -benchtime=3x
 
-ci: vet fmt build perfbench-build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-generic bench-server bench-batch bench-fleet bench-fit bench-preheat bench-stream
+# Runs bench-generic and bench-stream and compares their figures with
+# the records marked "gated" in BENCH_serving.json (cmd/benchcheck): a
+# gated record's allocs/op and B/op must stay within 5% of it in either
+# direction, so a stale record fails like a regression, and every gated
+# record must have a run, so a renamed or dropped benchmark fails too;
+# ns/op is printed beside its record, not gated (cmd/benchcheck's
+# tolerance says why 5%). After a change meant to move them, re-record
+# B/op and allocs/op from the saved output of a few runs with
+# `go run ./cmd/benchcheck -update <outputs>`.
+bench-check:
+	@mkdir -p .bench_build
+	@$(MAKE) --no-print-directory bench-generic bench-stream > .bench_build/bench-check.txt 2>&1 || { cat .bench_build/bench-check.txt; exit 1; }
+	$(GO) run ./cmd/benchcheck .bench_build/bench-check.txt
+
+ci: vet fmt build perfbench-build race server-race fleet-race calib-race fleet-heal chaos stream-race bench bench-server bench-batch bench-fleet bench-fit bench-preheat bench-check

@@ -20,7 +20,7 @@ import (
 // — so the table keeps a margin candidate set instead of the frontier:
 // every point that no other point beats by a relative candidateMargin on
 // both axes at w = 1. A frontier query at any w then evaluates only the
-// candidates, in serial order, through the same online frontier the
+// candidates, in walk order, through the same online frontier the
 // full walk uses, and returns the walk's answer bit for bit.
 //
 // Why that is exact. For w in the table's guarded range (workRange)
@@ -38,29 +38,17 @@ import (
 // dominated by a kept point changes neither the frontier nor which of
 // several exact duplicates is offered first.
 //
-// Nothing in that argument depends on which points were offered, so it
-// holds for any subset of the space, and in particular for a shard's
-// contiguous serial range: a point some other point of its slice beats
-// by the margin at w = 1 is strictly dominated by a candidate of that
-// slice at every guarded w. workRange bounds the intermediates over the
-// whole table, so it guards every slice as well. A shard slice therefore
-// answers from its own candidate set (FrontierShardCounted) bit for bit
-// like the walk of its range.
-//
-// A two-type Table's bounds box is such a subset too. The Table is
-// compiled at one node per type and takes its node bounds per call, but
-// eval's arithmetic depends only on each point's counts and entries, so
-// the maxARM×maxAMD space is a set of points evaluated exactly as any
-// other. Its walk (forEachTwoType) offers them in a different order than
-// the serial one: the heterogeneous box, then ARM only, then AMD only.
-// The candidates are kept as positions in that order and offered
-// ascending, so first-offered-wins among exact duplicates is the walk's.
-// What the box must bring is its own guarded range: workRange takes the
-// per-type node bounds, and at the box's bounds it bounds every
-// intermediate of the box's points (the largest throughput and switch
-// count come from maxARM and maxAMD nodes, not from the one node the
-// Table is compiled at). Table.FrontierCounted therefore answers from
-// the box's candidate set bit for bit like Table.Frontier's walk.
+// Nothing in that argument depends on which points were offered, or in
+// which order, so it holds for the positions [lo, hi) of any walk order
+// (order, kernel.go): a GenericTable's whole serial order, a shard's
+// contiguous range of it, or a two-type Table's maxARM×maxAMD space in
+// Enumerate's order. A set keeps its candidates as positions, ascending,
+// and offers them in that order, so first-offered-wins among exact
+// duplicates is the walk's. What a set needs is a guarded range that
+// bounds every intermediate of its points: workRange takes the order's
+// node bounds (for a Table the call's bounds, not the one node per type
+// it is compiled at), and a range's points are among the order's. Each
+// set therefore answers bit for bit like the walk of its range.
 
 // candidateMargin is the relative margin by which a point must be beaten
 // on both axes at w = 1 to be left out of the candidate set.
@@ -76,7 +64,8 @@ const maxCandidates = 1 << 12
 // sliceEntryCost is what one slice entry — its map slot, semaphore and
 // set header, about 256 bytes — is charged against the slice budget, in
 // index-sized units, so arbitrary "i/n" requests or node bounds cannot
-// grow the map past the budget either.
+// grow the map past the budget either. A Table's bounds box also keeps
+// its order, about 300 bytes more, which the count of entries bounds.
 const sliceEntryCost = 32
 
 // maxCandidateTypes bounds the type count the rounding analysis above
@@ -88,10 +77,9 @@ const maxCandidateTypes = 1 << 10
 // and the (1+margin) scaling of the build's comparisons.
 const workSlack = 1 << 10
 
-// candidateSet is a table's built index: the serial indices of the
-// margin candidates (for a Table's bounds box, their positions in the
-// box's walk order) in ascending order, and the work range in which they
-// answer for the full walk. ok is false when the build overflowed
+// candidateSet is a table's built index: the positions in their order
+// of a range's margin candidates, ascending, and the work range in which
+// they answer for the range's walk. ok is false when the build overflowed
 // maxCandidates or w = 1 itself lies outside the guarded range; such a
 // table always walks.
 type candidateSet struct {
@@ -107,8 +95,9 @@ func (s *candidateSet) covers(w float64) bool {
 
 // candidateIndex is the lazily built candidate set of a sub-space: a
 // GenericTable's whole space, one shard slice of it, or a two-type
-// Table's bounds box. lock is a one-slot semaphore held by the caller
-// building the set, so concurrent first callers wait for one build
+// Table's bounds box, whose order it keeps in o (a GenericTable's sets
+// are all in its serial order). lock is a one-slot semaphore held by the
+// caller building the set, so concurrent first callers wait for one build
 // instead of racing their own, and a waiter whose context ends gives up
 // without waiting further. A slice's index charges itself and its set to
 // the table's slice budget: cost is what it holds there, 0 once it has
@@ -116,6 +105,7 @@ func (s *candidateSet) covers(w float64) bool {
 // guarded by slices.mu.
 type candidateIndex struct {
 	lock    chan struct{}
+	o       *order
 	set     atomic.Pointer[candidateSet]
 	slices  *sliceSets
 	cost    int
@@ -153,8 +143,8 @@ func (ci *candidateIndex) get(ctx context.Context, build func() (*candidateSet, 
 	return set, walked, nil
 }
 
-// candidate is one point under consideration: its serial index (or
-// box-order position) and its time and energy at w = 1.
+// candidate is one point under consideration: its position in its
+// order and its time and energy at w = 1.
 type candidate struct {
 	idx uint64
 	te  pareto.TE
@@ -205,15 +195,14 @@ func (b *candidateBuilder) indices() []uint64 {
 // errTooManyCandidates stops a build whose set outgrew maxCandidates.
 var errTooManyCandidates = errors.New("cluster: candidate set over cap")
 
-// buildRangeCandidates walks the n points from serial index base at
-// w = 1 in chunks of genericFrontierChunk, each chunk keeping its own
-// candidates, and folds every finished chunk's candidates into one
-// shared builder — at most a few candidate lists live at once, never
-// the range. ctx is checked once per chunk; walked counts the points
-// evaluated.
-func (t *genericTable) buildRangeCandidates(ctx context.Context, base uint64, n, workers int) (set *candidateSet, walked uint64, err error) {
+// buildRangeCandidates walks the n positions of o from base at w = 1 in
+// chunks of genericFrontierChunk, each chunk keeping its own candidates,
+// and folds every finished chunk's candidates into one shared builder —
+// at most a few candidate lists live at once, never the range. ctx is
+// checked once per chunk; walked counts the points evaluated.
+func (o *order) buildRangeCandidates(ctx context.Context, base uint64, n, workers int) (set *candidateSet, walked uint64, err error) {
 	set = &candidateSet{}
-	set.lo, set.hi = t.workRange(t.maxNodes)
+	set.lo, set.hi = o.t.workRange(o.maxNodes)
 	if !(set.lo <= 1 && 1 <= set.hi) {
 		return set, 0, nil
 	}
@@ -226,8 +215,8 @@ func (t *genericTable) buildRangeCandidates(ctx context.Context, base uint64, n,
 			return err
 		}
 		var local candidateBuilder
-		c := t.newCursor()
-		c.seek(base + uint64(lo) + 1)
+		c := o.newCursor()
+		c.start(base + uint64(lo))
 		for i := base + uint64(lo); i < base+uint64(hi); i++ {
 			c.eval(1)
 			local.offer(candidate{idx: i, te: pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}})
@@ -256,42 +245,6 @@ func (t *genericTable) buildRangeCandidates(ctx context.Context, base uint64, n,
 	return set, walked, nil
 }
 
-// buildBoxCandidates walks the maxARM×maxAMD two-type space at w = 1 in
-// forEachTwoType's order, on the calling goroutine, and keeps the
-// positions in that order of its margin candidates, ascending. ctx is
-// polled every rangePollMask+1 points; walked counts the points
-// evaluated. A set that outgrows maxCandidates stops the walk and covers
-// no w.
-func (t *genericTable) buildBoxCandidates(ctx context.Context, maxARM, maxAMD int) (set *candidateSet, walked uint64, err error) {
-	set = &candidateSet{}
-	set.lo, set.hi = t.workRange([]int{maxARM, maxAMD})
-	if !(set.lo <= 1 && 1 <= set.hi) {
-		return set, 0, nil
-	}
-	var b candidateBuilder
-	c := t.newCursor()
-	for _, box := range t.twoTypeBoxes(maxARM, maxAMD) {
-		for ok := c.start(box[:]); ok; ok = c.next() {
-			if walked&rangePollMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
-			c.eval(1)
-			b.offer(candidate{idx: walked, te: pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}})
-			walked++
-			if b.over {
-				return set, walked, nil
-			}
-		}
-	}
-	// Positions are offered ascending and offer keeps the kept points in
-	// offer order, so the set needs no sort.
-	set.idx = b.indices()
-	set.ok = true
-	return set, walked, nil
-}
-
 // subspace names the part of a table's space a slice set covers: for a
 // GenericTable the serial range [a, b), for a two-type Table the bounds
 // box a×b, maxARM by maxAMD.
@@ -315,8 +268,9 @@ type sliceSets struct {
 }
 
 // index returns the candidate index of the sub-space key, making it on
-// first use, and marks it as the most recently used.
-func (s *sliceSets) index(key subspace) *candidateIndex {
+// first use with the order mk returns (nil: none kept), and marks it as
+// the most recently used.
+func (s *sliceSets) index(key subspace, mk func() *order) *candidateIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tick++
@@ -330,6 +284,9 @@ func (s *sliceSets) index(key subspace) *candidateIndex {
 	}
 	s.used += sliceEntryCost
 	ci := &candidateIndex{lock: make(chan struct{}, 1), slices: s, cost: sliceEntryCost, lastUse: s.tick}
+	if mk != nil {
+		ci.o = mk()
+	}
 	s.m[key] = ci
 	return ci
 }
@@ -382,9 +339,9 @@ func (s *sliceSets) makeRoom(need int, keep *candidateIndex) {
 // energy term and their sum. It bounds each intermediate at w = 1 over
 // every point with at most maxNodes[i] nodes of type i, from the
 // per-type coefficient extremes (one node at the slowest entry to
-// maxNodes at the fastest), so it costs O(entries), not a walk. A
-// GenericTable passes its own MaxNodes, a Table a call's node bounds; a
-// type with no entries or a zero bound is absent. An empty range
+// maxNodes at the fastest), so it costs O(entries), not a walk. An order
+// passes its node bounds: a GenericTable's MaxNodes, or a Table call's
+// bounds; a type with no entries or a zero bound is absent. An empty range
 // (lo > hi) means no w qualifies.
 func (t *genericTable) workRange(maxNodes []int) (lo, hi float64) {
 	if len(t.kern) > maxCandidateTypes {

@@ -233,10 +233,10 @@ func TestCandidateBuildCancelledNotKept(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := g.sliceSet(ctx, 0, g.Size(), 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := g.t.all.rangeSet(ctx, g.sliceIndex(0, g.Size()), 0, int(g.Size()), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build = %v, want context.Canceled", err)
 	}
-	if _, _, err := g.t.buildRangeCandidates(ctx, 0, int(g.Size()), 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := g.t.all.buildRangeCandidates(ctx, 0, int(g.Size()), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build walk = %v, want context.Canceled", err)
 	}
 	if g.cand.set.Load() != nil {

@@ -188,17 +188,21 @@ type Configuration struct {
 // per emitted row.
 func (c Configuration) String() string {
 	var buf [64]byte
-	b := append(buf[:0], "ARM "...)
-	b = strconv.AppendInt(b, int64(c.ARM.Nodes), 10)
-	b = append(b, ":AMD "...)
-	b = strconv.AppendInt(b, int64(c.AMD.Nodes), 10)
+	return string(c.AppendLabel(buf[:0]))
+}
+
+// AppendLabel appends String()'s label. It is plain ASCII that JSON
+// strings carry unescaped.
+func (c Configuration) AppendLabel(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "ARM "...), int64(c.ARM.Nodes), 10)
+	b = strconv.AppendInt(append(b, ":AMD "...), int64(c.AMD.Nodes), 10)
 	if c.ARM.Nodes > 0 {
 		b = appendSetting(append(b, " arm["...), c.ARM.Config)
 	}
 	if c.AMD.Nodes > 0 {
 		b = appendSetting(append(b, " amd["...), c.AMD.Config)
 	}
-	return string(b)
+	return b
 }
 
 // appendSetting appends a per-node setting as "c<cores>@<frequency>]".
@@ -266,7 +270,7 @@ func (s Space) Enumerate(maxARM, maxAMD int, w float64) ([]Point, error) {
 		return nil, err
 	}
 	out := make([]Point, 0, t.twoTypeSize(maxARM, maxAMD))
-	t.forEachTwoType(maxARM, maxAMD, w, func(p Point) bool {
+	t.twoTypeOrder(maxARM, maxAMD).eachPoint(w, func(p Point) bool {
 		out = append(out, p)
 		return true
 	})
@@ -310,6 +314,6 @@ func (s Space) EnumerateFilteredFunc(maxARM, maxAMD int, w float64, keepARM, kee
 	if t.twoTypeSize(maxARM, maxAMD) == 0 {
 		return fmt.Errorf("cluster: filter removed every configuration")
 	}
-	t.forEachTwoType(maxARM, maxAMD, w, yield)
+	t.twoTypeOrder(maxARM, maxAMD).eachPoint(w, yield)
 	return nil
 }

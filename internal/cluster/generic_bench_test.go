@@ -169,6 +169,7 @@ func BenchmarkGenericTableFrontierShardWarm(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/shard=%d", n, i), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
+			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
 				part, _, err := g.FrontierShardCounted(ctx, 50e6*(0.5+rng.Float64()), sh)
 				if err != nil {

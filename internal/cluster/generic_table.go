@@ -71,11 +71,13 @@ func (g *GenericTable) SizeBytes() int {
 func (t *genericTable) sizeBytes() int {
 	const entrySize = int(unsafe.Sizeof(kernelEntry{}))
 	const sliceHeader = int(unsafe.Sizeof([]kernelEntry(nil)))
-	// Per type: maxNodes, switchW, full and stride.
-	const perType = 8 + 8 + int(unsafe.Sizeof(digitRange{})) + 8
+	// Per type: maxNodes, switchW, and the serial order's end and box of
+	// one range per type.
+	const rangeSize = int(unsafe.Sizeof(digitRange{}))
+	const perType = 8 + 8 + 8
 	n := int(unsafe.Sizeof(genericTable{}))
 	for _, entries := range t.kern {
-		n += sliceHeader + len(entries)*entrySize + perType
+		n += sliceHeader + len(entries)*entrySize + perType + len(t.kern)*rangeSize
 	}
 	return n
 }
@@ -100,7 +102,7 @@ func (g *GenericTable) ForEach(w float64, yield func(GenericPoint) bool) error {
 	if err := g.check(w); err != nil {
 		return err
 	}
-	g.t.forEach(w, yield)
+	g.t.all.forEach(w, yield)
 	return nil
 }
 
@@ -117,7 +119,7 @@ func (g *GenericTable) Enumerate(w float64) ([]GenericPoint, error) {
 	}
 	out := make([]GenericPoint, 0, n)
 	bk := newGenBacking(n, g.Types())
-	g.t.forEach(w, func(p GenericPoint) bool {
+	g.t.all.forEach(w, func(p GenericPoint) bool {
 		out = append(out, bk.copy(p))
 		return true
 	})
@@ -133,7 +135,7 @@ func (g *GenericTable) Frontier(w float64) ([]GenericPoint, []pareto.TE, error) 
 	}
 	tr := pareto.Tracked[GenericPoint]{Clone: GenericPoint.Clone}
 	var insErr error
-	g.t.forEach(w, func(p GenericPoint) bool {
+	g.t.all.forEach(w, func(p GenericPoint) bool {
 		_, err := tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p)
 		if err != nil {
 			insErr = err
@@ -178,48 +180,77 @@ func (g *GenericTable) FrontierCounted(ctx context.Context, w float64, workers i
 }
 
 // frontierRange answers the frontier of the serial range [lo, hi) for w
-// work units, each point with its serial index: from the range's
-// candidate set (sliceSet) when the set covers w, and otherwise from the
-// survivors of a chunked walk of the range (walkRange). evaluated counts
-// the candidates or the range walked, plus the build walk when this call
-// built the set. A range of more than maxMaterialize points is an error.
+// work units, each point with its serial index: order.frontierRange
+// over the table's serial order, with the range's candidate index
+// (sliceIndex), materialized into one flat backing.
 func (g *GenericTable) frontierRange(ctx context.Context, w float64, lo, hi uint64, workers int) (part ShardFrontier[GenericPoint], evaluated uint64, err error) {
-	if err := ctx.Err(); err != nil {
+	c := g.t.all.newCursor()
+	idx, tes, evaluated, err := g.t.all.frontierRange(ctx, &c, g.sliceIndex(lo, hi), w, lo, hi, workers)
+	if err != nil {
 		return part, 0, err
+	}
+	return c.shardFrontier(idx, tes, w), evaluated, nil
+}
+
+// frontierRange answers the frontier of o's positions [lo, hi) for w
+// work units: from ci's candidate set when the set covers w, and
+// otherwise from the survivors of a chunked walk of the range
+// (walkRange). It returns the positions it offered and the frontier's
+// TEs, each Index pointing into them; c, a cursor over o, is the
+// caller's scratch for the offers. A nil ci keeps no set. evaluated
+// counts the candidates or the range walked, plus the build walk when
+// this call built the set. ctx is checked on entry and while walking. A
+// range of more than maxMaterialize points is an error.
+func (o *order) frontierRange(ctx context.Context, c *genCursor, ci *candidateIndex, w float64, lo, hi uint64, workers int) (idx []uint64, tes []pareto.TE, evaluated uint64, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, 0, err
 	}
 	n, err := materializable(hi - lo)
 	if err != nil {
-		return part, 0, err
+		return nil, nil, 0, err
 	}
-	set, evaluated, err := g.sliceSet(ctx, lo, hi, workers)
+	set, evaluated, err := o.rangeSet(ctx, ci, lo, n, workers)
 	if err != nil {
-		return part, 0, err
+		return nil, nil, 0, err
 	}
-	idx := set.idx
+	idx = set.idx
 	if set.covers(w) {
 		evaluated += uint64(len(idx))
 	} else {
-		if idx, err = g.t.walkRange(ctx, w, lo, n, workers); err != nil {
-			return part, 0, err
+		if idx, err = o.walkRange(ctx, w, lo, n, workers); err != nil {
+			return nil, nil, 0, err
 		}
 		evaluated += hi - lo
 	}
-	part, err = g.t.frontierOf(idx, w)
-	return part, evaluated, err
+	tes, err = c.frontierOf(idx, w)
+	return idx, tes, evaluated, err
 }
 
-// walkRange is the chunked walk of the n points from serial index base:
-// each claimed chunk keeps the serial indices of its own frontier
-// (rangeFrontier), and the chunks' survivors come back in ascending
-// order. Every point a chunk drops is dominated by, or an exact later
-// duplicate of, a survivor of that chunk, so frontierOf over the
-// survivors is the serial walk's frontier.
-func (t *genericTable) walkRange(ctx context.Context, w float64, base uint64, n, workers int) ([]uint64, error) {
+// rangeSet returns ci's candidate set of the n positions of o from base,
+// building it on first use over workers goroutines; walked counts the
+// points the build evaluated. A nil ci or an empty range gets
+// noCandidates.
+func (o *order) rangeSet(ctx context.Context, ci *candidateIndex, base uint64, n, workers int) (set *candidateSet, walked uint64, err error) {
+	if ci == nil || n == 0 {
+		return &noCandidates, 0, nil
+	}
+	return ci.get(ctx, func() (*candidateSet, uint64, error) {
+		return o.buildRangeCandidates(ctx, base, n, workers)
+	})
+}
+
+// walkRange is the chunked walk of the n positions of o from base: each
+// claimed chunk keeps the positions of its own frontier (rangeFrontier),
+// and the chunks' survivors come back in ascending order. Every point a
+// chunk drops is dominated by, or an exact later duplicate of, a
+// survivor of that chunk, so frontierOf over the survivors is the walk's
+// frontier.
+func (o *order) walkRange(ctx context.Context, w float64, base uint64, n, workers int) ([]uint64, error) {
 	survivors := make([][]uint64, (n+genericFrontierChunk-1)/genericFrontierChunk)
 	err := parallelFor(n, workers, genericFrontierChunk, func(lo, hi int) (err error) {
 		// parallelFor claims start at chunk multiples, so lo identifies
 		// the chunk's slot.
-		survivors[lo/genericFrontierChunk], _, err = t.rangeFrontier(ctx, w, base+uint64(lo), base+uint64(hi))
+		survivors[lo/genericFrontierChunk], _, err = o.rangeFrontier(ctx, w, base+uint64(lo), base+uint64(hi))
 		return err
 	})
 	if err != nil {
@@ -230,28 +261,33 @@ func (t *genericTable) walkRange(ctx context.Context, w float64, base uint64, n,
 	return idx, nil
 }
 
-// frontierOf offers the points at the ascending serial indices idx,
-// evaluated for w work units, to an online frontier, each TE carrying
-// its offer position as its Index, then evaluates only the survivors
-// into one flat backing. The result is what the serial walk gives when
-// every other point is, at w, dominated by one of them or an exact
-// duplicate of one with a smaller index.
-func (t *genericTable) frontierOf(idx []uint64, w float64) (ShardFrontier[GenericPoint], error) {
+// frontierOf offers the points at the ascending positions idx of c's
+// order, evaluated for w work units, to an online frontier, each TE
+// carrying its offer position in idx as its Index. The result is the
+// walk's frontier when every other point is, at w, dominated by one of
+// them or an exact duplicate of one at an earlier position. It needs no
+// cursor beyond c.
+func (c *genCursor) frontierOf(idx []uint64, w float64) ([]pareto.TE, error) {
 	var f pareto.OnlineFrontier
-	c := t.newCursor()
-	for k, i := range idx {
-		c.seek(i + 1)
+	for k, pos := range idx {
+		c.start(pos)
 		c.eval(w)
 		if _, err := f.Add(pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy), Index: k}); err != nil {
-			return ShardFrontier[GenericPoint]{}, err
+			return nil, err
 		}
 	}
-	tes := f.TakeFrontier()
+	return f.TakeFrontier(), nil
+}
+
+// shardFrontier evaluates frontierOf's survivors among the serial
+// indices idx into one flat backing, each TE's Index turned into its
+// point's.
+func (c *genCursor) shardFrontier(idx []uint64, tes []pareto.TE, w float64) ShardFrontier[GenericPoint] {
 	keep := make([]uint64, len(tes))
 	for j := range tes {
 		keep[j], tes[j].Index = idx[tes[j].Index], j
 	}
-	return ShardFrontier[GenericPoint]{Points: c.points(keep, w), TEs: tes, Indices: keep}, nil
+	return ShardFrontier[GenericPoint]{Points: c.points(keep, w), TEs: tes, Indices: keep}
 }
 
 // FrontierOfIndices evaluates the points at serial indices idx (any
@@ -271,6 +307,11 @@ func (g *GenericTable) FrontierOfIndices(w float64, idx []uint64) ([]GenericPoin
 	}
 	sorted := slices.Clone(idx)
 	slices.Sort(sorted)
-	part, err := g.t.frontierOf(sorted, w)
-	return part.Points, part.TEs, err
+	c := g.t.all.newCursor()
+	tes, err := c.frontierOf(sorted, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	part := c.shardFrontier(sorted, tes, w)
+	return part.Points, part.TEs, nil
 }

@@ -26,9 +26,8 @@ import (
 // nodes at entry (d-1)%len(entries), so each type's options run
 // count-major. The table stores only the per-type entries: node counts
 // are derived from the digit, so its size does not grow with MaxNodes.
-// The generic order walks one odometer over every digit (type 0 slowest);
-// the two-type order (table.go) walks the same odometer over three boxes
-// of digit ranges.
+// A walk order is a list of digit boxes (order, below): the generic
+// order and the two-type order (table.go) differ only in their boxes.
 //
 // Numerical contract: Point.Time, the work split and Point.WorkARM are
 // bit-identical to the direct Space.Evaluate path (the throughput and
@@ -88,10 +87,9 @@ type digitRange struct{ lo, hi int }
 type genericTable struct {
 	kern     [][]kernelEntry // per type: entries in enumeration order (none when MaxNodes is 0)
 	maxNodes []int
-	switchW  []float64    // per type: per-switch watts (0 unless NeedsSwitch)
-	full     []digitRange // per type: every digit, 0..MaxNodes×len(entries)
-	stride   []uint64     // mixed-radix stride of type i (type 0 slowest)
-	size     uint64       // points in the space (product of radixes - 1), saturated
+	switchW  []float64 // per type: per-switch watts (0 unless NeedsSwitch)
+	all      order     // the generic serial order over the whole space
+	size     uint64    // points in the space (product of radixes - 1), saturated
 }
 
 // satMul multiplies saturating at math.MaxUint64.
@@ -166,23 +164,28 @@ func newGenericTable(types []GroupType) (*genericTable, error) {
 	return t, nil
 }
 
-// index derives the digit ranges, strides and size from the entries and
-// node bounds.
+// index derives the generic serial order and the space size from the
+// entries and node bounds: N boxes of N ranges, box b for first present
+// type j = N-1-b.
 func (t *genericTable) index() {
 	n := len(t.kern)
-	t.full = make([]digitRange, n)
-	t.stride = make([]uint64, n)
-	prod := uint64(1)
-	for i := n - 1; i >= 0; i-- {
-		hi := t.maxNodes[i] * len(t.kern[i])
-		t.full[i] = digitRange{0, hi}
-		t.stride[i] = prod
-		prod = satMul(prod, uint64(hi)+1)
+	ranges := make([]digitRange, n*n)
+	for b := 0; b < n; b++ {
+		j := n - 1 - b
+		for i := 0; i < n; i++ {
+			hi := t.maxNodes[i] * len(t.kern[i])
+			switch {
+			case i < j:
+				ranges[b*n+i] = digitRange{0, 0}
+			case i == j:
+				ranges[b*n+i] = digitRange{1, hi}
+			default:
+				ranges[b*n+i] = digitRange{0, hi}
+			}
+		}
 	}
-	t.size = prod
-	if t.size != math.MaxUint64 {
-		t.size-- // the all-absent vector is never yielded
-	}
+	t.all = newOrder(t, t.maxNodes, ranges, make([]uint64, n))
+	t.size = t.all.size()
 }
 
 // maxMaterialize bounds the point count the materializing enumerators
@@ -202,31 +205,85 @@ func materializable(n uint64) (int, error) {
 	return int(n), nil
 }
 
-// genCursor is one walker's scratch: per type the current digit, the
-// (count, entry) pair it decodes to and the box being walked, plus a
-// point whose slices are reused across evaluations.
+// order is one walk order over a table's space: the table, the node
+// bounds its points respect, and an ordered list of digit boxes (one
+// inclusive range per type), each walked as an odometer with the last
+// type fastest. Positions number the points 0..size-1 across the boxes.
+// Every walker — the full walk, a range's chunks, a candidate build, the
+// random-access offers of a candidate set — takes an order, so the
+// generic and two-type views share one cursor, one decoder and one
+// build. Two orders are in use:
+//   - the generic serial order (genericTable.all) is the odometer over
+//     every digit, type 0 slowest, less the all-absent vector: box b
+//     holds the vectors whose first present type is j = N-1-b (types
+//     before j absent, type j at digit >= 1, later types free), so a
+//     position is a serial index;
+//   - the two-type order (twoTypeOrder) is Space.Enumerate's.
+type order struct {
+	t        *genericTable
+	maxNodes []int        // per type: the node bound of the order's points
+	ranges   []digitRange // box k's range of type i at k·types+i
+	ends     []uint64     // ends[k]: the positions in boxes 0..k, saturated
+}
+
+// newOrder indexes the boxes of an order into ends, which has one slot
+// per box.
+func newOrder(t *genericTable, maxNodes []int, ranges []digitRange, ends []uint64) order {
+	o := order{t: t, maxNodes: maxNodes, ranges: ranges, ends: ends}
+	total := uint64(0)
+	for k := range ends {
+		size := uint64(1)
+		for _, r := range o.box(k) {
+			if r.lo > r.hi {
+				size = 0
+				break
+			}
+			size = satMul(size, uint64(r.hi-r.lo)+1)
+		}
+		total = satAdd(total, size)
+		ends[k] = total
+	}
+	return o
+}
+
+// box returns box k's ranges, one per type.
+func (o *order) box(k int) []digitRange {
+	n := len(o.maxNodes)
+	return o.ranges[k*n : (k+1)*n : (k+1)*n]
+}
+
+// size returns how many points the order walks (saturated at
+// math.MaxUint64). Every order has a box.
+func (o *order) size() uint64 { return o.ends[len(o.ends)-1] }
+
+// genCursor is one walker's scratch over an order: the box being walked,
+// per type the current digit and the (count, entry) pair it decodes to,
+// plus a point whose slices are reused across evaluations.
 type genCursor struct {
-	t                  *genericTable
+	o                  *order
+	box                int
+	r                  []digitRange // the box's ranges
 	digit, count, pick []int
-	lo, hi             []int
 	p                  GenericPoint
 }
 
-func (t *genericTable) newCursor() genCursor {
-	n := len(t.kern)
-	ints := make([]int, 6*n)
+// newCursor allocates a cursor's scratch.
+func (o *order) newCursor() genCursor {
+	n := len(o.t.kern)
+	return o.cursorOn(make([]int, 4*n), make([]hwsim.Config, n), make([]float64, n))
+}
+
+// cursorOn makes a cursor over caller-owned scratch: 4 ints, one
+// configuration and one float per type. A caller that knows the type
+// count keeps the scratch on its stack.
+func (o *order) cursorOn(ints []int, cfgs []hwsim.Config, work []float64) genCursor {
+	n := len(cfgs)
 	return genCursor{
-		t:     t,
+		o:     o,
 		digit: ints[0*n : 1*n : 1*n],
 		count: ints[1*n : 2*n : 2*n],
 		pick:  ints[2*n : 3*n : 3*n],
-		lo:    ints[3*n : 4*n : 4*n],
-		hi:    ints[4*n : 5*n : 5*n],
-		p: GenericPoint{
-			Counts:  ints[5*n : 6*n : 6*n],
-			Configs: make([]hwsim.Config, n),
-			Work:    make([]float64, n),
-		},
+		p:     GenericPoint{Counts: ints[3*n : 4*n : 4*n], Configs: cfgs, Work: work},
 	}
 }
 
@@ -237,7 +294,7 @@ func (c *genCursor) setDigit(i, d int) {
 		c.count[i], c.pick[i] = 0, 0
 		return
 	}
-	n := len(c.t.kern[i])
+	n := len(c.o.t.kern[i])
 	c.count[i], c.pick[i] = (d-1)/n+1, (d-1)%n
 }
 
@@ -248,53 +305,62 @@ func (c *genCursor) stepDigit(i int) {
 	switch {
 	case c.count[i] == 0:
 		c.count[i], c.pick[i] = 1, 0
-	case c.pick[i]+1 == len(c.t.kern[i]):
+	case c.pick[i]+1 == len(c.o.t.kern[i]):
 		c.count[i], c.pick[i] = c.count[i]+1, 0
 	default:
 		c.pick[i]++
 	}
 }
 
-// start positions c at the first vector of box (one range per type) and
-// reports whether the box holds any vector.
-func (c *genCursor) start(box []digitRange) bool {
-	for _, r := range box {
-		if r.lo > r.hi {
-			return false
-		}
+// start positions c at position pos of its order — the random-access
+// decode: find pos's box, then its digits within the box, last type
+// first — and reports whether the order has that position. Empty boxes
+// hold no position, so they are never entered.
+func (c *genCursor) start(pos uint64) bool {
+	k := 0
+	for k < len(c.o.ends) && pos >= c.o.ends[k] {
+		k++
 	}
-	for i, r := range box {
-		c.lo[i], c.hi[i] = r.lo, r.hi
-		c.setDigit(i, r.lo)
+	if k == len(c.o.ends) {
+		return false
+	}
+	if k > 0 {
+		pos -= c.o.ends[k-1]
+	}
+	c.box, c.r = k, c.o.box(k)
+	for i := len(c.r) - 1; i >= 0; i-- {
+		radix := uint64(c.r[i].hi-c.r[i].lo) + 1
+		c.setDigit(i, c.r[i].lo+int(pos%radix))
+		pos /= radix
 	}
 	return true
 }
 
-// next advances c's odometer over its box, last type fastest, and
-// reports false once the box is exhausted.
+// next advances c to the next position, stepping the box's odometer and
+// crossing into the next non-empty box when it runs out, and reports
+// false past the order's last position.
 func (c *genCursor) next() bool {
-	for i := len(c.digit) - 1; i >= 0; i-- {
-		if c.digit[i] < c.hi[i] {
+	for i := len(c.r) - 1; i >= 0; i-- {
+		if c.digit[i] < c.r[i].hi {
 			c.stepDigit(i)
 			return true
 		}
-		c.setDigit(i, c.lo[i])
+		c.setDigit(i, c.r[i].lo)
 	}
-	return false
+	return c.start(c.o.ends[c.box])
 }
 
 // eval evaluates the cursor's current vector into its scratch point.
-func (c *genCursor) eval(w float64) bool {
-	return c.t.eval(c.count, c.pick, w, &c.p)
+func (c *genCursor) eval(w float64) {
+	c.o.t.eval(c.count, c.pick, w, &c.p)
 }
 
 // eval fills p from per-type node counts and entry picks for w work
 // units: the matching split (throughputs accumulate in type order, every
 // group finishes at w / Σ thr), then the summed group energies including
-// switch draw over the duration. It reports false only for the
-// all-absent vector. p.Work doubles as the throughput scratch, so eval
-// needs no allocation.
-func (t *genericTable) eval(count, pick []int, w float64, p *GenericPoint) bool {
+// switch draw over the duration. At least one count must be positive.
+// p.Work doubles as the throughput scratch, so eval needs no allocation.
+func (t *genericTable) eval(count, pick []int, w float64, p *GenericPoint) {
 	// Equal-length views let the compiler drop the per-index bounds checks.
 	n := len(count)
 	pick, kern, switchW := pick[:n], t.kern[:n], t.switchW[:n]
@@ -313,9 +379,6 @@ func (t *genericTable) eval(count, pick []int, w float64, p *GenericPoint) bool 
 		}
 		work[i] = thr
 	}
-	if total == 0 {
-		return false
-	}
 	tt := w / total
 	energy := 0.0
 	for i, c := range count {
@@ -332,32 +395,18 @@ func (t *genericTable) eval(count, pick []int, w float64, p *GenericPoint) bool 
 	}
 	p.Time = units.Seconds(tt)
 	p.Energy = units.Joule(energy)
-	return true
 }
 
-// forEach streams every point of the space to yield in enumeration
-// order (type 0's digits slowest, the last type's fastest — the order
-// EnumerateGroups materializes). The yielded point is scratch: valid
-// only during the call, Clone to retain. yield returning false stops
-// the walk.
-func (t *genericTable) forEach(w float64, yield func(GenericPoint) bool) {
-	c := t.newCursor()
-	for ok := c.start(t.full); ok; ok = c.next() {
-		// Only the first vector of the full box is all-absent.
-		if c.eval(w) && !yield(c.p) {
+// forEach streams every point of o to yield for w work units, in order.
+// The yielded point is scratch: valid only during the call, Clone to
+// retain. yield returning false stops the walk.
+func (o *order) forEach(w float64, yield func(GenericPoint) bool) {
+	c := o.newCursor()
+	for ok := c.start(0); ok; ok = c.next() {
+		c.eval(w)
+		if !yield(c.p) {
 			return
 		}
-	}
-}
-
-// seek positions c, walking the full box, at linear index idx of
-// forEach's order (idx 1..size; index 0 is the all-absent vector) — the
-// random-access view the parallel and sharded walkers use; next steps on
-// through consecutive indices.
-func (c *genCursor) seek(idx uint64) {
-	for i, r := range c.t.full {
-		c.lo[i], c.hi[i] = r.lo, r.hi
-		c.setDigit(i, int(idx/c.t.stride[i]%(uint64(r.hi)+1)))
 	}
 }
 

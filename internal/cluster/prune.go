@@ -115,7 +115,7 @@ func (s Space) EnumeratePruned(maxARM, maxAMD int, w float64) ([]Point, PruneSta
 		PrunedSpace: t.twoTypeSize(maxARM, maxAMD),
 	}
 	out := make([]Point, 0, stats.PrunedSpace)
-	t.forEachTwoType(maxARM, maxAMD, w, func(p Point) bool {
+	t.twoTypeOrder(maxARM, maxAMD).eachPoint(w, func(p Point) bool {
 		out = append(out, p)
 		return true
 	})

@@ -51,8 +51,8 @@ func (g *GenericTable) ForEachShard(w float64, sh shard.Shard, yield func(p Gene
 		return err
 	}
 	lo, hi := sh.Range(g.t.size)
-	c := g.t.newCursor()
-	c.seek(lo + 1)
+	c := g.t.all.newCursor()
+	c.start(lo)
 	for i := lo; i < hi; i++ {
 		c.eval(w)
 		if !yield(c.p, i) {
@@ -73,11 +73,11 @@ func (g *GenericTable) FrontierShard(w float64, sh shard.Shard) (ShardFrontier[G
 	if err != nil {
 		return ShardFrontier[GenericPoint]{}, err
 	}
-	idx, tes, err := g.t.rangeFrontier(context.Background(), w, lo, hi)
+	idx, tes, err := g.t.all.rangeFrontier(context.Background(), w, lo, hi)
 	if err != nil {
 		return ShardFrontier[GenericPoint]{}, err
 	}
-	c := g.t.newCursor()
+	c := g.t.all.newCursor()
 	return ShardFrontier[GenericPoint]{Points: c.points(idx, w), TEs: tes, Indices: idx}, nil
 }
 
@@ -114,23 +114,17 @@ func (g *GenericTable) shardRange(w float64, sh shard.Shard) (lo, hi uint64, err
 // noCandidates is the set of a range without one; it covers no w.
 var noCandidates candidateSet
 
-// sliceSet returns the candidate set of the serial range [lo, hi),
-// building it on first use over workers goroutines; walked counts the
-// points the build evaluated. The whole space shares the table's own
-// set. Slices pass one worker, the calling goroutine: a fleet runs its
-// slices in parallel across replica requests. An empty range or a space
-// too large to index gets noCandidates.
-func (g *GenericTable) sliceSet(ctx context.Context, lo, hi uint64, workers int) (set *candidateSet, walked uint64, err error) {
-	if _, err := g.t.intSize(); err != nil || lo == hi {
-		return &noCandidates, 0, nil
+// sliceIndex returns the candidate index of the serial range [lo, hi):
+// the table's own for the whole space, the slice's (sliceSets)
+// otherwise. An empty range or a space too large to index has none.
+func (g *GenericTable) sliceIndex(lo, hi uint64) *candidateIndex {
+	switch _, err := g.t.intSize(); {
+	case err != nil || lo == hi:
+		return nil
+	case lo == 0 && hi == g.t.size:
+		return g.cand
 	}
-	ci := g.cand
-	if lo != 0 || hi != g.t.size {
-		ci = g.slices.index(subspace{lo, hi})
-	}
-	return ci.get(ctx, func() (*candidateSet, uint64, error) {
-		return g.t.buildRangeCandidates(ctx, lo, int(hi-lo), workers)
-	})
+	return g.slices.index(subspace{lo, hi}, nil)
 }
 
 // rangePollMask sets how often a range walk polls its context: every
@@ -138,15 +132,15 @@ func (g *GenericTable) sliceSet(ctx context.Context, lo, hi uint64, workers int)
 // deadline stops the walk within a fraction of a millisecond.
 const rangePollMask = 0xff
 
-// rangeFrontier walks the serial indices [lo, hi) for w work units — one
-// seek, then odometer steps — through an online frontier whose payload
-// is the serial index, so nothing is copied per retained point. It
-// returns the survivors' indices and TEs, time-ascending. ctx is polled
-// every rangePollMask+1 points.
-func (t *genericTable) rangeFrontier(ctx context.Context, w float64, lo, hi uint64) ([]uint64, []pareto.TE, error) {
+// rangeFrontier walks o's positions [lo, hi) for w work units — one
+// decode, then odometer steps — through an online frontier whose payload
+// is the position, so nothing is copied per retained point. It returns
+// the survivors' positions and TEs, time-ascending. ctx is polled every
+// rangePollMask+1 points.
+func (o *order) rangeFrontier(ctx context.Context, w float64, lo, hi uint64) ([]uint64, []pareto.TE, error) {
 	var tr pareto.Tracked[uint64]
-	c := t.newCursor()
-	c.seek(lo + 1)
+	c := o.newCursor()
+	c.start(lo)
 	for i := lo; i < hi; i++ {
 		if (i-lo)&rangePollMask == 0 {
 			if err := ctx.Err(); err != nil {
@@ -163,13 +157,13 @@ func (t *genericTable) rangeFrontier(ctx context.Context, w float64, lo, hi uint
 	return idx, tes, nil
 }
 
-// points evaluates the points at the given serial indices for w work
-// units, in the given order, into one flat backing.
+// points evaluates the points at the given positions for w work units,
+// in the given order, into one flat backing.
 func (c *genCursor) points(idx []uint64, w float64) []GenericPoint {
 	out := make([]GenericPoint, len(idx))
-	bk := newGenBacking(len(idx), len(c.t.kern))
+	bk := newGenBacking(len(idx), len(c.o.t.kern))
 	for k, i := range idx {
-		c.seek(i + 1)
+		c.start(i)
 		c.eval(w)
 		out[k] = bk.copy(c.p)
 	}

@@ -296,10 +296,10 @@ func TestShardCandidateBuildCancelledNotKept(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	lo, hi := sh.Range(g.Size())
-	if _, _, err := g.sliceSet(ctx, lo, hi, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := g.t.all.rangeSet(ctx, g.sliceIndex(lo, hi), lo, int(hi-lo), 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled slice build = %v, want context.Canceled", err)
 	}
-	ci := g.slices.index(subspace{lo, hi})
+	ci := g.slices.index(subspace{lo, hi}, nil)
 	if ci.set.Load() != nil {
 		t.Fatal("a cancelled slice build was kept")
 	}

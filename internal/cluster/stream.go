@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"context"
-
-	"heteromix/internal/pareto"
-)
+import "heteromix/internal/pareto"
 
 // This file is the streaming enumeration API: callers that only need an
 // aggregate of the configuration space — a Pareto frontier, a minimum, a
@@ -20,7 +16,7 @@ func (s Space) EnumerateFunc(maxARM, maxAMD int, w float64, yield func(Point) bo
 	if err != nil {
 		return err
 	}
-	t.forEachTwoType(maxARM, maxAMD, w, yield)
+	t.twoTypeOrder(maxARM, maxAMD).eachPoint(w, yield)
 	return nil
 }
 
@@ -35,37 +31,23 @@ func FrontierOf(s Space, maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, e
 	if err != nil {
 		return nil, nil, err
 	}
-	pts, tes, _, err := t.frontierTwoType(context.Background(), maxARM, maxAMD, w)
-	return pts, tes, err
+	return t.frontierTwoType(maxARM, maxAMD, w)
 }
 
 // frontierTwoType walks the bounded two-type space in Enumerate's order
-// through an online Pareto frontier; the shared core of FrontierOf,
-// Table.Frontier and Table.FrontierCounted. walked counts the points
-// evaluated. ctx is polled every rangePollMask+1 points. Points need no
-// Clone hook: the two-type walk yields value-type Points with no
-// retained backing storage.
-func (t *genericTable) frontierTwoType(ctx context.Context, maxARM, maxAMD int, w float64) (pts []Point, tes []pareto.TE, walked uint64, err error) {
-	if err := validBounds(maxARM, maxAMD); err != nil {
-		return nil, nil, 0, err
-	}
-	if err := validWork(w); err != nil {
-		return nil, nil, 0, err
-	}
+// through an online Pareto frontier: the walk FrontierOf and
+// Table.Frontier share, and the oracle Table.FrontierCounted answers
+// for. Points need no Clone hook: the two-type walk yields value-type
+// Points with no retained backing storage.
+func (t *genericTable) frontierTwoType(maxARM, maxAMD int, w float64) (pts []Point, tes []pareto.TE, err error) {
 	var tr pareto.Tracked[Point]
-	t.forEachTwoType(maxARM, maxAMD, w, func(p Point) bool {
-		if walked&rangePollMask == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-		}
-		walked++
+	t.twoTypeOrder(maxARM, maxAMD).eachPoint(w, func(p Point) bool {
 		_, err = tr.Insert(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy)}, p)
 		return err == nil
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	pts, tes = tr.TakeFrontier()
-	return pts, tes, walked, nil
+	return pts, tes, nil
 }

@@ -14,9 +14,10 @@ import (
 // type 1, and every two-type enumerator walks the generic table. Only the
 // order differs. Space.Enumerate's order — the heterogeneous mixes (ARM
 // count, ARM config, AMD count, AMD config), then the ARM-only family,
-// then the AMD-only family — is the generic odometer run over three
-// boxes of digit ranges instead of the full one. Each configuration
-// carries the same bits either way (TestGenericTwoTypeMatchesSpace).
+// then the AMD-only family — is an order of three digit boxes
+// (twoTypeOrder), walked by the same cursor as the generic serial order.
+// Each configuration carries the same bits either way
+// (TestGenericTwoTypeMatchesSpace).
 
 // groupTypes is the space as generic types: ARM first, so its digit is
 // the slowest. nil configuration lists select every configuration.
@@ -48,100 +49,40 @@ func validBounds(maxARM, maxAMD int) error {
 	return nil
 }
 
-// twoTypeDigits returns the highest ARM and AMD digits of the bounded
-// two-type space: each type's node bound times its entry count.
-func (t *genericTable) twoTypeDigits(maxARM, maxAMD int) (a, d int) {
-	return maxARM * len(t.kern[0]), maxAMD * len(t.kern[1])
-}
-
-// twoTypeSize returns how many points forEachTwoType yields for the
-// bounds.
+// twoTypeSize returns how many points the two-type order holds for the
+// bounds: a·d mixes, a ARM-only and d AMD-only points for a ARM and d
+// AMD digits.
 func (t *genericTable) twoTypeSize(maxARM, maxAMD int) int {
-	a, d := t.twoTypeDigits(maxARM, maxAMD)
+	a, d := maxARM*len(t.kern[0]), maxAMD*len(t.kern[1])
 	return a*d + a + d
 }
 
-// twoTypeBoxes returns the digit boxes of the bounded two-type space in
-// Enumerate's order. The bounds are per call, independent of the table's
-// MaxNodes.
-func (t *genericTable) twoTypeBoxes(maxARM, maxAMD int) [3][2]digitRange {
-	a, d := t.twoTypeDigits(maxARM, maxAMD)
-	return [3][2]digitRange{
-		{{1, a}, {1, d}}, // heterogeneous mixes
-		{{1, a}, {0, 0}}, // ARM only
-		{{0, 0}, {1, d}}, // AMD only
+// twoTypeOrder returns the order of the bounded two-type space in
+// Enumerate's order, in one allocation. The bounds are per call,
+// independent of the table's MaxNodes.
+func (t *genericTable) twoTypeOrder(maxARM, maxAMD int) *order {
+	a, d := maxARM*len(t.kern[0]), maxAMD*len(t.kern[1])
+	s := &struct {
+		o      order
+		nodes  [2]int
+		ranges [6]digitRange
+		ends   [3]uint64
+	}{
+		nodes: [2]int{maxARM, maxAMD},
+		ranges: [6]digitRange{
+			{1, a}, {1, d}, // heterogeneous mixes
+			{1, a}, {0, 0}, // ARM only
+			{0, 0}, {1, d}, // AMD only
+		},
 	}
+	s.o = newOrder(t, s.nodes[:], s.ranges[:], s.ends[:])
+	return &s.o
 }
 
-// forEachTwoType streams the bounded two-type space in Enumerate's order
-// without materializing anything; yield returning false stops it early.
-func (t *genericTable) forEachTwoType(maxARM, maxAMD int, w float64, yield func(Point) bool) {
-	c := t.newCursor()
-	for _, box := range t.twoTypeBoxes(maxARM, maxAMD) {
-		// Every box has a present type, so eval never reports absent.
-		for ok := c.start(box[:]); ok; ok = c.next() {
-			c.eval(w)
-			if !yield(twoTypePoint(&c.p)) {
-				return
-			}
-		}
-	}
-}
-
-// twoTypeAt decodes position pos of forEachTwoType's order over the
-// maxARM×maxAMD space into per-type node counts and entry picks, in
-// O(1): the boxes hold a·d, a and d points for a ARM and d AMD digits.
-func (t *genericTable) twoTypeAt(maxARM, maxAMD int, pos uint64) (count, pick [2]int) {
-	ai, di := t.twoTypeDigits(maxARM, maxAMD)
-	a, d := uint64(ai), uint64(di)
-	var digit [2]uint64
-	switch {
-	case pos < a*d:
-		digit = [2]uint64{pos/d + 1, pos%d + 1}
-	case pos < a*d+a:
-		digit[0] = pos - a*d + 1
-	default:
-		digit[1] = pos - a*d - a + 1
-	}
-	for i, dg := range digit {
-		if dg > 0 {
-			n := uint64(len(t.kern[i]))
-			count[i], pick[i] = int((dg-1)/n+1), int((dg-1)%n)
-		}
-	}
-	return count, pick
-}
-
-// twoTypeFrontierOf offers the points at the ascending positions idx of
-// forEachTwoType's order over the maxARM×maxAMD space, evaluated for w
-// work units, to an online frontier, each TE carrying its offer position
-// as its Index, then evaluates only the survivors: frontierOf's shape
-// for the two-type order. The result is the walk's when every other
-// point is, at w, dominated by one of them or an exact duplicate of one
-// at an earlier position. It allocates no cursor.
-func (t *genericTable) twoTypeFrontierOf(idx []uint64, maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, error) {
-	var counts [2]int
-	var cfgs [2]hwsim.Config
-	var work [2]float64
-	p := GenericPoint{Counts: counts[:], Configs: cfgs[:], Work: work[:]}
-	at := func(pos uint64) {
-		count, pick := t.twoTypeAt(maxARM, maxAMD, pos)
-		t.eval(count[:], pick[:], w, &p)
-	}
-	var f pareto.OnlineFrontier
-	for k, pos := range idx {
-		at(pos)
-		if _, err := f.Add(pareto.TE{Time: float64(p.Time), Energy: float64(p.Energy), Index: k}); err != nil {
-			return nil, nil, err
-		}
-	}
-	tes := f.TakeFrontier()
-	pts := make([]Point, len(tes))
-	for j := range tes {
-		at(idx[tes[j].Index])
-		pts[j], tes[j].Index = twoTypePoint(&p), j
-	}
-	return pts, tes, nil
+// eachPoint streams o's points for w work units to yield as two-type
+// Points; yield returning false stops the walk.
+func (o *order) eachPoint(w float64, yield func(Point) bool) {
+	o.forEach(w, func(p GenericPoint) bool { return yield(twoTypePoint(&p)) })
 }
 
 // twoTypePoint is the (ARM, AMD) point p as a Point. Absent types carry
@@ -272,7 +213,7 @@ func (t *Table) ForEach(maxARM, maxAMD int, w float64, yield func(Point) bool) e
 	if err := validWork(w); err != nil {
 		return err
 	}
-	t.g.forEachTwoType(maxARM, maxAMD, w, yield)
+	t.g.twoTypeOrder(maxARM, maxAMD).eachPoint(w, yield)
 	return nil
 }
 
@@ -281,21 +222,28 @@ func (t *Table) ForEach(maxARM, maxAMD int, w float64, yield func(Point) bool) e
 // precomputed table. It always walks the space: it is the serial oracle
 // FrontierCounted answers for.
 func (t *Table) Frontier(maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, error) {
-	pts, tes, _, err := t.g.frontierTwoType(context.Background(), maxARM, maxAMD, w)
-	return pts, tes, err
+	if err := validBounds(maxARM, maxAMD); err != nil {
+		return nil, nil, err
+	}
+	if err := validWork(w); err != nil {
+		return nil, nil, err
+	}
+	return t.g.frontierTwoType(maxARM, maxAMD, w)
 }
 
 // FrontierCounted answers Frontier's query, bit for bit (including
 // first-offered-wins among exact duplicates), without walking the space
-// per call, and reports how many points it evaluated. The first call for
-// a bounds pair builds that box's margin candidate set (candidates.go)
-// by one walk at w = 1 in Frontier's order, on the calling goroutine;
-// every call then offers only the candidates, in that order, to the
-// online frontier and evaluates only the survivors. Where the set does
-// not apply — w outside the box's guarded range, or a set over its cap
-// or the table's budget — it walks the space. ctx is checked on entry
-// and polled every 256 points while walking; a cancelled or expired
-// call returns ctx's error, and a build it stopped is not kept.
+// per call, and reports how many points it evaluated. It is the range
+// routine GenericTable.FrontierCounted runs (order.frontierRange), over
+// the bounds' two-type order on the calling goroutine: the first call
+// for a bounds pair builds that box's margin candidate set
+// (candidates.go) by one walk at w = 1 in Frontier's order, and every
+// call then offers only the candidates, in that order, to the online
+// frontier and evaluates only the survivors. Where the set does not
+// apply — w outside the box's guarded range, or a set over its cap or
+// the table's budget — it walks the space in chunks. ctx is checked on
+// entry and while walking; a cancelled or expired call returns ctx's
+// error, and a build it stopped is not kept.
 func (t *Table) FrontierCounted(ctx context.Context, maxARM, maxAMD int, w float64) ([]Point, []pareto.TE, uint64, error) {
 	if err := validBounds(maxARM, maxAMD); err != nil {
 		return nil, nil, 0, err
@@ -303,20 +251,22 @@ func (t *Table) FrontierCounted(ctx context.Context, maxARM, maxAMD int, w float
 	if err := validWork(w); err != nil {
 		return nil, nil, 0, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
-	}
-	ci := t.boxes.index(subspace{uint64(maxARM), uint64(maxAMD)})
-	set, evaluated, err := ci.get(ctx, func() (*candidateSet, uint64, error) {
-		return t.g.buildBoxCandidates(ctx, maxARM, maxAMD)
-	})
+	ci := t.boxes.index(subspace{uint64(maxARM), uint64(maxAMD)}, func() *order { return t.g.twoTypeOrder(maxARM, maxAMD) })
+	var (
+		ints [4 * 2]int
+		cfgs [2]hwsim.Config
+		work [2]float64
+	)
+	c := ci.o.cursorOn(ints[:], cfgs[:], work[:])
+	idx, tes, evaluated, err := ci.o.frontierRange(ctx, &c, ci, w, 0, ci.o.size(), 1)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if !set.covers(w) {
-		pts, tes, walked, err := t.g.frontierTwoType(ctx, maxARM, maxAMD, w)
-		return pts, tes, evaluated + walked, err
+	pts := make([]Point, len(tes))
+	for j := range tes {
+		c.start(idx[tes[j].Index])
+		c.eval(w)
+		pts[j], tes[j].Index = twoTypePoint(&c.p), j
 	}
-	pts, tes, err := t.g.twoTypeFrontierOf(set.idx, maxARM, maxAMD, w)
-	return pts, tes, evaluated + uint64(len(set.idx)), err
+	return pts, tes, evaluated, nil
 }

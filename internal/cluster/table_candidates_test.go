@@ -92,7 +92,7 @@ func TestTableFrontierCountedWalks(t *testing.T) {
 	}
 
 	// A set over the cap covers no w.
-	tbl.boxes.index(subspace{3, 4}).set.Store(&candidateSet{lo: 1e-300, hi: 1e300})
+	tbl.boxes.index(subspace{3, 4}, func() *order { return tbl.g.twoTypeOrder(3, 4) }).set.Store(&candidateSet{lo: 1e-300, hi: 1e300})
 	if evaluated := checkTableMatchesFrontier(t, "over cap", tbl, 3, 4, 5e7); evaluated != uint64(tbl.Size(3, 4)) {
 		t.Errorf("an over-cap box evaluated %d points, want the %d-point walk", evaluated, tbl.Size(3, 4))
 	}
@@ -176,7 +176,7 @@ func TestTableFrontierCountedBuildCancelledNotKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One check on entry, then the build's polls at points 0 and 256.
+	// One check on entry, then the build's polls at chunks 0 and 1.
 	ctx := &stopAfter{Context: context.Background(), n: 3}
 	if pts, _, _, err := tbl.FrontierCounted(ctx, 10, 10, 5e7); !errors.Is(err, context.Canceled) || pts != nil {
 		t.Fatalf("a build cancelled part way = %d points, %v; want context.Canceled", len(pts), err)

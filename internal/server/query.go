@@ -306,8 +306,7 @@ func (wk *walker) limited(ctx context.Context, work float64, limit int, emit fun
 		})
 	} else {
 		err = wk.two.ForEach(wk.maxARM, wk.maxAMD, work, func(p cluster.Point) bool {
-			sum := p.Summary()
-			row = stream.AppendPointSummary(row[:0], &sum)
+			row = stream.AppendPoint(row[:0], &p)
 			return yield(row)
 		})
 	}
@@ -339,8 +338,7 @@ func (wk *walker) frontier(ctx context.Context, work float64, emit func([]byte) 
 	}
 	row := make([]byte, 0, rowCap)
 	for i := range pts {
-		sum := pts[i].Summary()
-		row = stream.AppendPointSummary(row[:0], &sum)
+		row = stream.AppendPoint(row[:0], &pts[i])
 		if err := emit(row); err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -114,5 +115,42 @@ func TestClientDeadlineLeavesBreakerClosed(t *testing.T) {
 	}
 	if st := s.BreakerState(); st != resilience.Closed {
 		t.Fatalf("breaker %v after deadlined walks, want closed", st)
+	}
+}
+
+// TestTwoTypeRowsAllocateNothing: a two-type row is encoded straight
+// from its point, so no walk allocates per row. A limited walk costs the
+// same at 10 rows as at 1,000, and a warm frontier costs no more than
+// Table.FrontierCounted plus the one row buffer.
+func TestTwoTypeRowsAllocateNothing(t *testing.T) {
+	s := newTestServer(t, Options{})
+	tbl, err := s.tableFor("ep", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk := &walker{maxARM: 10, maxAMD: 10, two: tbl}
+	ctx := context.Background()
+	rows := 0
+	emit := func([]byte) error { rows++; return nil }
+	limited := func(limit int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := wk.limited(ctx, 5e7, limit, emit); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := limited(10), limited(1000)
+	t.Logf("limited walk: %v allocations at 10 rows, %v at 1,000", few, many)
+	if many != few {
+		t.Errorf("a limited walk allocates %v times at 10 rows and %v at 1,000, want no per-row allocation", few, many)
+	}
+	rows = 0
+	if _, err := wk.frontier(ctx, 5e7, emit); err != nil || rows == 0 {
+		t.Fatalf("frontier: %d rows, %v", rows, err)
+	}
+	frontierRows := rows
+	bare := testing.AllocsPerRun(5, func() { _, _, _, _ = tbl.FrontierCounted(ctx, 10, 10, 5e7) })
+	if n := testing.AllocsPerRun(5, func() { _, _ = wk.frontier(ctx, 5e7, emit) }); n > bare+1 {
+		t.Errorf("a %d-row frontier allocates %v times, FrontierCounted %v: want at most one more, the row buffer", frontierRows, n, bare)
 	}
 }

@@ -184,33 +184,58 @@ func AppendGenericPoint(b []byte, p *cluster.GenericPoint, names []string) []byt
 // json.Marshal, including the omitempty cores/ghz fields of an unused
 // side.
 func AppendPointSummary(b []byte, p *cluster.PointSummary) []byte {
-	b = append(b, `{"arm_nodes":`...)
-	b = strconv.AppendInt(b, int64(p.ARMNodes), 10)
-	if p.ARMCores != 0 {
-		b = append(b, `,"arm_cores":`...)
-		b = strconv.AppendInt(b, int64(p.ARMCores), 10)
-	}
-	if p.ARMGHz != 0 {
-		b = append(b, `,"arm_ghz":`...)
-		b = AppendFloat(b, p.ARMGHz)
-	}
-	b = append(b, `,"amd_nodes":`...)
-	b = strconv.AppendInt(b, int64(p.AMDNodes), 10)
-	if p.AMDCores != 0 {
-		b = append(b, `,"amd_cores":`...)
-		b = strconv.AppendInt(b, int64(p.AMDCores), 10)
-	}
-	if p.AMDGHz != 0 {
-		b = append(b, `,"amd_ghz":`...)
-		b = AppendFloat(b, p.AMDGHz)
-	}
-	b = append(b, `,"time_seconds":`...)
-	b = AppendFloat(b, p.TimeSeconds)
-	b = append(b, `,"energy_joules":`...)
-	b = AppendFloat(b, p.EnergyJoules)
-	b = append(b, `,"work_arm_fraction":`...)
-	b = AppendFloat(b, p.WorkARMFraction)
+	b = appendSide(append(b, '{'), "arm", p.ARMNodes, p.ARMCores, p.ARMGHz)
+	b = appendSide(append(b, ','), "amd", p.AMDNodes, p.AMDCores, p.AMDGHz)
+	b = appendPointTail(b, p.TimeSeconds, p.EnergyJoules, p.WorkARMFraction)
 	b = append(b, `,"label":`...)
 	b = AppendString(b, p.Label)
 	return append(b, '}')
+}
+
+// AppendPoint appends the JSON object of p.Summary() straight from the
+// point, byte-identically to json.Marshal of the summary, without
+// building it: the label is written by Configuration.AppendLabel, whose
+// text needs no escaping.
+func AppendPoint(b []byte, p *cluster.Point) []byte {
+	b = appendType(append(b, '{'), "arm", p.Config.ARM)
+	b = appendType(append(b, ','), "amd", p.Config.AMD)
+	b = appendPointTail(b, float64(p.Time), float64(p.Energy), p.WorkARM)
+	b = append(b, `,"label":"`...)
+	b = p.Config.AppendLabel(b)
+	return append(b, `"}`...)
+}
+
+// appendType appends one side of a two-type point as Point.Summary
+// flattens it: a side with no nodes has no cores or GHz.
+func appendType(b []byte, side string, tc cluster.TypeConfig) []byte {
+	if tc.Nodes == 0 {
+		return appendSide(b, side, 0, 0, 0)
+	}
+	return appendSide(b, side, tc.Nodes, tc.Config.Cores, tc.Config.Frequency.GHzValue())
+}
+
+// appendSide appends one side's fields, "arm" or "amd": its node count
+// and its omitempty cores and GHz.
+func appendSide(b []byte, side string, nodes, cores int, ghz float64) []byte {
+	b = append(append(append(b, '"'), side...), `_nodes":`...)
+	b = strconv.AppendInt(b, int64(nodes), 10)
+	if cores != 0 {
+		b = append(append(append(b, `,"`...), side...), `_cores":`...)
+		b = strconv.AppendInt(b, int64(cores), 10)
+	}
+	if ghz != 0 {
+		b = append(append(append(b, `,"`...), side...), `_ghz":`...)
+		b = AppendFloat(b, ghz)
+	}
+	return b
+}
+
+// appendPointTail appends a two-type row's time, energy and split.
+func appendPointTail(b []byte, time, energy, workARM float64) []byte {
+	b = append(b, `,"time_seconds":`...)
+	b = AppendFloat(b, time)
+	b = append(b, `,"energy_joules":`...)
+	b = AppendFloat(b, energy)
+	b = append(b, `,"work_arm_fraction":`...)
+	return AppendFloat(b, workARM)
 }

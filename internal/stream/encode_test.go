@@ -209,3 +209,60 @@ func TestAppendPointSummaryMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendPointMatchesEncodingJSON pins the direct two-type row
+// encoder to json.Marshal of the point's summary over seeded random
+// points: absent sides, zero cores, every node spec's settings and
+// random frequencies.
+func TestAppendPointMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var cfgs []hwsim.Config
+	for _, name := range hwsim.Names() {
+		spec, err := hwsim.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, hwsim.Configs(spec)...)
+	}
+	side := func() cluster.TypeConfig {
+		c := cfgs[rng.Intn(len(cfgs))]
+		switch rng.Intn(8) {
+		case 0:
+			return cluster.TypeConfig{Config: c} // absent, with a stale setting
+		case 1:
+			c.Cores = 0
+		case 2:
+			c.Frequency = units.Hertz(randFloat(rng) * 1e9)
+		}
+		return cluster.TypeConfig{Nodes: 1 + rng.Intn(200), Config: c}
+	}
+	for i := 0; i < 5000; i++ {
+		p := cluster.Point{
+			Config:  cluster.Configuration{ARM: side(), AMD: side()},
+			Time:    units.Seconds(randFloat(rng)),
+			Energy:  units.Joule(randFloat(rng)),
+			WorkARM: rng.Float64(),
+		}
+		want := marshal(t, p.Summary())
+		got := AppendPoint(nil, &p)
+		if string(got) != string(want) {
+			t.Fatalf("point %d (%+v):\n got %s\nwant %s", i, p, got, want)
+		}
+	}
+}
+
+// TestAppendPointAllocs: encoding a two-type row into a buffer with
+// room allocates nothing.
+func TestAppendPointAllocs(t *testing.T) {
+	p := cluster.Point{
+		Config: cluster.Configuration{
+			ARM: cluster.TypeConfig{Nodes: 16, Config: hwsim.Config{Cores: 4, Frequency: 1.4 * units.GHz}},
+			AMD: cluster.TypeConfig{Nodes: 14, Config: hwsim.Config{Cores: 6, Frequency: 2.1 * units.GHz}},
+		},
+		Time: 12.5, Energy: 3400, WorkARM: 0.4,
+	}
+	buf := make([]byte, 0, 1024)
+	if a := testing.AllocsPerRun(100, func() { buf = AppendPoint(buf[:0], &p) }); a != 0 {
+		t.Errorf("AppendPoint allocated %.0f times per row, want 0", a)
+	}
+}
