@@ -195,14 +195,14 @@ bench-preheat:
 # Streaming wire-protocol gates: the O(frontier)-not-O(space) allocation
 # claim on the streamed 384k-point walk, the >= 5x time-to-first-point
 # win over the buffered response on the same walk, plus fixed-iteration
-# row-throughput and gzip-pooling benchmarks, and the buffered frontier
-# answer as a result-cache hit against the same answer from a warm
-# candidate set. Baselines in BENCH_serving.json.
+# row-throughput and gzip-pooling benchmarks, and a repeated buffered
+# frontier answer, computed fresh from a warm candidate set every time.
+# Baselines in BENCH_serving.json.
 bench-stream:
 	HETEROMIX_STREAM_GATE=1 $(GO) test ./internal/server -count=1 \
 		-run 'TestStreamAllocGate|TestStreamTTFPGate' -v
 	$(GO) test ./internal/server -run '^$$' \
-		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer|Frontier(CacheHit|Fresh)(Generic|TwoType))' \
+		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer|FrontierFresh(Generic|TwoType))' \
 		-benchmem -benchtime=3x
 
 # Runs bench-generic and bench-stream and compares their figures with

@@ -114,7 +114,7 @@ func main() {
 	flag.Uint64Var(&cfg.maxGenericSpace, "max-generic-space", 2_000_000, "largest N-type configuration space /v1/enumerate-generic may walk after pruning")
 	flag.Float64Var(&cfg.noise, "noise", 0.03, "measurement noise sigma for the model-fitting runs")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the model-fitting pipeline")
-	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 0, "enumerate result freshness bound (0 = never expires); expired entries serve marked degraded when the recompute fails")
+	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 0, "freshness bound of cached enumerate results, which are limited walks only: frontier-only answers are computed every time (0 = never expires); expired entries serve marked degraded when the recompute fails")
 	flag.DurationVar(&cfg.drainDelay, "drain-delay", 0, "how long /readyz answers 503 before the listener closes on shutdown")
 	flag.StringVar(&cfg.chaosSpec, "chaos", "", `fault injection spec, e.g. "latency=0.2:5ms,error=0.05,panic=0.01,timeout=0.01,seed=1" (default: none)`)
 	flag.StringVar(&cfg.shardSpec, "shard", "", `serve slice "i/n" of frontier-only generic enumerations (fleet replica mode)`)

@@ -56,6 +56,12 @@ type GenericTypeDump struct {
 // two-type Table as its (ARM, AMD) types.
 type GenericTableDump struct {
 	Types []GenericTypeDump
+	// Candidates lists, ascending, the serial positions of a
+	// GenericTable's whole-space frontier candidate set when one was
+	// built and answers; nil otherwise, and always for a two-type Table.
+	// Its guarded work range is not stored: restore recomputes it from
+	// the coefficients, as the build does.
+	Candidates []uint64
 }
 
 // dump exports the kernel table's compiled coefficients.
@@ -172,18 +178,58 @@ func (s Space) NewTableFromDump(d GenericTableDump) (*Table, error) {
 	return newTable(s, g), nil
 }
 
-// Dump exports the generic table's compiled coefficients. A
-// GenericTableDump is self-contained: NewGenericTableFromDump needs no
-// models or specs.
-func (g *GenericTable) Dump() GenericTableDump { return g.t.dump() }
+// Dump exports the generic table's compiled coefficients and, once
+// built, its whole-space frontier candidate set. A GenericTableDump is
+// self-contained: NewGenericTableFromDump needs no models or specs.
+func (g *GenericTable) Dump() GenericTableDump {
+	d := g.t.dump()
+	if set := g.cand.set.Load(); set != nil && set.ok {
+		d.Candidates = set.idx
+	}
+	return d
+}
 
 // NewGenericTableFromDump rebuilds a compiled GenericTable from d
 // without any model walk; the restored table evaluates bit-identically
-// to the one Dump was called on.
+// to the one Dump was called on, and with the dump's candidate set
+// answers its first frontier without the set's build walk.
 func NewGenericTableFromDump(d GenericTableDump) (*GenericTable, error) {
 	t, err := restoreGenericTable(d)
 	if err != nil {
 		return nil, err
 	}
-	return wrapGenericTable(t), nil
+	g := wrapGenericTable(t)
+	if d.Candidates != nil {
+		if err := g.restoreCandidates(d.Candidates); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// restoreCandidates installs a dumped whole-space candidate set, held to
+// what a build yields: 1 to maxCandidates positions, strictly ascending
+// and inside an indexable space, over a guarded work range that holds
+// w = 1. Like the coefficients, the positions are otherwise trusted as
+// computed; the snapshot format binds both to the profile and build
+// that produced them.
+func (g *GenericTable) restoreCandidates(idx []uint64) error {
+	if len(idx) == 0 || len(idx) > maxCandidates {
+		return fmt.Errorf("cluster: dump holds %d candidates, want 1 to %d", len(idx), maxCandidates)
+	}
+	if _, err := g.t.intSize(); err != nil {
+		return fmt.Errorf("cluster: dump holds candidates for a space too large to index: %v", err)
+	}
+	for i, p := range idx {
+		if p >= g.t.size || i > 0 && p <= idx[i-1] {
+			return fmt.Errorf("cluster: dump candidate %d (position %d) is out of order or outside the %d-point space", i, p, g.t.size)
+		}
+	}
+	set := &candidateSet{idx: idx, ok: true}
+	set.lo, set.hi = g.t.workRange(g.t.all.maxNodes)
+	if !(set.lo <= 1 && 1 <= set.hi) {
+		return fmt.Errorf("cluster: dump holds candidates for a table whose guarded work range [%g, %g] excludes 1", set.lo, set.hi)
+	}
+	g.cand.set.Store(set)
+	return nil
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,7 +148,75 @@ func cloneDump(d GenericTableDump) GenericTableDump {
 		td.Configs = append([]GenericConfigDump(nil), td.Configs...)
 		types[i] = td
 	}
-	return GenericTableDump{Types: types}
+	return GenericTableDump{Types: types, Candidates: append([]uint64(nil), d.Candidates...)}
+}
+
+// TestGenericDumpCarriesCandidateSet: once a table's first
+// FrontierCounted built its whole-space candidate set, its dump carries
+// the set, and the restored table answers every frontier bit for bit
+// from it, evaluating only the candidates: no build walk. A set that
+// breaks what a build yields is refused.
+func TestGenericDumpCarriesCandidateSet(t *testing.T) {
+	g, err := NewGenericTable(triTypes(t, 2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := g.Dump(); d.Candidates != nil {
+		t.Fatalf("a dump before any frontier carries %d candidates", len(d.Candidates))
+	}
+	ctx := context.Background()
+	if _, _, _, err := g.FrontierCounted(ctx, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	d := g.Dump()
+	if len(d.Candidates) == 0 {
+		t.Fatal("a dump after the first frontier carries no candidates")
+	}
+	restored, err := NewGenericTableFromDump(cloneDump(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{1, 1000, 5e7, 3.3e9} {
+		wantPts, wantTE, _, err := g.FrontierCounted(ctx, w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPts, gotTE, evaluated, err := restored.FrontierCounted(ctx, w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evaluated != uint64(len(d.Candidates)) {
+			t.Errorf("w=%g: restored table evaluated %d points, want its %d candidates", w, evaluated, len(d.Candidates))
+		}
+		if len(gotTE) != len(wantTE) {
+			t.Fatalf("w=%g: restored frontier has %d points, want %d", w, len(gotTE), len(wantTE))
+		}
+		for i := range wantTE {
+			if gotTE[i] != wantTE[i] || !genericPointEqual(gotPts[i], wantPts[i]) {
+				t.Fatalf("w=%g point %d: restored %+v != original %+v", w, i, gotPts[i], wantPts[i])
+			}
+		}
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(d *GenericTableDump)
+	}{
+		{"empty", func(d *GenericTableDump) { d.Candidates = []uint64{} }},
+		{"over the cap", func(d *GenericTableDump) { d.Candidates = make([]uint64, maxCandidates+1) }},
+		{"descending", func(d *GenericTableDump) { slices.Reverse(d.Candidates) }},
+		{"duplicate", func(d *GenericTableDump) { d.Candidates = append(d.Candidates, d.Candidates[len(d.Candidates)-1]) }},
+		{"outside the space", func(d *GenericTableDump) { d.Candidates = append(d.Candidates, g.Size()) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := cloneDump(d)
+			tc.mutate(&bad)
+			if _, err := NewGenericTableFromDump(bad); err == nil || !strings.Contains(err.Error(), "candidate") {
+				t.Fatalf("a corrupted candidate set restored: %v", err)
+			}
+		})
+	}
 }
 
 // TestTableDumpRejectsCorruption: a bit-flipped or structurally bogus

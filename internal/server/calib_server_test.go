@@ -7,6 +7,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -361,8 +362,12 @@ func TestGenericBumpDuringModelLookupRetiresTable(t *testing.T) {
 // TestBumpDuringBuildLeavesNoRetiredEntries: a bump that lands while a
 // generic request resolves its models runs its sweep before that
 // request's table and answer are stored. Both are keyed under the
-// retired version, and neither may stay behind in its cache.
+// retired version, and neither may stay behind in its cache. The
+// request is a limited walk, the kind of answer the result cache keeps.
 func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
+	limitedBody := func(work float64) string {
+		return fmt.Sprintf(`%s,"work":%g,"limit":40}`, triBody, work)
+	}
 	nm := perturbedModel(t, "ep", "arm-cortex-a9", 1.25)
 	src := &bumpingSource{Suite: testSuite()}
 	s := newTestServer(t, Options{Models: src})
@@ -372,7 +377,7 @@ func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
 		}
 	}
 	src.armed.Store(true)
-	if rr := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(1e8)); rr.Code != http.StatusOK {
+	if rr := post(t, s, "/v1/enumerate-generic", limitedBody(1e8)); rr.Code != http.StatusOK {
 		t.Fatalf("racing request: %d %s", rr.Code, rr.Body)
 	}
 	if v := s.calib.Version("ep"); v != 2 {
@@ -389,10 +394,10 @@ func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
 		}
 	}
 	// Without a bump the same kind of request is stored as usual.
-	if rr := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(2e8)); rr.Code != http.StatusOK {
+	if rr := post(t, s, "/v1/enumerate-generic", limitedBody(2e8)); rr.Code != http.StatusOK {
 		t.Fatalf("post-bump request: %d %s", rr.Code, rr.Body)
 	}
-	if rr := post(t, s, "/v1/enumerate-generic", unshardedWorkBody(2e8)); rr.Header().Get("X-Cache") != "hit" {
+	if rr := post(t, s, "/v1/enumerate-generic", limitedBody(2e8)); rr.Header().Get("X-Cache") != "hit" {
 		t.Errorf("a repeat at the current version was not cached (X-Cache %q)", rr.Header().Get("X-Cache"))
 	}
 }

@@ -11,11 +11,10 @@ package server
 // answer: checked against its own space, they are re-evaluated on its
 // own table by the merge the local chunked walk uses
 // (cluster.GenericTable.FrontierOfIndices). The merged body is thus
-// byte-identical to an unsharded walk of the same space, and is cached
-// under the unsharded request's key, letting fleet and single-process
-// traffic share one entry. Replicas cache no slice bodies: a replica
-// answers each slice from that slice's work-invariant candidate set,
-// which its compiled table keeps for every work size.
+// byte-identical to an unsharded walk of the same space. Neither the
+// merge nor a slice is cached, like every frontier-only answer: a
+// replica answers each slice from that slice's work-invariant candidate
+// set, which its compiled table keeps for every work size.
 //
 // Self-healing: each shard is assigned along the consistent-hash ring's
 // successor walk (shard.Ring.Successors), filtered by the health
@@ -30,9 +29,8 @@ package server
 // coordinator's remaining budget as X-Deadline-Ms so replicas shed work
 // whose answer would arrive too late. Only when a shard exhausts its
 // candidates does it count as failed: the merge of the surviving slices
-// is served marked degraded with the failed shard indices listed, and
-// is never cached; when every shard fails the request answers 503,
-// never 500.
+// is served marked degraded with the failed shard indices listed; when
+// every shard fails the request answers 503, never 500.
 //
 // Transport: the coordinator owns its replica transport rather than
 // riding http.DefaultClient. Shard answers are a few KB of JSON on a
@@ -114,14 +112,6 @@ func (e callerDeadline) Unwrap() error { return e.error }
 // errFleetUnavailable marks a fan-out in which every shard failed; it
 // maps to 503 like an open breaker, never 500.
 var errFleetUnavailable = errors.New("fleet unavailable")
-
-// errFleetPartial carries a degraded partial-merge body out of the
-// cache's compute path as an error, so the body serves this once but is
-// never cached — exactly the errors-are-never-cached rule everywhere
-// else in the server.
-type errFleetPartial struct{ body []byte }
-
-func (e errFleetPartial) Error() string { return "fleet: partial result" }
 
 // validReplicaURL admits http(s) base URLs with a host and no path, the
 // only shapes the fan-out and router will join endpoints onto.

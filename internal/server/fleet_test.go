@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -129,27 +131,119 @@ func TestFleetMergedBitIdenticalToUnsharded(t *testing.T) {
 	}
 }
 
-// TestFleetSharesCacheWithUnsharded: a successful fleet merge lands
-// under the unsharded request's cache key, so fleet and single-process
-// traffic serve each other's entries.
-func TestFleetSharesCacheWithUnsharded(t *testing.T) {
-	f := newFleet(t, 2, Options{}, Options{})
-	first := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(2))
-	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
-		t.Fatalf("fleet miss: %d cache=%q", first.Code, first.Header().Get("X-Cache"))
+// TestFrontierAnswersNeverCached: no frontier-only answer enters the
+// result cache — two-type or generic, buffered, gzipped or streamed, a
+// replica's default slice or a coordinator's merge. A repeat is
+// computed again (X-Cache: miss on a buffered answer; a stream carries
+// no X-Cache) to the same bytes, builds no table, and evaluates only
+// candidate sets: fewer points than the pruned space holds.
+func TestFrontierAnswersNeverCached(t *testing.T) {
+	pruned := decodeBody[EnumerateGenericResponse](t,
+		post(t, newTestServer(t, Options{}), "/v1/enumerate-generic", fleetTri+"}")).PrunedSize
+	if pruned == 0 {
+		t.Fatal("the tri-type frontier reports no pruned_size")
 	}
-	// The unsharded spelling of the same request hits the merged entry.
-	unsharded := post(t, f.coord, "/v1/enumerate-generic", fleetTri+"}")
-	if unsharded.Code != http.StatusOK || unsharded.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("unsharded after fleet: %d cache=%q", unsharded.Code, unsharded.Header().Get("X-Cache"))
+	// local is a single server answering the request itself.
+	local := func(opts Options) func(t *testing.T) (*Server, []*Server) {
+		return func(t *testing.T) (*Server, []*Server) {
+			s := newTestServer(t, opts)
+			return s, []*Server{s}
+		}
 	}
-	if unsharded.Body.String() != first.Body.String() {
-		t.Fatal("cached unsharded body differs from the fleet merge")
+	cases := []struct {
+		name, path, body string
+		header           http.Header
+		wantCache        string
+		// servers returns the server asked and those whose
+		// generic_points_evaluated_total the answer moves.
+		servers func(t *testing.T) (asked *Server, evaluators []*Server)
+	}{
+		{"two-type", "/v1/enumerate", `{"workload":"ep","max_arm":10,"max_amd":10,"frontier_only":true}`,
+			nil, "miss", func(t *testing.T) (*Server, []*Server) { return newTestServer(t, Options{}), nil }},
+		{"generic buffered", "/v1/enumerate-generic", fleetTri + "}", nil, "miss", local(Options{})},
+		{"generic gzip", "/v1/enumerate-generic", fleetTri + "}",
+			http.Header{"Accept-Encoding": {"gzip"}}, "miss", local(Options{})},
+		{"generic ndjson", "/v1/enumerate-generic", fleetTri + "}",
+			http.Header{"Accept": {"application/x-ndjson"}}, "", local(Options{})},
+		{"default shard slice", "/v1/enumerate-generic", fleetTri + "}", nil, "miss",
+			local(Options{DefaultShard: shard.Shard{Index: 1, Count: 2}})},
+		{"fleet merge", "/v1/enumerate-generic", fleetShardedBody(2), nil, "miss",
+			func(t *testing.T) (*Server, []*Server) {
+				f := newFleet(t, 2, Options{}, Options{})
+				return f.coord, f.replicas
+			}},
 	}
-	// And the reverse: a fleet request hits an entry the local path wrote.
-	again := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(2))
-	if again.Code != http.StatusOK || again.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("fleet after cache: %d cache=%q", again.Code, again.Header().Get("X-Cache"))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			asked, evaluators := tc.servers(t)
+			involved := evaluators
+			if !slices.Contains(evaluators, asked) {
+				involved = append([]*Server{asked}, evaluators...)
+			}
+			sum := func(f func(*Server) uint64) (n uint64) {
+				for _, s := range involved {
+					n += f(s)
+				}
+				return n
+			}
+			tableMisses := func(s *Server) uint64 { return s.TableCacheStats().Misses }
+			evaluated := func() (n uint64) {
+				for _, s := range evaluators {
+					n += s.genericPoints.Value()
+				}
+				return n
+			}
+			ask := func() string {
+				t.Helper()
+				req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+				for k, v := range tc.header {
+					req.Header[k] = v
+				}
+				rr := httptest.NewRecorder()
+				asked.Handler().ServeHTTP(rr, req)
+				if rr.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rr.Code, rr.Body)
+				}
+				if got := rr.Header().Get("X-Cache"); got != tc.wantCache {
+					t.Errorf("X-Cache = %q, want %q", got, tc.wantCache)
+				}
+				body := rr.Body.Bytes()
+				if rr.Header().Get("Content-Encoding") == "gzip" {
+					zr, err := gzip.NewReader(rr.Body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if body, err = io.ReadAll(zr); err != nil {
+						t.Fatal(err)
+					}
+				} else if tc.header.Get("Accept-Encoding") == "gzip" {
+					t.Error("a gzip-negotiated answer was not gzipped")
+				}
+				return string(body)
+			}
+
+			first := ask()
+			misses, points := sum(tableMisses), evaluated()
+			if got := tableMisses(asked); got != 1 {
+				t.Errorf("the asked server built %d tables, want 1", got)
+			}
+			if again := ask(); again != first {
+				t.Fatalf("repeat differs from the first answer\n got: %s\nwant: %s", again, first)
+			}
+			for i, s := range involved {
+				if n := s.cache.Len(); n != 0 {
+					t.Errorf("server %d holds %d result-cache entries, want 0", i, n)
+				}
+			}
+			if got := sum(tableMisses); got != misses {
+				t.Errorf("the repeat built tables: table-cache misses %d -> %d", misses, got)
+			}
+			if len(evaluators) > 0 {
+				if d := evaluated() - points; d == 0 || d >= pruned {
+					t.Errorf("the repeat evaluated %d points, want 0 < n < %d (candidate sets only)", d, pruned)
+				}
+			}
+		})
 	}
 }
 
@@ -316,7 +410,7 @@ func TestFleetPartialWhenFailoverExhausted(t *testing.T) {
 	if !strings.Contains(rr.Body.String(), fmt.Sprintf(`"failed_shards":%s`, wantList)) {
 		t.Fatalf("failed_shards != %s in: %s", wantList, rr.Body)
 	}
-	// Degraded partials ride the error path: nothing was cached.
+	// A degraded partial, like every frontier answer, was not cached.
 	again := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(shards))
 	if again.Header().Get("X-Cache") == "hit" {
 		t.Fatal("degraded partial was served from cache")

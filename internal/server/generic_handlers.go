@@ -319,12 +319,8 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 			"generic space of %d points exceeds the server bound %d; lower max_nodes or set prune/frontier_only",
 			size, s.opts.MaxGenericSpace)
 	}
-	// The cache key is the unsharded request: a coordinator's merge and a
-	// single process's walk of the same space share one entry.
-	base := req
-	base.Shards = 0
 	q := &query{
-		key:   resultKey{endpoint: "enumerate-generic", workload: req.Workload, version: ver, req: base},
+		key:   resultKey{endpoint: "enumerate-generic", workload: req.Workload, version: ver, req: req},
 		work:  req.Work,
 		limit: req.Limit,
 		delta: req.Delta,

@@ -69,15 +69,25 @@ func TestEnumerateGenericFrontierMatchesDirect(t *testing.T) {
 		}
 	}
 
-	// The identical request must come back from cache.
+	// The identical request is answered again, never from the result
+	// cache, with the same bytes, from the candidate set alone: it
+	// evaluates fewer points than the pruned space holds.
+	first := rr.Body.String()
+	before := s.genericPoints.Value()
 	rr = post(t, s, "/v1/enumerate-generic", triBody+`,"frontier_only":true}`)
-	if rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != "hit" {
+	if rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != "miss" {
 		t.Errorf("repeat request: status %d, X-Cache %q", rr.Code, rr.Header().Get("X-Cache"))
 	}
-	// frontier_only implies prune, so the explicit form shares the entry.
+	if rr.Body.String() != first {
+		t.Errorf("repeat differs from the first answer\n got: %s\nwant: %s", rr.Body, first)
+	}
+	if d := s.genericPoints.Value() - before; d == 0 || d >= resp.PrunedSize {
+		t.Errorf("repeat evaluated %d points, want 0 < n < %d (the candidate set only)", d, resp.PrunedSize)
+	}
+	// frontier_only implies prune, so the explicit form answers the same.
 	rr = post(t, s, "/v1/enumerate-generic", triBody+`,"frontier_only":true,"prune":true}`)
-	if rr.Header().Get("X-Cache") != "hit" {
-		t.Error("frontier_only should canonicalize onto the pruned cache key")
+	if rr.Code != http.StatusOK || rr.Body.String() != first {
+		t.Errorf("frontier_only with explicit prune: status %d, or a body other than frontier_only's alone: %s", rr.Code, rr.Body)
 	}
 }
 
@@ -137,12 +147,16 @@ func TestEnumerateGenericMetrics(t *testing.T) {
 		t.Error("generic_points_pruned_total not incremented")
 	}
 	evaluated := s.genericPoints.Value()
-	// A cache hit must not re-run the enumeration.
-	if rr := post(t, s, "/v1/enumerate-generic", triBody+`,"frontier_only":true}`); rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	// A repeat is computed again (frontier answers are never cached) but
+	// only over the candidate set the first request built, which holds
+	// fewer points than the pruned space the first request walked.
+	rr := post(t, s, "/v1/enumerate-generic", triBody+`,"frontier_only":true}`)
+	if rr.Code != http.StatusOK || rr.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("repeat: status %d, X-Cache %q: %s", rr.Code, rr.Header().Get("X-Cache"), rr.Body)
 	}
-	if got := s.genericPoints.Value(); got != evaluated {
-		t.Errorf("cache hit re-evaluated: %d -> %d", evaluated, got)
+	pruned := decodeBody[EnumerateGenericResponse](t, rr).PrunedSize
+	if d := s.genericPoints.Value() - evaluated; d == 0 || d >= pruned {
+		t.Errorf("repeat evaluated %d points, want 0 < n < %d (the candidate set only)", d, pruned)
 	}
 }
 

@@ -25,13 +25,13 @@ type planKind int
 const (
 	// planLimited walks the space in serial order up to the query's limit.
 	planLimited planKind = iota
-	// planFrontier answers the whole space's online frontier: from the
-	// generic table's candidate set, or a full two-type walk.
+	// planFrontier answers the whole space's online frontier from its
+	// table's candidate set.
 	planFrontier
 	// planShard answers one contiguous slice of serial indices (Shard or
 	// DefaultShard) — from the slice's candidate set, or a walk of the
 	// slice — as the partial frontier, with indices, that a coordinator
-	// merges. Its body is never cached (serveBuffered).
+	// merges.
 	planShard
 	// planFleet fans shard requests out and merges their survivors here.
 	planFleet
@@ -54,10 +54,8 @@ func choosePlan(shards int, sh shard.Shard, frontierOnly bool) planKind {
 // query is one canonicalized enumeration request, whichever endpoint
 // and framing it arrived through.
 type query struct {
-	// key is the result-cache key of the buffered answer, minted only
-	// when the answer is buffered. A fleet fan-out keys on the unsharded
-	// request, so a merge serves later single-process traffic and vice
-	// versa.
+	// key is the result-cache key of a buffered limited walk, minted
+	// only then; its version also tags the delta key.
 	key   resultKey
 	work  float64
 	limit int

@@ -23,18 +23,23 @@
 // table — the planner picks one plan (limited walk, frontier, shard
 // slice or fleet fan-out), one executor runs it under the enumerate
 // breaker (the fan-out under per-replica breakers) and emits head →
-// rows → trailer into a sink: a buffered JSON body through the result
-// cache, an NDJSON/SSE stream, or a delta stream over a stored
-// predecessor frontier. Two-type, generic, streamed and fleet answers
-// differ only in their parse, plan and sink.
+// rows → trailer into a sink: a buffered JSON body, an NDJSON/SSE
+// stream, or a delta stream over a stored predecessor frontier.
+// Two-type, generic, streamed and fleet answers differ only in their
+// parse, plan and sink.
 //
 // Underneath, two instances of one LRU (internal/lru) memoize work. The
 // result cache, 16 shards of marshaled response bodies keyed on
 // canonicalized requests, collapses a thundering herd of identical
-// enumerations onto one computation. The table cache, one exact LRU of
-// compiled kernel tables keyed by the cluster spec alone, lets every
-// work size and deadline against one cluster share a single compiled
-// artifact; keeping it apart means result churn never evicts a table. Every
+// requests onto one computation; it holds what a table cannot answer
+// from a candidate set — limited walks, predict, budget, batch items and
+// delta predecessors — and never a frontier-only answer. The table
+// cache, one exact LRU of compiled kernel tables keyed by the cluster
+// spec alone, lets every work size and deadline against one cluster
+// share a single compiled artifact and the frontier candidate sets it
+// builds (concurrent first frontiers collapse onto one table build and
+// one set build); keeping it apart means result churn never evicts a
+// table. Every
 // request runs under a per-request timeout and a configurable
 // concurrency limiter (excess load is shed with 503 rather than queued
 // without bound), and Run drains in-flight requests on shutdown.
@@ -113,7 +118,8 @@ type Options struct {
 	BatchWorkers int
 	// Registry receives the server's metrics (default: a fresh one).
 	Registry *metrics.Registry
-	// CacheTTL bounds how long an enumerate result may serve without a
+	// CacheTTL bounds how long a cached enumerate result (a limited
+	// walk; frontier-only answers are never cached) may serve without a
 	// recompute; 0 disables expiry. With a TTL set, a recompute failure
 	// serves the expired entry marked "degraded": true instead of an
 	// error (see the README's resilience section).

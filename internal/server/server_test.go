@@ -547,58 +547,76 @@ func (b *blockingSource) Space(workload string) (cluster.Space, error) {
 }
 
 // TestEnumerateSingleflight proves the acceptance property: N identical
-// enumerate requests arriving together build exactly one kernel table
-// (and compute the frontier once), the rest collapsing onto the runner.
+// enumerate requests arriving together build exactly one kernel table,
+// the rest collapsing onto the runner. A limited walk's herd collapses
+// in the result cache, onto one computation of the answer; a frontier
+// herd, whose answers are never cached, collapses in the table cache,
+// onto one table build, and each caller then answers from its set.
 func TestEnumerateSingleflight(t *testing.T) {
-	const callers = 8
-	src := &blockingSource{inner: testSuite()}
-	s := newTestServer(t, Options{Models: src, MaxConcurrent: callers})
+	cases := []struct {
+		name, body string
+		// collapsed reads the cache the herd must collapse in.
+		collapsed func(*Server) uint64
+	}{
+		{"limited", `{"workload":"memcached","max_arm":6,"max_amd":4,"limit":50}`,
+			func(s *Server) uint64 { return s.CacheStats().Collapsed }},
+		{"frontier", `{"workload":"memcached","max_arm":6,"max_amd":4,"frontier_only":true}`,
+			func(s *Server) uint64 { return s.TableCacheStats().Collapsed }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const callers = 8
+			src := &blockingSource{inner: testSuite()}
+			s := newTestServer(t, Options{Models: src, MaxConcurrent: callers})
 
-	// Every request reaches the handler before any computes...
-	var arrived sync.WaitGroup
-	arrived.Add(callers)
-	gate := make(chan struct{})
-	s.testHookStart = func(ep string) {
-		if ep == "enumerate" {
-			arrived.Done()
-			<-gate
-		}
-	}
-	// ...and the one that wins the singleflight slot stays inside the
-	// model build until the other callers have demonstrably collapsed
-	// onto it, so the sharing is observed and not a scheduling accident.
-	src.hold = func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for s.CacheStats().Collapsed < callers-1 && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
+			// Every request reaches the handler before any computes...
+			var arrived sync.WaitGroup
+			arrived.Add(callers)
+			gate := make(chan struct{})
+			s.testHookStart = func(ep string) {
+				if ep == "enumerate" {
+					arrived.Done()
+					<-gate
+				}
+			}
+			// ...and the one that wins the singleflight slot stays inside
+			// the model build until the other callers have demonstrably
+			// collapsed onto it, so the sharing is observed and not a
+			// scheduling accident.
+			src.hold = func() {
+				deadline := time.Now().Add(5 * time.Second)
+				for tc.collapsed(s) < callers-1 && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
 
-	const body = `{"workload":"memcached","max_arm":6,"max_amd":4,"frontier_only":true}`
-	results := make(chan *httptest.ResponseRecorder, callers)
-	for i := 0; i < callers; i++ {
-		go func() { results <- post(t, s, "/v1/enumerate", body) }()
-	}
-	arrived.Wait()
-	close(gate)
+			results := make(chan *httptest.ResponseRecorder, callers)
+			for i := 0; i < callers; i++ {
+				go func() { results <- post(t, s, "/v1/enumerate", tc.body) }()
+			}
+			arrived.Wait()
+			close(gate)
 
-	var first string
-	for i := 0; i < callers; i++ {
-		rr := <-results
-		if rr.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, rr.Code, rr.Body)
-		}
-		if first == "" {
-			first = rr.Body.String()
-		} else if rr.Body.String() != first {
-			t.Errorf("request %d body differs", i)
-		}
-	}
-	if got := s.TableBuilds(); got != 1 {
-		t.Fatalf("kernel table built %d times for %d identical requests, want 1", got, callers)
-	}
-	if st := s.CacheStats(); st.Collapsed != callers-1 {
-		t.Errorf("collapsed = %d, want %d (%+v)", st.Collapsed, callers-1, st)
+			var first string
+			for i := 0; i < callers; i++ {
+				rr := <-results
+				if rr.Code != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, rr.Code, rr.Body)
+				}
+				if first == "" {
+					first = rr.Body.String()
+				} else if rr.Body.String() != first {
+					t.Errorf("request %d body differs", i)
+				}
+			}
+			if got := s.TableBuilds(); got != 1 {
+				t.Fatalf("kernel table built %d times for %d identical requests, want 1", got, callers)
+			}
+			if got := tc.collapsed(s); got != callers-1 {
+				t.Errorf("collapsed = %d, want %d (results %+v, tables %+v)",
+					got, callers-1, s.CacheStats(), s.TableCacheStats())
+			}
+		})
 	}
 }
 

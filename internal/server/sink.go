@@ -90,44 +90,37 @@ type shardProgress struct {
 
 // --- buffered ----------------------------------------------------------
 
-// serveBuffered answers q as one JSON body through the result cache:
-// TTL freshness, an expired entry served marked degraded when the
-// recompute fails, and a degraded fleet partial served once but never
-// cached — it rides the error path out of the cache like every other
-// failure. A shard slice is never cached: its body answers one work
-// size for a coordinator that caches the merge, while the slice's
-// candidate set, which the table keeps, answers every work size.
+// serveBuffered answers q as one JSON body. Only a limited walk goes
+// through the result cache — TTL freshness, and an expired entry served
+// marked degraded when the recompute fails. A frontier-only answer,
+// whether whole-space, shard slice or fleet merge, is never cached: its
+// table's candidate set, which the table cache keeps, answers every work
+// size, so a stored body would only be a second copy. A degraded fleet
+// partial is served as it is, its envelope already marked.
 func (s *Server) serveBuffered(w http.ResponseWriter, r *http.Request, q *query) {
 	ctx := r.Context()
 	key, keyed := "", false
-	if q.plan != planShard {
+	if q.plan == planLimited {
 		key, keyed = q.key.mint()
 	}
+	bs := &bufferedSink{ctx: ctx, generic: q.gen != nil, nullEmpty: q.plan == planFleet}
+	defer bs.release()
 	body, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
-		bs := &bufferedSink{ctx: ctx, generic: q.gen != nil, nullEmpty: q.plan == planFleet}
-		defer bs.release()
 		if err := s.execute(ctx, q, bs); err != nil {
 			return nil, err
-		}
-		if bs.degraded {
-			return nil, errFleetPartial{body: bs.body}
 		}
 		return bs.body, nil
 	})
 	if q.plan == planFleet {
 		w.Header().Set("X-Fleet-Shards", strconv.Itoa(q.head.Shards))
 	}
-	var partial errFleetPartial
 	switch {
 	case stale:
 		body = markDegraded(body)
-	case errors.As(err, &partial):
-		// The partial's envelope already carries "degraded":true.
-		body = partial.body
 	case err != nil:
 		replyError(w, r, err)
 		return
-	default:
+	case !bs.degraded:
 		s.writeBody(w, r, body, cached)
 		return
 	}

@@ -18,16 +18,21 @@ import (
 const (
 	snapPredictBody = `{"workload":"ep","arm":{"nodes":2},"amd":{"nodes":1}}`
 	snapGenericBody = `{"workload":"ep","types":[{"node":"arm-cortex-a9","max_nodes":2},{"node":"amd-opteron-k10","max_nodes":1}],"frontier_only":true}`
+	// snapLimitedBody is a limited walk of the same space: unlike the
+	// frontier, its answer is kept by the result cache.
+	snapLimitedBody = `{"workload":"ep","types":[{"node":"arm-cortex-a9","max_nodes":2},{"node":"amd-opteron-k10","max_nodes":1}],"limit":5}`
 )
 
-// warmSnapshotServer serves one predict and one generic enumeration so
-// both caches hold entries, then returns the server.
+// warmSnapshotServer serves one predict, one generic frontier and one
+// limited generic walk so both caches hold entries, then returns the
+// server.
 func warmSnapshotServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	s := newTestServer(t, opts)
 	for _, req := range []struct{ path, body string }{
 		{"/v1/predict", snapPredictBody},
 		{"/v1/enumerate-generic", snapGenericBody},
+		{"/v1/enumerate-generic", snapLimitedBody},
 	} {
 		if rr := post(t, s, req.path, req.body); rr.Code != http.StatusOK {
 			t.Fatalf("warming %s: status %d: %s", req.path, rr.Code, rr.Body)
@@ -49,9 +54,11 @@ func writeWarmSnapshot(t testing.TB, s *Server) (path string, snap *snapshot.Sna
 
 // TestPreheatServesFirstRequestsWithZeroTableBuilds is the headline
 // acceptance: a server preheated from a warm sibling's snapshot serves
-// its first /v1/predict and first warm-spec /v1/enumerate-generic
-// without building a single kernel table — and without even a table
-// cache miss.
+// its first /v1/predict, first warm-spec limited walk and first
+// warm-spec frontier without building a single kernel table — and
+// without even a table cache miss. The predict and the limited walk hit
+// preheated results; the frontier, never cached, answers from the
+// preheated table's candidate set, without the walk that builds it.
 func TestPreheatServesFirstRequestsWithZeroTableBuilds(t *testing.T) {
 	a := warmSnapshotServer(t, Options{})
 	path, snap := writeWarmSnapshot(t, a)
@@ -69,10 +76,18 @@ func TestPreheatServesFirstRequestsWithZeroTableBuilds(t *testing.T) {
 	} else if rr.Header().Get("X-Cache") != "hit" {
 		t.Errorf("preheated first predict X-Cache = %q, want hit", rr.Header().Get("X-Cache"))
 	}
-	if rr := post(t, b, "/v1/enumerate-generic", snapGenericBody); rr.Code != http.StatusOK {
-		t.Fatalf("preheated generic: status %d: %s", rr.Code, rr.Body)
+	if rr := post(t, b, "/v1/enumerate-generic", snapLimitedBody); rr.Code != http.StatusOK {
+		t.Fatalf("preheated limited generic: status %d: %s", rr.Code, rr.Body)
 	} else if rr.Header().Get("X-Cache") != "hit" {
-		t.Errorf("preheated first generic X-Cache = %q, want hit", rr.Header().Get("X-Cache"))
+		t.Errorf("preheated first limited generic X-Cache = %q, want hit", rr.Header().Get("X-Cache"))
+	}
+	if rr := post(t, b, "/v1/enumerate-generic", snapGenericBody); rr.Code != http.StatusOK {
+		t.Fatalf("preheated generic frontier: status %d: %s", rr.Code, rr.Body)
+	} else if rr.Header().Get("X-Cache") != "miss" {
+		t.Errorf("preheated first generic frontier X-Cache = %q, want miss (frontiers are never cached)", rr.Header().Get("X-Cache"))
+	} else if pruned := decodeBody[EnumerateGenericResponse](t, rr).PrunedSize; b.genericPoints.Value() >= pruned {
+		t.Errorf("preheated first frontier evaluated %d points, want fewer than the %d-point pruned space (the snapshot's candidate set)",
+			b.genericPoints.Value(), pruned)
 	}
 	// A fresh work size misses the result cache but must still hit the
 	// preheated table — proving the table preheat independently of the

@@ -561,7 +561,8 @@ func TestStreamGzip(t *testing.T) {
 
 func TestBufferedGzip(t *testing.T) {
 	s := newTestServer(t, Options{})
-	body := triBody + `,"frontier_only":true}`
+	// A limited walk: the kind of answer the result cache keeps.
+	body := triBody + `,"limit":40}`
 	plain := post(t, s, "/v1/enumerate-generic", body)
 	if plain.Code != http.StatusOK {
 		t.Fatalf("plain: %d", plain.Code)

@@ -1,10 +1,12 @@
 // Package snapshot is the serving stack's cold-start eliminator: a
 // compact, versioned binary format for everything a warm heteromixd has
 // that a fresh one lacks — compiled kernel tables (two-type and generic
-// mixed-radix) and hot result-cache bodies. A replica that loads a
-// sibling's snapshot before its listener opens serves its first predict
-// at warm-path latency instead of paying the model walks and table
-// builds a cold start costs.
+// mixed-radix, with each generic table's built frontier candidate set)
+// and hot result-cache bodies. A replica that loads a sibling's snapshot
+// before its listener opens serves its first predict at warm-path
+// latency, and its first frontier from the restored candidate set,
+// instead of paying the model walks, table builds and set-building walks
+// a cold start costs.
 //
 // # Wire format
 //
@@ -57,7 +59,7 @@ import (
 // file of any other version with an *IncompatibleError (which also
 // matches ErrFormat), never a best-effort parse: a file an older build
 // wrote is stale, not corrupt.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // magic identifies a snapshot file. The trailing '1' is the framing
 // generation (sections, checksums, footer); payload layout changes bump
@@ -237,6 +239,10 @@ func encodeTableDump(w *writer, d cluster.GenericTableDump) {
 			w.fixed64(c.TimeBits)
 			w.fixed64(c.EnergyBits)
 		}
+	}
+	w.uvarint(uint64(len(d.Candidates)))
+	for _, p := range d.Candidates {
+		w.uvarint(p)
 	}
 }
 
@@ -453,6 +459,12 @@ func decodeTableDump(r *reader) cluster.GenericTableDump {
 			}
 		}
 		d.Types[i] = td
+	}
+	if n := r.count(1); n > 0 {
+		d.Candidates = make([]uint64, n)
+		for i := range d.Candidates {
+			d.Candidates[i] = r.uvarint()
+		}
 	}
 	return d
 }

@@ -13,7 +13,8 @@ import (
 )
 
 // testSnapshot builds a representative snapshot: two two-type tables,
-// one generic pair, three result bodies.
+// one generic pair whose pruned table carries a candidate set, three
+// result bodies.
 func testSnapshot() *Snapshot {
 	cfg := func(cores int, f, k, epu float64) cluster.GenericConfigDump {
 		return cluster.GenericConfigDump{
@@ -34,6 +35,8 @@ func testSnapshot() *Snapshot {
 			Configs:  []cluster.GenericConfigDump{cfg(8, 2.2e9, 7.7e-7, 2.2e-4)},
 		},
 	}}
+	pruned := gdump
+	pruned.Candidates = []uint64{0, 3, 300}
 	return &Snapshot{
 		Meta: Meta{
 			BuildVersion:     "heteromixd test (abc123, go1.x)",
@@ -59,7 +62,7 @@ func testSnapshot() *Snapshot {
 			},
 		},
 		Generic: []GenericEntry{
-			{Key: "generic|ep@v1|arm-cortex-a9:2:true|amd-opteron-k10:1:false", Full: gdump, Pruned: gdump},
+			{Key: "generic|ep@v1|arm-cortex-a9:2:true|amd-opteron-k10:1:false", Full: gdump, Pruned: pruned},
 		},
 		Results: []ResultEntry{
 			{Key: "predict|ep@v1|{...}", Body: []byte(`{"workload":"ep"}`)},
@@ -139,24 +142,27 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesOlderFormat: testdata/format1.snap is a cache
-// snapshot a format-1 build wrote. Decode must call it incompatible
-// (so a daemon preheating from it starts cold) rather than corrupt.
+// TestDecodeRefusesOlderFormat: testdata/format1.snap and format2.snap
+// are cache snapshots format-1 and format-2 builds wrote (format 2
+// carried no candidate sets). Decode must call each incompatible (so a
+// daemon preheating from it starts cold) rather than corrupt.
 func TestDecodeRefusesOlderFormat(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "format1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Decode(data)
-	if s != nil {
-		t.Fatal("a format-1 file must not decode")
-	}
-	var ie *IncompatibleError
-	if !errors.As(err, &ie) || ie.Field != "format_version" || ie.Have != "1" {
-		t.Fatalf("want a format_version IncompatibleError with Have=1, got %v", err)
-	}
-	if !errors.Is(err, ErrFormat) {
-		t.Fatalf("a format mismatch must match ErrFormat, got %v", err)
+	for _, version := range []string{"1", "2"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "format"+version+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Decode(data)
+		if s != nil {
+			t.Fatalf("a format-%s file must not decode", version)
+		}
+		var ie *IncompatibleError
+		if !errors.As(err, &ie) || ie.Field != "format_version" || ie.Have != version {
+			t.Fatalf("want a format_version IncompatibleError with Have=%s, got %v", version, err)
+		}
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("a format mismatch must match ErrFormat, got %v", err)
+		}
 	}
 }
 

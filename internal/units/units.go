@@ -32,18 +32,55 @@ func (h Hertz) GHzValue() float64 { return float64(h) / 1e9 }
 // String formats the frequency with an appropriate SI prefix.
 func (h Hertz) String() string { return string(h.Append(nil)) }
 
-// Append appends String's form of the frequency to b, without fmt.
+// Append appends String's form of the frequency to b, without fmt. A
+// whole number of hertz that the branch's precision shows exactly —
+// every P-state of the modeled nodes — renders with integer arithmetic,
+// which gives strconv's digits: the division strconv would format is
+// correctly rounded, so it lies within half an ulp of the exact decimal,
+// far from any rounding boundary below 2^53 Hz. Everything else takes
+// strconv, whose fixed-precision 'f' path is exact but slow.
 func (h Hertz) Append(b []byte) []byte {
+	// whole: a whole number of hertz, non-negative (not -0) and below
+	// 2^53; NaN and ±Inf fail the bound. n is read only when whole.
+	f := float64(h)
+	whole := !math.Signbit(f) && f < 1<<53 && math.Trunc(f) == f
+	n := uint64(f)
 	switch {
 	case h >= GHz:
+		if whole && n%1e7 == 0 {
+			return append(appendScaled(b, n/1e7, 2), "GHz"...)
+		}
 		return append(strconv.AppendFloat(b, float64(h)/1e9, 'f', 2, 64), "GHz"...)
 	case h >= MHz:
+		if whole && n%1e5 == 0 {
+			return append(appendScaled(b, n/1e5, 1), "MHz"...)
+		}
 		return append(strconv.AppendFloat(b, float64(h)/1e6, 'f', 1, 64), "MHz"...)
 	case h >= KHz:
+		if whole && n%100 == 0 {
+			return append(appendScaled(b, n/100, 1), "kHz"...)
+		}
 		return append(strconv.AppendFloat(b, float64(h)/1e3, 'f', 1, 64), "kHz"...)
 	default:
+		if whole {
+			return append(strconv.AppendUint(b, n, 10), "Hz"...)
+		}
 		return append(strconv.AppendFloat(b, float64(h), 'f', 0, 64), "Hz"...)
 	}
+}
+
+// appendScaled appends q/10^digits with exactly digits decimals.
+func appendScaled(b []byte, q uint64, digits int) []byte {
+	p := uint64(1)
+	for i := 0; i < digits; i++ {
+		p *= 10
+	}
+	b = append(strconv.AppendUint(b, q/p, 10), '.')
+	for f := q % p; p > 1; f %= p {
+		p /= 10
+		b = append(b, byte('0'+f/p))
+	}
+	return b
 }
 
 // Watt is a power in joules per second.
