@@ -197,13 +197,18 @@ bench-preheat:
 # win over the buffered response on the same walk, plus fixed-iteration
 # row-throughput and gzip-pooling benchmarks, and a repeated buffered
 # frontier answer, computed fresh from a warm candidate set every time.
-# Baselines in BENCH_serving.json.
+# The buffered 20k-row walk runs at -cpu 1: its 7.8 MB row buffer goes
+# back to the releasing P's private sync.Pool slot, which a request on
+# another P cannot take, so with two Ps its B/op turned on scheduling
+# (7.8 or 21.7 MB). Baselines in BENCH_serving.json.
 bench-stream:
 	HETEROMIX_STREAM_GATE=1 $(GO) test ./internal/server -count=1 \
 		-run 'TestStreamAllocGate|TestStreamTTFPGate' -v
 	$(GO) test ./internal/server -run '^$$' \
-		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|Buffered(GenericFrontier|Enumerate20k)|Gzip(Pooled|Cold)Writer|FrontierFresh(Generic|TwoType))' \
+		-bench 'Benchmark(Stream(GenericFrontier|Enumerate20k|DeltaReQuery)|BufferedGenericFrontier|Gzip(Pooled|Cold)Writer|FrontierFresh(Generic|TwoType))' \
 		-benchmem -benchtime=3x
+	$(GO) test ./internal/server -run '^$$' \
+		-bench '^BenchmarkBufferedEnumerate20k$$' -benchmem -benchtime=3x -cpu 1
 
 # Runs bench-generic and bench-stream and compares their figures with
 # the records marked "gated" in BENCH_serving.json (cmd/benchcheck): a

@@ -9,7 +9,8 @@
 // is printed beside its record and never gated or rewritten, because
 // timings on a shared machine spread far wider than allocation figures
 // do. A record is a number or a [min, max] range; every sub-benchmark of
-// a record (BenchmarkX/a, BenchmarkX/b) is checked against it.
+// a record (BenchmarkX/a, BenchmarkX/b) is checked against it, unless
+// the sub-benchmark has a record of its own under its full name.
 // Benchmarks with no gated record are listed and pass. With -update the
 // gated records' B/op and allocs/op are rewritten in place instead.
 //
@@ -37,11 +38,10 @@ import (
 // or B/op may lie. Eight runs of make bench-generic and bench-stream at
 // -benchtime=3x repeat the kernel benchmarks' figures exactly; the
 // server benchmarks' vary by up to 2 allocations and 2% of their
-// bytes with pooled-buffer reuse, and BufferedEnumerate20k by 71-77
-// allocations. Records keep that spread as [min, max] ranges (-update),
-// so 5% absorbs what a single run adds to it and still catches a
-// one-allocation move on any benchmark that allocates fewer than 20
-// times.
+// bytes with pooled-buffer reuse. Records keep that spread as [min,
+// max] ranges (-update), so 5% absorbs what a single run adds to it and
+// still catches a one-allocation move on any benchmark that allocates
+// fewer than 20 times.
 const tolerance = 0.05
 
 func main() {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,5 +161,157 @@ func TestUpdateRewritesOnlyMeasuredFields(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(path, false, nil, strings.NewReader(bench), &out); err != nil {
 		t.Errorf("the rewritten records do not pass their own run: %v\n%s", err, out.String())
+	}
+}
+
+// cannedShardRecords gives each shard of BenchmarkSliced its own record
+// under its full name; the top-level record keeps the timings and is
+// not gated. Shard 1's figures sit inside the range one record shared
+// by both shards would hold, [1520, 2784] B and [12, 13] allocs, so only
+// its own record can catch it moving.
+const cannedShardRecords = `{
+  "benchmarks": {
+    "BenchmarkSliced": {
+      "ns_per_op": [2253, 3524],
+      "note": "timings over the shards; B/op and allocs/op gated per shard"
+    },
+    "BenchmarkSliced/n=4/shard=0": {
+      "gated": true,
+      "bytes_per_op": 2784,
+      "allocs_per_op": 13
+    },
+    "BenchmarkSliced/n=4/shard=1": {
+      "gated": true,
+      "bytes_per_op": 1520,
+      "allocs_per_op": 12
+    }
+  }
+}
+`
+
+const slicedPassing = "BenchmarkSliced/n=4/shard=0-2 3 2500 ns/op 2784 B/op 13 allocs/op\n" +
+	"BenchmarkSliced/n=4/shard=1-2 3 3500 ns/op 1520 B/op 12 allocs/op\n"
+
+func writeShardRecords(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, []byte(cannedShardRecords), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCheckGatesEachSubRecord: a sub-benchmark with a record under its
+// full name is checked against that record, so a shard that moves more
+// than 5% from it fails even while it stays inside the other shards'
+// spread, and a shard record without a run fails as missing.
+func TestCheckGatesEachSubRecord(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(writeShardRecords(t), false, nil, strings.NewReader(slicedPassing), &out); err != nil {
+		t.Fatalf("check failed: %v\n%s", err, out.String())
+	}
+	for name, bench := range map[string]string{
+		"bytes inside the shared range": "BenchmarkSliced/n=4/shard=0-2 3 2500 ns/op 2784 B/op 13 allocs/op\n" +
+			"BenchmarkSliced/n=4/shard=1-2 3 3500 ns/op 1700 B/op 12 allocs/op\n",
+		"allocs inside the shared range": "BenchmarkSliced/n=4/shard=0-2 3 2500 ns/op 2784 B/op 13 allocs/op\n" +
+			"BenchmarkSliced/n=4/shard=1-2 3 3500 ns/op 1520 B/op 13 allocs/op\n",
+	} {
+		out.Reset()
+		if err := run(writeShardRecords(t), false, nil, strings.NewReader(bench), &out); err == nil || !strings.Contains(out.String(), "MOVED") {
+			t.Errorf("%s: got %v, want a MOVED failure:\n%s", name, err, out.String())
+		}
+	}
+	for name, bench := range map[string]string{
+		"shard without a run":    "BenchmarkSliced/n=4/shard=0-2 3 2500 ns/op 2784 B/op 13 allocs/op\n",
+		"renamed sub-benchmarks": strings.ReplaceAll(slicedPassing, "n=4", "n=5"),
+	} {
+		out.Reset()
+		if err := run(writeShardRecords(t), false, nil, strings.NewReader(bench), &out); err == nil || !strings.Contains(out.String(), "MISSING") {
+			t.Errorf("%s: got %v, want a MISSING failure:\n%s", name, err, out.String())
+		}
+	}
+}
+
+// TestUpdateRewritesShardRecords: -update sets each shard's record from
+// the runs of that shard alone and leaves every other line as it was.
+func TestUpdateRewritesShardRecords(t *testing.T) {
+	path := writeShardRecords(t)
+	bench := slicedPassing +
+		"BenchmarkSliced/n=4/shard=1-2 3 3500 ns/op 1568 B/op 12 allocs/op\n"
+	if err := run(path, true, nil, strings.NewReader(bench), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Replace(cannedShardRecords, `"bytes_per_op": 1520,`, `"bytes_per_op": [1520, 1568],`, 1)
+	if string(got) != want {
+		t.Errorf("rewritten records:\n%s\nwant:\n%s", got, want)
+	}
+	var out bytes.Buffer
+	if err := run(path, false, nil, strings.NewReader(bench), &out); err != nil {
+		t.Errorf("the rewritten records do not pass their own run: %v\n%s", err, out.String())
+	}
+}
+
+// TestServingShardRecordsGatePerShard: in the repository's
+// BENCH_serving.json every shard of the sharded frontier benchmarks is
+// gated against its own figures, so a run in which one shard moves 8%
+// while staying inside the span of all shards' figures fails.
+func TestServingShardRecordsGatePerShard(t *testing.T) {
+	text, err := os.ReadFile("../../BENCH_serving.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := parseRecords(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := []string{
+		"BenchmarkGenericTableFrontierShard/n=4/shard=0", "BenchmarkGenericTableFrontierShard/n=4/shard=1",
+		"BenchmarkGenericTableFrontierShard/n=4/shard=2", "BenchmarkGenericTableFrontierShard/n=4/shard=3",
+		"BenchmarkGenericTableFrontierShard/n=7/shard=0", "BenchmarkGenericTableFrontierShard/n=7/shard=1",
+		"BenchmarkGenericTableFrontierShard/n=7/shard=2", "BenchmarkGenericTableFrontierShard/n=7/shard=3",
+		"BenchmarkGenericTableFrontierShard/n=7/shard=4", "BenchmarkGenericTableFrontierShard/n=7/shard=5",
+		"BenchmarkGenericTableFrontierShard/n=7/shard=6",
+		"BenchmarkGenericTableFrontierShardWarm/n=4/shard=0", "BenchmarkGenericTableFrontierShardWarm/n=4/shard=1",
+		"BenchmarkGenericTableFrontierShardWarm/n=4/shard=2", "BenchmarkGenericTableFrontierShardWarm/n=4/shard=3",
+	}
+	// figures is each shard's recorded B/op, read through the record it
+	// answers to (its own, or its top-level benchmark's shared range).
+	figures := make([]span, len(shards))
+	hi := 0.0
+	for i, name := range shards {
+		b, ok := field(recs[recordKey(name, recs)], "bytes_per_op")
+		if !ok {
+			t.Fatalf("%s: no bytes_per_op record", name)
+		}
+		figures[i], hi = b, max(hi, b.hi)
+	}
+	runs := func(moved int) []result {
+		var rs []result
+		for i, name := range shards {
+			b := figures[i].lo
+			if i == moved {
+				b *= 1.08
+			}
+			a, _ := field(recs[recordKey(name, recs)], "allocs_per_op")
+			rs = append(rs, result{name: name, ns: []float64{1}, bytes: []float64{b}, allocs: []float64{a.lo}})
+		}
+		return rs
+	}
+	if moved, _, err := check(text, runs(-1), io.Discard); err != nil || moved != 0 {
+		t.Fatalf("every shard at its recorded figures: %d moved, err %v", moved, err)
+	}
+	// The moved shard is one whose 8% rise stays below the largest
+	// shard's figure, inside a range shared by all shards.
+	for i, f := range figures {
+		if f.lo*1.08 > hi {
+			continue
+		}
+		if moved, _, err := check(text, runs(i), io.Discard); err != nil || moved != 1 {
+			t.Errorf("%s 8%% over its record, inside the shards' span: %d moved, want 1 (err %v)", shards[i], moved, err)
+		}
 	}
 }

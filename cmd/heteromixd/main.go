@@ -10,7 +10,7 @@
 //	heteromixd [-addr :8080] [-cache n] [-table-cache n]
 //	           [-max-concurrent n] [-timeout d] [-max-nodes n]
 //	           [-max-generic-space n] [-max-batch-items n]
-//	           [-noise s] [-seed n] [-cache-ttl d] [-drain-delay d]
+//	           [-noise s] [-seed n] [-drain-delay d]
 //	           [-chaos spec] [-pprof]
 //	           [-shard i/n] [-replicas url,url,...] [-route-key key]
 //	           [-probe-interval d] [-suspect-after n] [-dead-after n]
@@ -78,7 +78,6 @@ type daemonConfig struct {
 	maxGenericSpace  uint64
 	maxBatchItems    int
 	timeout          time.Duration
-	cacheTTL         time.Duration
 	drainDelay       time.Duration
 	chaosSpec        string
 	pprof            bool
@@ -104,7 +103,7 @@ type daemonConfig struct {
 func main() {
 	var cfg daemonConfig
 	addr := flag.String("addr", ":8080", "listen address")
-	flag.IntVar(&cfg.cache, "cache", 4096, "result cache capacity in entries")
+	flag.IntVar(&cfg.cache, "cache", 4096, "result cache capacity in entries (predict, budget and batch bodies and delta predecessors; enumerations are computed every time)")
 	flag.IntVar(&cfg.tableCache, "table-cache", 0, "compiled kernel-table cache capacity in entries (0 = default)")
 	flag.IntVar(&cfg.maxBatchItems, "max-batch-items", 256, "largest item count one /v1/batch request may carry")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
@@ -114,7 +113,6 @@ func main() {
 	flag.Uint64Var(&cfg.maxGenericSpace, "max-generic-space", 2_000_000, "largest N-type configuration space /v1/enumerate-generic may walk after pruning")
 	flag.Float64Var(&cfg.noise, "noise", 0.03, "measurement noise sigma for the model-fitting runs")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the model-fitting pipeline")
-	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 0, "freshness bound of cached enumerate results, which are limited walks only: frontier-only answers are computed every time (0 = never expires); expired entries serve marked degraded when the recompute fails")
 	flag.DurationVar(&cfg.drainDelay, "drain-delay", 0, "how long /readyz answers 503 before the listener closes on shutdown")
 	flag.StringVar(&cfg.chaosSpec, "chaos", "", `fault injection spec, e.g. "latency=0.2:5ms,error=0.05,panic=0.01,timeout=0.01,seed=1" (default: none)`)
 	flag.StringVar(&cfg.shardSpec, "shard", "", `serve slice "i/n" of frontier-only generic enumerations (fleet replica mode)`)
@@ -194,7 +192,6 @@ func newServer(cfg daemonConfig) (*server.Server, error) {
 		MaxGenericSpace:     cfg.maxGenericSpace,
 		MaxBatchItems:       cfg.maxBatchItems,
 		RequestTimeout:      cfg.timeout,
-		CacheTTL:            cfg.cacheTTL,
 		DrainDelay:          cfg.drainDelay,
 		Chaos:               chaos,
 		EnablePprof:         cfg.pprof,

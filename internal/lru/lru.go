@@ -17,7 +17,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultCapacity is the entry cap New applies to a non-positive
@@ -38,35 +37,29 @@ type shard struct {
 	bytes    int64
 }
 
-// entry is a recency-list payload. storedAt supports DoFresh's
-// staleness checks; plain Get/Do ignore it.
+// entry is a recency-list payload.
 type entry[V any] struct {
-	key      string
-	val      V
-	storedAt time.Time
+	key string
+	val V
 }
 
 // call is one in-flight singleflight computation.
 type call[V any] struct {
-	wg    sync.WaitGroup
-	val   V
-	stale bool
-	err   error
+	wg  sync.WaitGroup
+	val V
+	err error
 }
 
 // Stats is a point-in-time view of the cache's effectiveness.
 type Stats struct {
-	// Hits and Misses count lookups: one per Get, Do or DoFresh call,
-	// collapsed waiters included.
+	// Hits and Misses count lookups: one per Get or Do call, collapsed
+	// waiters included.
 	Hits, Misses uint64
 	// Evictions counts LRU entries dropped to entry or byte pressure.
 	Evictions uint64
 	// Collapsed counts Do callers that waited on another caller's
 	// computation instead of running their own.
 	Collapsed uint64
-	// StaleServes counts DoFresh computations that failed and fell back
-	// to an expired entry (degraded serving).
-	StaleServes uint64
 	// Entries is the current number of cached values.
 	Entries int
 	// Bytes is the summed size of the cached values.
@@ -90,13 +83,10 @@ type Cache[V any] struct {
 	mask uint32
 	size func(V) int64
 
-	// now is the staleness clock, injectable in tests.
-	now func() time.Time
-
 	flightMu sync.Mutex
 	flight   map[string]*call[V]
 
-	hits, misses, evictions, collapsed, staleServes atomic.Uint64
+	hits, misses, evictions, collapsed atomic.Uint64
 }
 
 // New returns a cache of capacity entries (capacity <= 0 selects
@@ -116,7 +106,6 @@ func New[V any](capacity, shards int, size func(V) int64) *Cache[V] {
 		shards: make([]shard, n),
 		mask:   uint32(n - 1),
 		size:   size,
-		now:    time.Now,
 		flight: make(map[string]*call[V]),
 	}
 	per := (capacity + n - 1) / n
@@ -143,23 +132,19 @@ func (c *Cache[V]) shardFor(key string) *shard {
 	return &c.shards[fnv1a(key)&c.mask]
 }
 
-// get looks key up and marks it most recently used. A positive maxAge
-// treats older entries as absent. Only counted lookups move the
-// hit/miss counters: a singleflight owner's re-check and the stale
-// fallback are part of a lookup that already counted.
-func (c *Cache[V]) get(key string, maxAge time.Duration, count bool) (V, bool) {
+// get looks key up and marks it most recently used. Only counted
+// lookups move the hit/miss counters: a singleflight owner's re-check is
+// part of a lookup that already counted.
+func (c *Cache[V]) get(key string, count bool) (V, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
-		e := el.Value.(*entry[V])
-		if maxAge <= 0 || c.now().Sub(e.storedAt) < maxAge {
-			s.ll.MoveToFront(el)
-			if count {
-				c.hits.Add(1)
-			}
-			return e.val, true
+		s.ll.MoveToFront(el)
+		if count {
+			c.hits.Add(1)
 		}
+		return el.Value.(*entry[V]).val, true
 	}
 	if count {
 		c.misses.Add(1)
@@ -170,7 +155,7 @@ func (c *Cache[V]) get(key string, maxAge time.Duration, count bool) (V, bool) {
 
 // Get returns the cached value for key, marking it most recently used.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	return c.get(key, 0, true)
+	return c.get(key, true)
 }
 
 // Add stores key → val, evicting the shard's least recently used
@@ -183,11 +168,11 @@ func (c *Cache[V]) Add(key string, val V) {
 	if el, ok := s.m[key]; ok {
 		e := el.Value.(*entry[V])
 		s.bytes += c.size(val) - c.size(e.val)
-		e.val, e.storedAt = val, c.now()
+		e.val = val
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.m[key] = s.ll.PushFront(&entry[V]{key: key, val: val, storedAt: c.now()})
+	s.m[key] = s.ll.PushFront(&entry[V]{key: key, val: val})
 	s.bytes += c.size(val)
 	c.evictLocked(s)
 }
@@ -312,40 +297,20 @@ func (c *Cache[V]) Load(entries []Entry[V]) int {
 // Do returns the cached value for key, computing it with fn on a miss.
 // Concurrent Do calls for the same key collapse: one caller runs fn, the
 // rest block and share its result. Successful results are cached; errors
-// are returned to every collapsed caller and nothing is stored, so the
-// next Do retries. cached reports whether the value came from the cache
-// without running or waiting on fn.
+// are returned to every collapsed caller and nothing is stored, so a
+// failing computation cannot poison the cache and the next Do retries.
+// cached reports whether the value came from the cache without running
+// or waiting on fn.
 func (c *Cache[V]) Do(key string, fn func() (V, error)) (val V, cached bool, err error) {
-	val, cached, _, err = c.DoFresh(key, 0, fn)
-	return val, cached, err
-}
-
-// DoFresh is Do with a freshness bound and graceful degradation: a
-// cached value older than maxAge is recomputed, and when the recompute
-// fails an expired entry is served anyway. maxAge <= 0 disables the
-// bound, which makes DoFresh exactly Do. cached reports a fresh hit (no
-// compute ran or was waited on); the stale flag and error distinguish
-// the remaining cases:
-//
-//   - fresh hit or successful compute: (val, _, false, nil)
-//   - compute failed, stale entry available: (staleVal, false, true, err)
-//     — the caller serves the stale value marked degraded and can
-//     inspect err
-//   - compute failed, nothing cached: (zero, false, false, err)
-//
-// Errors never overwrite the cached entry, so a failing dependency
-// cannot poison the cache. Concurrent callers for the same key collapse
-// and share the same outcome, including the stale flag and error.
-func (c *Cache[V]) DoFresh(key string, maxAge time.Duration, fn func() (V, error)) (val V, cached, stale bool, err error) {
-	if v, ok := c.get(key, maxAge, true); ok {
-		return v, true, false, nil
+	if v, ok := c.get(key, true); ok {
+		return v, true, nil
 	}
 	c.flightMu.Lock()
 	if cl, ok := c.flight[key]; ok {
 		c.flightMu.Unlock()
 		c.collapsed.Add(1)
 		cl.wg.Wait()
-		return cl.val, false, cl.stale, cl.err
+		return cl.val, false, cl.err
 	}
 	cl := &call[V]{}
 	cl.wg.Add(1)
@@ -354,25 +319,20 @@ func (c *Cache[V]) DoFresh(key string, maxAge time.Duration, fn func() (V, error
 
 	// Re-check under flight ownership: another caller may have completed
 	// and cached between our miss and claiming the flight slot.
-	if v, ok := c.get(key, maxAge, false); ok {
+	if v, ok := c.get(key, false); ok {
 		cl.val = v
 	} else if v, ferr := fn(); ferr == nil {
 		cl.val = v
 		c.Add(key, v)
 	} else {
 		cl.err = ferr
-		if maxAge > 0 {
-			if cl.val, cl.stale = c.get(key, 0, false); cl.stale {
-				c.staleServes.Add(1)
-			}
-		}
 	}
 
 	c.flightMu.Lock()
 	delete(c.flight, key)
 	c.flightMu.Unlock()
 	cl.wg.Done()
-	return cl.val, false, cl.stale, cl.err
+	return cl.val, false, cl.err
 }
 
 // Len returns the current number of cached entries.
@@ -455,12 +415,11 @@ func (c *Cache[V]) Bytes() int64 {
 // Stats returns the cache's counters.
 func (c *Cache[V]) Stats() Stats {
 	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		Collapsed:   c.collapsed.Load(),
-		StaleServes: c.staleServes.Load(),
-		Entries:     c.Len(),
-		Bytes:       c.Bytes(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Collapsed: c.collapsed.Load(),
+		Entries:   c.Len(),
+		Bytes:     c.Bytes(),
 	}
 }

@@ -64,7 +64,7 @@ func TestGetAddRoundTrip(t *testing.T) {
 	})
 }
 
-// TestLookupsCountedOnce: every Get, Do and DoFresh call is exactly one
+// TestLookupsCountedOnce: every Get and Do call is exactly one
 // lookup — a hit or a miss — including the singleflight owner's
 // re-check and every collapsed waiter. A cold Do followed by a warm Do
 // is one miss and one hit, not two misses.
@@ -80,8 +80,8 @@ func TestLookupsCountedOnce(t *testing.T) {
 		calls := uint64(2)
 		c.Get("a")
 		c.Get("nope")
-		c.DoFresh("b", time.Minute, fn)
-		c.DoFresh("b", time.Minute, fn)
+		c.Do("b", fn)
+		c.Do("b", fn)
 		c.Do("err", func() ([]byte, error) { return nil, errInjected })
 		calls += 5
 
@@ -403,7 +403,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 					case 1:
 						c.Get(k)
 					case 2:
-						c.DoFresh(k, time.Millisecond, func() ([]byte, error) { return []byte(k), nil })
+						c.Delete(k)
 					default:
 						if _, _, err := c.Do(k, func() ([]byte, error) { return []byte(k), nil }); err != nil {
 							t.Errorf("Do: %v", err)

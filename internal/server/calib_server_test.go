@@ -361,12 +361,13 @@ func TestGenericBumpDuringModelLookupRetiresTable(t *testing.T) {
 
 // TestBumpDuringBuildLeavesNoRetiredEntries: a bump that lands while a
 // generic request resolves its models runs its sweep before that
-// request's table and answer are stored. Both are keyed under the
-// retired version, and neither may stay behind in its cache. The
-// request is a limited walk, the kind of answer the result cache keeps.
+// request's table and result-cache entry are stored. Both are keyed
+// under the retired version, and neither may stay behind in its cache.
+// The request is a delta stream, whose frontier is the one result-cache
+// entry an enumeration stores: the next delta query's predecessor.
 func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
-	limitedBody := func(work float64) string {
-		return fmt.Sprintf(`%s,"work":%g,"limit":40}`, triBody, work)
+	deltaBody := func(work float64) string {
+		return fmt.Sprintf(`%s,"work":%g,"frontier_only":true,"delta":true}`, triBody, work)
 	}
 	nm := perturbedModel(t, "ep", "arm-cortex-a9", 1.25)
 	src := &bumpingSource{Suite: testSuite()}
@@ -377,7 +378,7 @@ func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
 		}
 	}
 	src.armed.Store(true)
-	if rr := post(t, s, "/v1/enumerate-generic", limitedBody(1e8)); rr.Code != http.StatusOK {
+	if rr := postStream(t, s, "/v1/enumerate-generic", deltaBody(1e8), nil); rr.Code != http.StatusOK {
 		t.Fatalf("racing request: %d %s", rr.Code, rr.Body)
 	}
 	if v := s.calib.Version("ep"); v != 2 {
@@ -393,12 +394,14 @@ func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
 			t.Errorf("result cache still holds %q", e.Key)
 		}
 	}
-	// Without a bump the same kind of request is stored as usual.
-	if rr := post(t, s, "/v1/enumerate-generic", limitedBody(2e8)); rr.Code != http.StatusOK {
+	// Without a bump the same kind of request is stored as usual: the
+	// repeat finds its predecessor.
+	if rr := postStream(t, s, "/v1/enumerate-generic", deltaBody(2e8), nil); rr.Code != http.StatusOK {
 		t.Fatalf("post-bump request: %d %s", rr.Code, rr.Body)
 	}
-	if rr := post(t, s, "/v1/enumerate-generic", limitedBody(2e8)); rr.Header().Get("X-Cache") != "hit" {
-		t.Errorf("a repeat at the current version was not cached (X-Cache %q)", rr.Header().Get("X-Cache"))
+	rr := postStream(t, s, "/v1/enumerate-generic", deltaBody(2e8), nil)
+	if mode := parseNDJSON(t, rr.Body.String()).head.Mode; mode != "delta" {
+		t.Errorf("a repeat at the current version found no predecessor (mode %q)", mode)
 	}
 }
 

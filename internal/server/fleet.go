@@ -191,10 +191,10 @@ var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // replica sheds work the coordinator could no longer use; an
 // already-exhausted budget fails fast without a wire round trip. At
 // most limit bytes of the answer are read into a pooled buffer, and
-// read gets the status and those bytes, valid only until read returns:
-// read must not keep any slice of them. A transport error or read's
-// error counts against the breaker.
-func (f *fleetClient) call(ctx context.Context, target, method, endpoint string, body []byte, limit int64, read func(status int, b []byte) error) error {
+// read gets the status, the answer's headers and those bytes, valid only
+// until read returns: read must not keep any slice of them. A transport
+// error or read's error counts against the breaker.
+func (f *fleetClient) call(ctx context.Context, target, method, endpoint string, body []byte, limit int64, read func(status int, h http.Header, b []byte) error) error {
 	return f.breakerFor(target).Do(func() error {
 		var rd io.Reader
 		if body != nil {
@@ -231,7 +231,7 @@ func (f *fleetClient) call(ctx context.Context, target, method, endpoint string,
 		if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit)); err != nil {
 			return err
 		}
-		return read(resp.StatusCode, buf.Bytes())
+		return read(resp.StatusCode, resp.Header, buf.Bytes())
 	})
 }
 
@@ -443,13 +443,13 @@ func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n
 	// Pin the profile version q's table was compiled under: a replica on
 	// another answers 409 and its slice fails, so every survivor was
 	// chosen under the models the merge evaluates it with.
-	sub.ProfileVersion = q.key.version
+	sub.ProfileVersion = q.version
 	body, err := json.Marshal(sub)
 	if err != nil {
 		return nil, false, err
 	}
 	size := q.walker.gen.Size()
-	err = s.fleet.call(ctx, target, http.MethodPost, "/v1/enumerate-generic", body, maxFleetBody, func(status int, b []byte) error {
+	err = s.fleet.call(ctx, target, http.MethodPost, "/v1/enumerate-generic", body, maxFleetBody, func(status int, _ http.Header, b []byte) error {
 		if status != http.StatusOK {
 			return fmt.Errorf("shard %s: %s answered %d", sub.Shard, target, status)
 		}
@@ -515,13 +515,13 @@ func batchWorkload(items []BatchItem) (string, bool) {
 }
 
 // routeForward forwards a request to the consistent-hash owner of key
-// and relays the answer. A dead owner is skipped before a byte is sent:
-// the walk continues along the ring to the first routable successor,
-// the same deterministic order shard failover uses. It returns false —
-// caller computes locally — when routing is off, the request was
-// already routed once, no replica is routable, or the forward fails
-// (counted as a fallback; the owner's breaker absorbs repeated
-// failures).
+// and relays the answer with the owner's X-Cache. A dead owner is
+// skipped before a byte is sent: the walk continues along the ring to
+// the first routable successor, the same deterministic order shard
+// failover uses. It returns false — caller computes locally — when
+// routing is off, the request was already routed once, no replica is
+// routable, or the forward fails (counted as a fallback; the owner's
+// breaker absorbs repeated failures).
 func (s *Server) routeForward(w http.ResponseWriter, r *http.Request, endpoint, key string, req any) bool {
 	if s.ring == nil || r.Header.Get(routedHeader) != "" {
 		return false
@@ -544,13 +544,16 @@ func (s *Server) routeForward(w http.ResponseWriter, r *http.Request, endpoint, 
 	if err != nil {
 		return false
 	}
-	err = s.fleet.call(r.Context(), target, http.MethodPost, endpoint, body, maxFleetBody, func(status int, b []byte) error {
+	err = s.fleet.call(r.Context(), target, http.MethodPost, endpoint, body, maxFleetBody, func(status int, owner http.Header, b []byte) error {
 		if status >= 500 {
 			return fmt.Errorf("%s answered %d", target, status)
 		}
 		h := w.Header()
 		h.Set("Content-Type", "application/json")
 		h.Set("X-Routed-To", target)
+		if c := owner.Get("X-Cache"); c != "" {
+			h.Set("X-Cache", c)
+		}
 		w.WriteHeader(status)
 		w.Write(b)
 		return nil

@@ -131,12 +131,14 @@ func TestFleetMergedBitIdenticalToUnsharded(t *testing.T) {
 	}
 }
 
-// TestFrontierAnswersNeverCached: no frontier-only answer enters the
-// result cache — two-type or generic, buffered, gzipped or streamed, a
-// replica's default slice or a coordinator's merge. A repeat is
-// computed again (X-Cache: miss on a buffered answer; a stream carries
-// no X-Cache) to the same bytes, builds no table, and evaluates only
-// candidate sets: fewer points than the pruned space holds.
+// TestFrontierAnswersNeverCached: no enumeration answer of any plan
+// enters the result cache — a frontier or a limited walk, two-type or
+// generic, buffered, gzipped or streamed, a replica's default slice or
+// a coordinator's merge. A repeat is computed again (X-Cache: miss on a
+// buffered answer; a stream carries no X-Cache) to the same bytes and
+// builds no table. A frontier's repeat evaluates only candidate sets,
+// fewer points than the pruned space holds; a generic limited walk's
+// repeat walks the same points again.
 func TestFrontierAnswersNeverCached(t *testing.T) {
 	pruned := decodeBody[EnumerateGenericResponse](t,
 		post(t, newTestServer(t, Options{}), "/v1/enumerate-generic", fleetTri+"}")).PrunedSize
@@ -150,6 +152,12 @@ func TestFrontierAnswersNeverCached(t *testing.T) {
 			return s, []*Server{s}
 		}
 	}
+	twoType := func(t *testing.T) (*Server, []*Server) { return newTestServer(t, Options{}), nil }
+	gzipped := http.Header{"Accept-Encoding": {"gzip"}}
+	const (
+		twoTypeLimited = `{"workload":"ep","max_arm":10,"max_amd":10,"limit":40}`
+		genericLimited = triBody + `,"limit":40}`
+	)
 	cases := []struct {
 		name, path, body string
 		header           http.Header
@@ -157,21 +165,26 @@ func TestFrontierAnswersNeverCached(t *testing.T) {
 		// servers returns the server asked and those whose
 		// generic_points_evaluated_total the answer moves.
 		servers func(t *testing.T) (asked *Server, evaluators []*Server)
+		// limited marks a limited walk, whose repeat walks again.
+		limited bool
 	}{
 		{"two-type", "/v1/enumerate", `{"workload":"ep","max_arm":10,"max_amd":10,"frontier_only":true}`,
-			nil, "miss", func(t *testing.T) (*Server, []*Server) { return newTestServer(t, Options{}), nil }},
-		{"generic buffered", "/v1/enumerate-generic", fleetTri + "}", nil, "miss", local(Options{})},
-		{"generic gzip", "/v1/enumerate-generic", fleetTri + "}",
-			http.Header{"Accept-Encoding": {"gzip"}}, "miss", local(Options{})},
+			nil, "miss", twoType, false},
+		{"two-type limited", "/v1/enumerate", twoTypeLimited, nil, "miss", twoType, true},
+		{"two-type limited gzip", "/v1/enumerate", twoTypeLimited, gzipped, "miss", twoType, true},
+		{"generic limited", "/v1/enumerate-generic", genericLimited, nil, "miss", local(Options{}), true},
+		{"generic limited gzip", "/v1/enumerate-generic", genericLimited, gzipped, "miss", local(Options{}), true},
+		{"generic buffered", "/v1/enumerate-generic", fleetTri + "}", nil, "miss", local(Options{}), false},
+		{"generic gzip", "/v1/enumerate-generic", fleetTri + "}", gzipped, "miss", local(Options{}), false},
 		{"generic ndjson", "/v1/enumerate-generic", fleetTri + "}",
-			http.Header{"Accept": {"application/x-ndjson"}}, "", local(Options{})},
+			http.Header{"Accept": {"application/x-ndjson"}}, "", local(Options{}), false},
 		{"default shard slice", "/v1/enumerate-generic", fleetTri + "}", nil, "miss",
-			local(Options{DefaultShard: shard.Shard{Index: 1, Count: 2}})},
+			local(Options{DefaultShard: shard.Shard{Index: 1, Count: 2}}), false},
 		{"fleet merge", "/v1/enumerate-generic", fleetShardedBody(2), nil, "miss",
 			func(t *testing.T) (*Server, []*Server) {
 				f := newFleet(t, 2, Options{}, Options{})
 				return f.coord, f.replicas
-			}},
+			}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,6 +235,7 @@ func TestFrontierAnswersNeverCached(t *testing.T) {
 				return string(body)
 			}
 
+			before := evaluated()
 			first := ask()
 			misses, points := sum(tableMisses), evaluated()
 			if got := tableMisses(asked); got != 1 {
@@ -238,10 +252,14 @@ func TestFrontierAnswersNeverCached(t *testing.T) {
 			if got := sum(tableMisses); got != misses {
 				t.Errorf("the repeat built tables: table-cache misses %d -> %d", misses, got)
 			}
-			if len(evaluators) > 0 {
-				if d := evaluated() - points; d == 0 || d >= pruned {
-					t.Errorf("the repeat evaluated %d points, want 0 < n < %d (candidate sets only)", d, pruned)
+			switch d := evaluated() - points; {
+			case len(evaluators) == 0:
+			case tc.limited:
+				if d == 0 || d != points-before {
+					t.Errorf("the repeat walked %d points, want the first answer's %d", d, points-before)
 				}
+			case d == 0 || d >= pruned:
+				t.Errorf("the repeat evaluated %d points, want 0 < n < %d (candidate sets only)", d, pruned)
 			}
 		})
 	}
@@ -700,6 +718,18 @@ func TestRoutePredictForwards(t *testing.T) {
 	if rr.Body.String() != direct.Body.String() {
 		t.Fatalf("routed body differs from direct compute:\n%s\n%s", rr.Body, direct.Body)
 	}
+	// The owner's X-Cache is relayed: the first answer computed, the
+	// repeat served from the owner's result cache.
+	if got := rr.Header().Get("X-Cache"); got != "miss" {
+		t.Errorf("routed predict X-Cache = %q, want miss", got)
+	}
+	again := post(t, f.coord, "/v1/predict", body)
+	if again.Header().Get("X-Routed-To") != target || again.Body.String() != rr.Body.String() {
+		t.Fatalf("repeat routed to %q with a different body", again.Header().Get("X-Routed-To"))
+	}
+	if got := again.Header().Get("X-Cache"); got != "hit" {
+		t.Errorf("repeated routed predict X-Cache = %q, want hit", got)
+	}
 
 	// A request already carrying the routed marker is served locally.
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body))
@@ -763,7 +793,7 @@ func TestFleetChaosSoak(t *testing.T) {
 		},
 		BreakerThreshold: 100, // keep replica-side breakers out of the way
 	}
-	f := newFleet(t, 3, Options{BreakerThreshold: 200, CacheTTL: time.Millisecond}, replicaOpts)
+	f := newFleet(t, 3, Options{BreakerThreshold: 200}, replicaOpts)
 	sawOK, sawDegraded := false, false
 	for round := 0; round < 30; round++ {
 		rr := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(3))
@@ -781,7 +811,6 @@ func TestFleetChaosSoak(t *testing.T) {
 		default:
 			t.Fatalf("round %d: status %d: %s", round, rr.Code, rr.Body)
 		}
-		time.Sleep(2 * time.Millisecond) // let the TTL lapse so rounds recompute
 	}
 	if !sawOK {
 		t.Error("no fan-out round succeeded under chaos")

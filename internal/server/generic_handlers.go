@@ -104,9 +104,7 @@ type EnumerateGenericResponse struct {
 	// FailedShards lists the shard indices whose replicas failed when a
 	// coordinator served a degraded partial merge.
 	FailedShards []int `json:"failed_shards,omitempty"`
-	// Degraded marks a stale result served because the recompute path
-	// was failing, as in EnumerateResponse — or a fleet merge missing
-	// the FailedShards slices.
+	// Degraded marks a fleet merge missing the FailedShards slices.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -320,12 +318,12 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 			size, s.opts.MaxGenericSpace)
 	}
 	q := &query{
-		key:   resultKey{endpoint: "enumerate-generic", workload: req.Workload, version: ver, req: req},
-		work:  req.Work,
-		limit: req.Limit,
-		delta: req.Delta,
-		plan:  choosePlan(req.Shards, sh, req.FrontierOnly),
-		shard: sh,
+		version: ver,
+		work:    req.Work,
+		limit:   req.Limit,
+		delta:   req.Delta,
+		plan:    choosePlan(req.Shards, sh, req.FrontierOnly),
+		shard:   sh,
 		head: streamHead{
 			Workload:     req.Workload,
 			Work:         req.Work,

@@ -72,23 +72,20 @@ func acceptsGzip(r *http.Request) bool {
 }
 
 // writeBody is writeRaw for the enumeration endpoints, whose bodies
-// are the ones large enough to be worth compressing: a client that
-// accepts gzip and a body past the threshold get a pooled compress at
-// write time; everyone else gets the raw bytes.
-func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte, cached bool) {
+// are computed fresh every time (X-Cache: miss) and are the ones large
+// enough to be worth compressing: a client that accepts gzip and a body
+// past the threshold get a pooled compress at write time; everyone else
+// gets the raw bytes.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
 	h := w.Header()
 	h.Add("Vary", "Accept-Encoding")
 	if len(body) < gzipMinBytes || !acceptsGzip(r) {
-		writeRaw(w, body, cached)
+		writeRaw(w, body, false)
 		return
 	}
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Encoding", "gzip")
-	if cached {
-		h.Set("X-Cache", "hit")
-	} else {
-		h.Set("X-Cache", "miss")
-	}
+	h.Set("X-Cache", "miss")
 	zw := gzipGet(w)
 	zw.Write(body)
 	zw.Close()

@@ -9,7 +9,6 @@ package server
 // one cache entry.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -212,40 +211,22 @@ func versionTag(workload string, version uint64) string {
 	return workload + "@v" + strconv.FormatUint(version, 10)
 }
 
-// resultKey is a result-cache key not yet minted: the endpoint, the
-// workload and the profile version current when the request was
-// canonicalized, and the canonical request the key encodes. Minting
-// costs a json.Marshal, so a query defers it to the one reader, the
-// buffered sink; streamed answers never pay for it.
-type resultKey struct {
-	endpoint, workload string
-	version            uint64
-	req                any
-}
-
-func (s *Server) resultKey(endpoint, workload string, req any) resultKey {
-	return resultKey{endpoint: endpoint, workload: workload, version: s.calib.Version(workload), req: req}
-}
-
-// mint renders "endpoint|workload@vN|{json}"; keyed is false when the
-// request cannot be encoded, and the answer then bypasses the cache
-// entirely — a shared fallback key would alias every unmarshalable
-// request onto one entry and serve one request's body for another's.
-func (k resultKey) mint() (key string, keyed bool) {
-	b, err := json.Marshal(k.req)
+// versionedKey renders the result-cache key of a canonical request,
+// "endpoint|workload@vN|{json}", tagged with the workload's current
+// profile version. keyed is false when the request cannot be encoded,
+// and the answer then bypasses the cache entirely — a shared fallback
+// key would alias every unmarshalable request onto one entry and serve
+// one request's body for another's.
+func (s *Server) versionedKey(endpoint, workload string, req any) (key string, keyed bool) {
+	b, err := json.Marshal(req)
 	if err != nil {
 		return "", false
 	}
-	return k.endpoint + "|" + versionTag(k.workload, k.version) + "|" + string(b), true
-}
-
-// versionedKey mints the result-cache key of a request answered at once.
-func (s *Server) versionedKey(endpoint, workload string, v any) (key string, keyed bool) {
-	return s.resultKey(endpoint, workload, v).mint()
+	return endpoint + "|" + versionTag(workload, s.calib.Version(workload)) + "|" + string(b), true
 }
 
 // doCached runs compute through the result cache under key, or directly
-// and uncached when keyed is false (the resultKey.mint fallback).
+// and uncached when keyed is false (the versionedKey fallback).
 func (s *Server) doCached(key string, keyed bool, compute func() ([]byte, error)) ([]byte, bool, error) {
 	if !keyed {
 		v, err := compute()
@@ -256,19 +237,6 @@ func (s *Server) doCached(key string, keyed bool, compute func() ([]byte, error)
 		dropIfRetired(s, s.cache, key)
 	}
 	return v, cached, err
-}
-
-// doFresh is doCached for the TTL + degraded-stale paths.
-func (s *Server) doFresh(key string, keyed bool, compute func() ([]byte, error)) (v []byte, cached, stale bool, err error) {
-	if !keyed {
-		v, err = compute()
-		return v, false, false, err
-	}
-	v, cached, stale, err = s.cache.DoFresh(key, s.opts.CacheTTL, compute)
-	if !cached && err == nil {
-		dropIfRetired(s, s.cache, key)
-	}
-	return v, cached, stale, err
 }
 
 // dropIfRetired deletes a freshly stored entry from c when the profile
@@ -464,10 +432,6 @@ type EnumerateResponse struct {
 	Truncated    bool                   `json:"truncated,omitempty"`
 	FrontierOnly bool                   `json:"frontier_only,omitempty"`
 	Points       []cluster.PointSummary `json:"points"`
-	// Degraded marks a stale result served because the recompute path was
-	// failing (circuit open or compute error) — the numbers are from an
-	// expired cache entry, not a fresh evaluation.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 func (s *Server) normalizeEnumerate(req EnumerateRequest) (EnumerateRequest, error) {
@@ -499,21 +463,6 @@ func (s *Server) normalizeEnumerate(req EnumerateRequest) (EnumerateRequest, err
 		}
 	}
 	return req, nil
-}
-
-// markDegraded splices "degraded":true into a marshaled response so a
-// stale body serves with the flag set without a re-marshal round trip.
-func markDegraded(body []byte) []byte {
-	trimmed := bytes.TrimRight(body, " \t\r\n")
-	if len(trimmed) < 2 || trimmed[len(trimmed)-1] != '}' {
-		return body
-	}
-	out := make([]byte, 0, len(trimmed)+len(`,"degraded":true}`))
-	out = append(out, trimmed[:len(trimmed)-1]...)
-	if trimmed[len(trimmed)-2] != '{' {
-		out = append(out, ',')
-	}
-	return append(out, `"degraded":true}`...)
 }
 
 // --- /v1/budget ------------------------------------------------------
@@ -749,13 +698,12 @@ type FleetReplicaHealth struct {
 
 // HealthCache is the cache's counters in wire form.
 type HealthCache struct {
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	HitRatio    float64 `json:"hit_ratio"`
-	Entries     int     `json:"entries"`
-	Collapsed   uint64  `json:"collapsed"`
-	Evictions   uint64  `json:"evictions"`
-	StaleServes uint64  `json:"stale_serves"`
+	Hits      uint64  `json:"hits"`
+	Misses    uint64  `json:"misses"`
+	HitRatio  float64 `json:"hit_ratio"`
+	Entries   int     `json:"entries"`
+	Collapsed uint64  `json:"collapsed"`
+	Evictions uint64  `json:"evictions"`
 	// Bytes is the resident size of cached response bodies.
 	Bytes int64 `json:"bytes"`
 }
@@ -786,7 +734,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Cache: HealthCache{
 			Hits: st.Hits, Misses: st.Misses, HitRatio: st.HitRatio(),
 			Entries: st.Entries, Collapsed: st.Collapsed, Evictions: st.Evictions,
-			StaleServes: st.StaleServes, Bytes: st.Bytes,
+			Bytes: st.Bytes,
 		},
 		KernelTables:      s.tableBuilds.Value(),
 		Breaker:           s.breaker.State().String(),

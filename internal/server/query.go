@@ -3,8 +3,9 @@ package server
 // The enumeration pipeline behind /v1/enumerate, /v1/enumerate-generic
 // and its SSE variant: parse → canonical query → plan → executor →
 // sink. Each endpoint only parses; everything after the query is shared,
-// so a plan's walk, the breaker, the result cache and the delta store
-// each live at one call site.
+// so a plan's walk, the breaker and the delta store each live at one
+// call site. Every answer is computed from its table; none enters the
+// result cache.
 
 import (
 	"context"
@@ -54,14 +55,14 @@ func choosePlan(shards int, sh shard.Shard, frontierOnly bool) planKind {
 // query is one canonicalized enumeration request, whichever endpoint
 // and framing it arrived through.
 type query struct {
-	// key is the result-cache key of a buffered limited walk, minted
-	// only then; its version also tags the delta key.
-	key   resultKey
-	work  float64
-	limit int
-	delta bool
-	plan  planKind
-	shard shard.Shard
+	// version is the profile version a generic query was compiled
+	// under: the delta key's tag and the version fleet sub-requests pin.
+	version uint64
+	work    float64
+	limit   int
+	delta   bool
+	plan    planKind
+	shard   shard.Shard
 	// head carries the response's head fields; a two-type query learns
 	// its SpaceSize when the executor resolves the table.
 	head streamHead
@@ -81,7 +82,6 @@ func (s *Server) enumerateQuery(req EnumerateRequest) (*query, error) {
 		return nil, err
 	}
 	return &query{
-		key:   s.resultKey("enumerate", req.Workload, req),
 		work:  req.Work,
 		limit: req.Limit,
 		plan:  choosePlan(0, shard.Shard{}, req.FrontierOnly),
@@ -146,7 +146,7 @@ func (s *Server) handleEnumerateGenericSSE(w http.ResponseWriter, r *http.Reques
 }
 
 // serve answers q through the sink its framing selects: a streamed
-// response (wrapped for deltas when asked) or one cached JSON body.
+// response (wrapped for deltas when asked) or one JSON body.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *query, streamed bool, format stream.Format) {
 	if streamed {
 		ss := &streamSink{s: s, w: w, r: r, format: format}

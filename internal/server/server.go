@@ -18,10 +18,10 @@
 //	GET  /debug/pprof/                  runtime profiles (opt-in)
 //
 // The three enumeration routes share one pipeline (query.go, sink.go):
-// each parses its request into a canonical query — cache key, work,
-// limit, flags, head fields and a walker over the two-type or generic
-// table — the planner picks one plan (limited walk, frontier, shard
-// slice or fleet fan-out), one executor runs it under the enumerate
+// each parses its request into a canonical query — profile version,
+// work, limit, flags, head fields and a walker over the two-type or
+// generic table — the planner picks one plan (limited walk, frontier,
+// shard slice or fleet fan-out), one executor runs it under the enumerate
 // breaker (the fan-out under per-replica breakers) and emits head →
 // rows → trailer into a sink: a buffered JSON body, an NDJSON/SSE
 // stream, or a delta stream over a stored predecessor frontier.
@@ -31,18 +31,18 @@
 // Underneath, two instances of one LRU (internal/lru) memoize work. The
 // result cache, 16 shards of marshaled response bodies keyed on
 // canonicalized requests, collapses a thundering herd of identical
-// requests onto one computation; it holds what a table cannot answer
-// from a candidate set — limited walks, predict, budget, batch items and
-// delta predecessors — and never a frontier-only answer. The table
-// cache, one exact LRU of compiled kernel tables keyed by the cluster
-// spec alone, lets every work size and deadline against one cluster
-// share a single compiled artifact and the frontier candidate sets it
-// builds (concurrent first frontiers collapse onto one table build and
-// one set build); keeping it apart means result churn never evicts a
-// table. Every
-// request runs under a per-request timeout and a configurable
-// concurrency limiter (excess load is shed with 503 rather than queued
-// without bound), and Run drains in-flight requests on shutdown.
+// requests onto one computation; it holds predict, budget and batch
+// bodies and the delta predecessors, and never an enumeration answer:
+// every limited walk and frontier is computed from its compiled table.
+// The table cache, one exact LRU of compiled kernel tables keyed by the
+// cluster spec alone, lets every work size and deadline against one
+// cluster share a single compiled artifact and the frontier candidate
+// sets it builds (concurrent first enumerations collapse onto one table
+// build, and frontiers onto one set build); keeping it apart means
+// result churn never evicts a table. Every request runs under a
+// per-request timeout and a configurable concurrency limiter (excess
+// load is shed with 503 rather than queued without bound), and Run
+// drains in-flight requests on shutdown.
 package server
 
 import (
@@ -82,7 +82,9 @@ type ModelSource interface {
 type Options struct {
 	// Models supplies the fitted models. Required.
 	Models ModelSource
-	// CacheEntries bounds the result cache (default 4096 entries).
+	// CacheEntries bounds the result cache (default 4096 entries):
+	// predict, budget and batch bodies and the delta predecessors.
+	// Enumerations are computed every time and never stored.
 	CacheEntries int
 	// TableCacheEntries bounds the compiled kernel-table cache (default
 	// lru.DefaultCapacity). Unlike the result cache, its keys
@@ -118,12 +120,6 @@ type Options struct {
 	BatchWorkers int
 	// Registry receives the server's metrics (default: a fresh one).
 	Registry *metrics.Registry
-	// CacheTTL bounds how long a cached enumerate result (a limited
-	// walk; frontier-only answers are never cached) may serve without a
-	// recompute; 0 disables expiry. With a TTL set, a recompute failure
-	// serves the expired entry marked "degraded": true instead of an
-	// error (see the README's resilience section).
-	CacheTTL time.Duration
 	// BreakerThreshold and BreakerCooldown tune the circuit breaker on
 	// the enumerate compute path (defaults 5 failures, 5s cooldown).
 	BreakerThreshold int
@@ -580,9 +576,6 @@ func (s *Server) registerMetrics() {
 		func() uint64 { return s.cache.Stats().Collapsed })
 	r.NewCounterFunc("heteromixd_cache_evictions_total",
 		"result cache LRU evictions", func() uint64 { return s.cache.Stats().Evictions })
-	r.NewCounterFunc("heteromixd_cache_stale_serves_total",
-		"expired cache entries served because the recompute failed",
-		func() uint64 { return s.cache.Stats().StaleServes })
 	r.NewCounterFunc("heteromixd_table_cache_hits_total",
 		"compiled kernel-table cache hits", func() uint64 { return s.tables.Stats().Hits })
 	r.NewCounterFunc("heteromixd_table_cache_misses_total",
@@ -598,7 +591,7 @@ func (s *Server) registerMetrics() {
 	s.panics = r.NewCounter("heteromixd_panics_recovered_total",
 		"handler panics contained by the recovery middleware")
 	s.degraded = r.NewCounter("heteromixd_degraded_responses_total",
-		"responses served stale and marked degraded")
+		"fleet merges served as degraded partials, missing failed shards")
 	s.genericPoints = r.NewCounter("heteromixd_generic_points_evaluated_total",
 		"N-type configurations evaluated by /v1/enumerate-generic")
 	s.genericPruned = r.NewCounter("heteromixd_generic_points_pruned_total",

@@ -548,20 +548,14 @@ func (b *blockingSource) Space(workload string) (cluster.Space, error) {
 
 // TestEnumerateSingleflight proves the acceptance property: N identical
 // enumerate requests arriving together build exactly one kernel table,
-// the rest collapsing onto the runner. A limited walk's herd collapses
-// in the result cache, onto one computation of the answer; a frontier
-// herd, whose answers are never cached, collapses in the table cache,
-// onto one table build, and each caller then answers from its set.
+// the rest collapsing onto the runner. The herd — a limited walk or a
+// frontier, neither of which is ever cached — collapses in the table
+// cache, onto one table build, and each caller then computes its answer
+// from the table, leaving the result cache empty.
 func TestEnumerateSingleflight(t *testing.T) {
-	cases := []struct {
-		name, body string
-		// collapsed reads the cache the herd must collapse in.
-		collapsed func(*Server) uint64
-	}{
-		{"limited", `{"workload":"memcached","max_arm":6,"max_amd":4,"limit":50}`,
-			func(s *Server) uint64 { return s.CacheStats().Collapsed }},
-		{"frontier", `{"workload":"memcached","max_arm":6,"max_amd":4,"frontier_only":true}`,
-			func(s *Server) uint64 { return s.TableCacheStats().Collapsed }},
+	cases := []struct{ name, body string }{
+		{"limited", `{"workload":"memcached","max_arm":6,"max_amd":4,"limit":50}`},
+		{"frontier", `{"workload":"memcached","max_arm":6,"max_amd":4,"frontier_only":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -585,7 +579,7 @@ func TestEnumerateSingleflight(t *testing.T) {
 			// scheduling accident.
 			src.hold = func() {
 				deadline := time.Now().Add(5 * time.Second)
-				for tc.collapsed(s) < callers-1 && time.Now().Before(deadline) {
+				for s.TableCacheStats().Collapsed < callers-1 && time.Now().Before(deadline) {
 					time.Sleep(100 * time.Microsecond)
 				}
 			}
@@ -612,9 +606,11 @@ func TestEnumerateSingleflight(t *testing.T) {
 			if got := s.TableBuilds(); got != 1 {
 				t.Fatalf("kernel table built %d times for %d identical requests, want 1", got, callers)
 			}
-			if got := tc.collapsed(s); got != callers-1 {
-				t.Errorf("collapsed = %d, want %d (results %+v, tables %+v)",
-					got, callers-1, s.CacheStats(), s.TableCacheStats())
+			if got := s.TableCacheStats().Collapsed; got != callers-1 {
+				t.Errorf("collapsed = %d, want %d (tables %+v)", got, callers-1, s.TableCacheStats())
+			}
+			if st := s.CacheStats(); st.Entries != 0 || st.Hits+st.Misses != 0 {
+				t.Errorf("the result cache was used: %+v", st)
 			}
 		})
 	}

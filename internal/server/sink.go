@@ -1,9 +1,9 @@
 package server
 
 // The pipeline's sinks: where an executed plan's head → rows → trailer
-// go. A buffered sink assembles the one JSON body the result cache
-// stores; a stream sink writes NDJSON or SSE records as the walk proves
-// them; a delta sink wraps a stream sink to ship only what changed.
+// go. A buffered sink assembles one JSON body; a stream sink writes
+// NDJSON or SSE records as the walk proves them; a delta sink wraps a
+// stream sink to ship only what changed.
 //
 // A streamed enumeration never materializes its response: rows go
 // straight into internal/stream's pooled chunk buffer, so peak memory is
@@ -90,43 +90,26 @@ type shardProgress struct {
 
 // --- buffered ----------------------------------------------------------
 
-// serveBuffered answers q as one JSON body. Only a limited walk goes
-// through the result cache — TTL freshness, and an expired entry served
-// marked degraded when the recompute fails. A frontier-only answer,
-// whether whole-space, shard slice or fleet merge, is never cached: its
-// table's candidate set, which the table cache keeps, answers every work
-// size, so a stored body would only be a second copy. A degraded fleet
+// serveBuffered answers q as one JSON body, computed from its table
+// every time: no enumeration answer enters the result cache, whose
+// only enumeration entries are the delta predecessors. A degraded fleet
 // partial is served as it is, its envelope already marked.
 func (s *Server) serveBuffered(w http.ResponseWriter, r *http.Request, q *query) {
-	ctx := r.Context()
-	key, keyed := "", false
-	if q.plan == planLimited {
-		key, keyed = q.key.mint()
-	}
-	bs := &bufferedSink{ctx: ctx, generic: q.gen != nil, nullEmpty: q.plan == planFleet}
+	bs := &bufferedSink{ctx: r.Context(), generic: q.gen != nil, nullEmpty: q.plan == planFleet}
 	defer bs.release()
-	body, cached, stale, err := s.doFresh(key, keyed, func() ([]byte, error) {
-		if err := s.execute(ctx, q, bs); err != nil {
-			return nil, err
-		}
-		return bs.body, nil
-	})
+	err := s.execute(r.Context(), q, bs)
 	if q.plan == planFleet {
 		w.Header().Set("X-Fleet-Shards", strconv.Itoa(q.head.Shards))
 	}
-	switch {
-	case stale:
-		body = markDegraded(body)
-	case err != nil:
+	if err != nil {
 		replyError(w, r, err)
 		return
-	case !bs.degraded:
-		s.writeBody(w, r, body, cached)
-		return
 	}
-	s.degraded.Inc()
-	w.Header().Set("X-Degraded", "true")
-	s.writeBody(w, r, body, false)
+	if bs.degraded {
+		s.degraded.Inc()
+		w.Header().Set("X-Degraded", "true")
+	}
+	s.writeBody(w, r, bs.body)
 }
 
 // wireBufPool recycles the buffered sink's row buffers; enumeration
@@ -435,7 +418,7 @@ type deltaSink struct {
 func deltaKey(q *query) string {
 	var b strings.Builder
 	b.WriteString("deltaprev|")
-	b.WriteString(versionTag(q.gen.Workload, q.key.version))
+	b.WriteString(versionTag(q.gen.Workload, q.version))
 	b.WriteString("|")
 	for _, tr := range q.gen.Types {
 		b.WriteString("|")

@@ -351,7 +351,7 @@ func (s *Server) WarmFromPeer(ctx context.Context, target string) error {
 	var snap *snapshot.Snapshot
 	var derr error
 	endpoint := "/v1/snapshot?profile_hash=" + url.QueryEscape(s.calib.StateHash())
-	err := s.fleet.call(ctx, target, http.MethodGet, endpoint, nil, s.opts.MaxSnapshotBytes+1, func(st int, b []byte) error {
+	err := s.fleet.call(ctx, target, http.MethodGet, endpoint, nil, s.opts.MaxSnapshotBytes+1, func(st int, _ http.Header, b []byte) error {
 		status, size = st, len(b)
 		if st == http.StatusOK {
 			// Decode copies every field out of b, so snap outlives the

@@ -17,20 +17,23 @@ import (
 
 const (
 	snapPredictBody = `{"workload":"ep","arm":{"nodes":2},"amd":{"nodes":1}}`
+	snapBudgetBody  = `{"workload":"ep","budget_watts":400}`
 	snapGenericBody = `{"workload":"ep","types":[{"node":"arm-cortex-a9","max_nodes":2},{"node":"amd-opteron-k10","max_nodes":1}],"frontier_only":true}`
-	// snapLimitedBody is a limited walk of the same space: unlike the
-	// frontier, its answer is kept by the result cache.
+	// snapLimitedBody is a limited walk of the same space: like the
+	// frontier, it is computed from the table every time.
 	snapLimitedBody = `{"workload":"ep","types":[{"node":"arm-cortex-a9","max_nodes":2},{"node":"amd-opteron-k10","max_nodes":1}],"limit":5}`
 )
 
-// warmSnapshotServer serves one predict, one generic frontier and one
-// limited generic walk so both caches hold entries, then returns the
-// server.
+// warmSnapshotServer serves one predict, one budget, one generic
+// frontier and one limited generic walk, so the result cache holds the
+// predict and budget bodies and the table cache both kinds of table,
+// then returns the server.
 func warmSnapshotServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	s := newTestServer(t, opts)
 	for _, req := range []struct{ path, body string }{
 		{"/v1/predict", snapPredictBody},
+		{"/v1/budget", snapBudgetBody},
 		{"/v1/enumerate-generic", snapGenericBody},
 		{"/v1/enumerate-generic", snapLimitedBody},
 	} {
@@ -54,10 +57,11 @@ func writeWarmSnapshot(t testing.TB, s *Server) (path string, snap *snapshot.Sna
 
 // TestPreheatServesFirstRequestsWithZeroTableBuilds is the headline
 // acceptance: a server preheated from a warm sibling's snapshot serves
-// its first /v1/predict, first warm-spec limited walk and first
-// warm-spec frontier without building a single kernel table — and
-// without even a table cache miss. The predict and the limited walk hit
-// preheated results; the frontier, never cached, answers from the
+// its first /v1/predict, first /v1/budget, first warm-spec limited walk
+// and first warm-spec frontier without building a single kernel table —
+// and without even a table cache miss. The predict and the budget hit
+// preheated results; the limited walk, never cached, walks the
+// preheated table; the frontier, never cached either, answers from the
 // preheated table's candidate set, without the walk that builds it.
 func TestPreheatServesFirstRequestsWithZeroTableBuilds(t *testing.T) {
 	a := warmSnapshotServer(t, Options{})
@@ -76,10 +80,15 @@ func TestPreheatServesFirstRequestsWithZeroTableBuilds(t *testing.T) {
 	} else if rr.Header().Get("X-Cache") != "hit" {
 		t.Errorf("preheated first predict X-Cache = %q, want hit", rr.Header().Get("X-Cache"))
 	}
+	if rr := post(t, b, "/v1/budget", snapBudgetBody); rr.Code != http.StatusOK {
+		t.Fatalf("preheated budget: status %d: %s", rr.Code, rr.Body)
+	} else if rr.Header().Get("X-Cache") != "hit" {
+		t.Errorf("preheated first budget X-Cache = %q, want hit", rr.Header().Get("X-Cache"))
+	}
 	if rr := post(t, b, "/v1/enumerate-generic", snapLimitedBody); rr.Code != http.StatusOK {
 		t.Fatalf("preheated limited generic: status %d: %s", rr.Code, rr.Body)
-	} else if rr.Header().Get("X-Cache") != "hit" {
-		t.Errorf("preheated first limited generic X-Cache = %q, want hit", rr.Header().Get("X-Cache"))
+	} else if rr.Header().Get("X-Cache") != "miss" {
+		t.Errorf("preheated first limited generic X-Cache = %q, want miss (enumerations are never cached)", rr.Header().Get("X-Cache"))
 	}
 	if rr := post(t, b, "/v1/enumerate-generic", snapGenericBody); rr.Code != http.StatusOK {
 		t.Fatalf("preheated generic frontier: status %d: %s", rr.Code, rr.Body)

@@ -2,7 +2,7 @@ package server
 
 // Tests for the compiled kernel-table cache behind the handlers: warm
 // requests over an already-seen cluster must never rebuild a table, and
-// the resultKey.mint fallback must bypass the result cache instead of
+// versionedKey's fallback must bypass the result cache instead of
 // aliasing every unmarshalable value onto one shared key.
 
 import (
@@ -99,15 +99,15 @@ func TestTableCacheMetricsExposed(t *testing.T) {
 // served for every later one. The fallback now disables caching for the
 // request entirely.
 func TestCanonicalKeyFallbackBypassesCache(t *testing.T) {
-	if _, keyed := (resultKey{endpoint: "predict", workload: "ep", version: 3, req: struct{ C chan int }{}}).mint(); keyed {
+	s := newTestServer(t, Options{})
+	if _, keyed := s.versionedKey("predict", "ep", struct{ C chan int }{}); keyed {
 		t.Fatal("unmarshalable value should report keyed=false")
 	}
-	key, keyed := (resultKey{endpoint: "predict", workload: "ep", version: 3, req: map[string]int{"a": 1}}).mint()
-	if want := `predict|ep@v3|{"a":1}`; !keyed || key != want {
+	key, keyed := s.versionedKey("predict", "ep", map[string]int{"a": 1})
+	if want := "predict|" + versionTag("ep", s.calib.Version("ep")) + `|{"a":1}`; !keyed || key != want {
 		t.Fatalf("marshalable value should key canonically, got (%q, %v), want %q", key, keyed, want)
 	}
 
-	s := newTestServer(t, Options{})
 	runs := 0
 	compute := func() ([]byte, error) {
 		runs++

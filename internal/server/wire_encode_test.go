@@ -23,7 +23,7 @@ func bufferEnumerate(ctx context.Context, resp *EnumerateResponse) ([]byte, erro
 			return nil, err
 		}
 	}
-	bs.end(&streamTrailer{Returned: resp.Returned, Truncated: resp.Truncated, Degraded: resp.Degraded})
+	bs.end(&streamTrailer{Returned: resp.Returned, Truncated: resp.Truncated})
 	return bs.body, nil
 }
 
@@ -52,7 +52,6 @@ func randEnumResp(rng *rand.Rand) EnumerateResponse {
 		SpaceSize:    rng.Intn(1 << 20),
 		Truncated:    rng.Intn(2) == 0,
 		FrontierOnly: rng.Intn(2) == 0,
-		Degraded:     rng.Intn(3) == 0,
 	}
 	switch rng.Intn(4) {
 	case 0: // nil Points
