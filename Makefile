@@ -110,13 +110,14 @@ chaos:
 	HETEROMIX_CHAOS="latency=0.3:2ms,seed=1" $(GO) test -race -count=1 ./internal/server
 
 # The streaming wire layer under the race detector: pooled chunk
-# encoders, flush-boundary backpressure, gzip writer pooling, the delta
-# predecessor cache and the disconnect-shedding soak (clients hanging up
-# mid-stream must cancel the walk, leak nothing and never feed the
-# breaker) all exercise shared pools concurrently by design.
+# encoders, flush-boundary backpressure, gzip writer pooling, delta
+# streams against client-held base tokens and the disconnect-shedding
+# soak (clients hanging up mid-stream must cancel the walk, leak nothing
+# and never feed the breaker) all exercise shared pools concurrently by
+# design.
 stream-race:
 	$(GO) test -race -count=1 \
-		-run 'Stream|NDJSON|SSE|Delta|Diff|JoinSplit|Gzip|Disconnect|Encode|Writer|Append' \
+		-run 'Stream|NDJSON|SSE|Delta|Diff|Gzip|Disconnect|Encode|Writer|Append' \
 		./internal/stream ./internal/stream/delta ./internal/server
 
 # A short fixed-iteration run of the enumeration benchmarks: fast enough

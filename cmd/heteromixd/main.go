@@ -103,7 +103,7 @@ type daemonConfig struct {
 func main() {
 	var cfg daemonConfig
 	addr := flag.String("addr", ":8080", "listen address")
-	flag.IntVar(&cfg.cache, "cache", 4096, "result cache capacity in entries (predict, budget and batch bodies and delta predecessors; enumerations are computed every time)")
+	flag.IntVar(&cfg.cache, "cache", 4096, "result cache capacity in entries (predict, budget and batch bodies; enumerations are computed every time)")
 	flag.IntVar(&cfg.tableCache, "table-cache", 0, "compiled kernel-table cache capacity in entries (0 = default)")
 	flag.IntVar(&cfg.maxBatchItems, "max-batch-items", 256, "largest item count one /v1/batch request may carry")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")

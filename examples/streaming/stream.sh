@@ -16,8 +16,9 @@
 #     one row per line as the walk emits it.
 #  2. The same stream gzip-compressed.
 #  3. Server-Sent Events via GET, for EventSource-style consumers.
-#  4. Frontier deltas: a full stream registers the predecessor, a
-#     bounds-only re-query ships just the {"op":"add"|"del"} records.
+#  4. Frontier deltas: a full stream's trailer carries a base token; a
+#     re-query that sends it back as "since" ships just the
+#     {"op":"add"|"del"} records.
 set -e
 
 BASE="${1:-http://localhost:8080}"
@@ -51,13 +52,24 @@ echo
 
 echo "== 4. Frontier deltas =="
 DELTA_SPEC=$(printf '%s' "$SPEC" | sed 's/"frontier_only":true/"frontier_only":true,"delta":true/')
-echo "   first delta request streams the full frontier (mode: full)"
-echo "   and registers the predecessor:"
-curl -sS -X POST "$BASE/v1/enumerate-generic?stream=1" -d "$DELTA_SPEC" | head -1
-echo "   re-querying the identical spec ships zero ops:"
-curl -sS -X POST "$BASE/v1/enumerate-generic?stream=1" -d "$DELTA_SPEC" | sed -n '1p;$p'
+# since_spec SPEC BASE: SPEC with "since" set to the base token BASE.
+since_spec() {
+	printf '%s' "$1" | sed "s|\"delta\":true|\"delta\":true,\"since\":\"$2\"|"
+}
+# base_of: the base token in a stream's trailer (the last line).
+base_of() {
+	sed -n '$s/.*"base":"\([^"]*\)".*/\1/p'
+}
+echo "   first delta request streams the full frontier (mode: full);"
+echo "   its trailer carries the base token of what the client now holds:"
+FIRST=$(curl -sS -X POST "$BASE/v1/enumerate-generic?stream=1" -d "$DELTA_SPEC")
+printf '%s\n' "$FIRST" | sed -n '1p;$p'
+TOKEN=$(printf '%s\n' "$FIRST" | base_of)
+echo "   re-querying the identical spec since that base ships zero ops:"
+curl -sS -X POST "$BASE/v1/enumerate-generic?stream=1" -d "$(since_spec "$DELTA_SPEC" "$TOKEN")" | sed -n '1p;$p'
 echo "   shrinking a bound ships only the rows that left/entered the"
 echo "   frontier ({\"op\":\"del\"} / {\"op\":\"add\"} records):"
 SHRUNK=$(printf '%s' "$DELTA_SPEC" | sed 's/"arm-cortex-a15","max_nodes":4,"needs_switch":true/"arm-cortex-a15","max_nodes":2,"needs_switch":true/')
-curl -sS -X POST "$BASE/v1/enumerate-generic?stream=1" -d "$SHRUNK" | sed -n '1p;2p;$p'
-echo "   (head says mode: delta; the trailer counts adds/dels)"
+curl -sS -X POST "$BASE/v1/enumerate-generic?stream=1" -d "$(since_spec "$SHRUNK" "$TOKEN")" | sed -n '1p;2p;$p'
+echo "   (head says mode: delta; the trailer counts adds/dels and carries"
+echo "   the new base for the next poll)"

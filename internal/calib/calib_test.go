@@ -387,3 +387,51 @@ func TestStateHashTracksProfileState(t *testing.T) {
 		t.Fatal("identical installs must converge to the same state hash")
 	}
 }
+
+// TestProfileDigestNamesModels: the digest tells apart two registries at
+// one version whose models differ, agrees where they match, and moves
+// only with the workload's own overrides and base source.
+func TestProfileDigestNamesModels(t *testing.T) {
+	scaled := func(scale float64) model.NodeModel {
+		nm, err := testSuite().Model("ep", hwsim.ARMCortexA9())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nm.Profile.InstructionsPerUnit *= scale
+		return nm
+	}
+	install := func(r *Registry, workload string, nm model.NodeModel) {
+		t.Helper()
+		if _, err := r.Install(workload, nm.Spec.Name, nm, "install"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b, c := NewRegistry(testSuite(), Options{}), NewRegistry(testSuite(), Options{}), NewRegistry(testSuite(), Options{})
+	v, base := a.Profile("ep")
+	if _, d := b.Profile("ep"); v != 1 || d != base {
+		t.Fatalf("fresh registries: version %d, digests %x and %x", v, base, d)
+	}
+	other := NewRegistry(experiments.NewSuite(experiments.SuiteOptions{Seed: 7}), Options{})
+	if _, d := other.Profile("ep"); d == base {
+		t.Fatal("another base fingerprint must change the digest")
+	}
+	install(a, "ep", scaled(1.07))
+	install(b, "ep", scaled(1.07))
+	install(c, "ep", scaled(1.09))
+	va, da := a.Profile("ep")
+	vb, db := b.Profile("ep")
+	vc, dc := c.Profile("ep")
+	if va != 2 || vb != 2 || vc != 2 || da == base {
+		t.Fatalf("after one install: versions %d/%d/%d, digest %x (base %x)", va, vb, vc, da, base)
+	}
+	if da != db {
+		t.Fatal("identical installs must converge to the same digest")
+	}
+	if dc == da {
+		t.Fatal("another model at the same version must change the digest")
+	}
+	install(a, "memcached", scaled(1.07))
+	if _, d := a.Profile("ep"); d != da {
+		t.Fatal("another workload's install must not change the digest")
+	}
+}

@@ -167,6 +167,10 @@ type Registry struct {
 	nodes NodeModelSource // nil when base does not implement it
 	opts  Options
 
+	// baseDigest hashes base's fingerprint, when it has one (see
+	// Profile).
+	baseDigest uint64
+
 	mu         sync.Mutex
 	versions   map[string]uint64 // per workload; absent = 1
 	generation uint64
@@ -188,6 +192,10 @@ func NewRegistry(base ModelSource, opts Options) *Registry {
 	if nms, ok := base.(NodeModelSource); ok {
 		r.nodes = nms
 	}
+	r.baseDigest = fnvOffset
+	if fp, ok := base.(interface{ ModelFingerprint() string }); ok {
+		r.baseDigest = fnv64(r.baseDigest, fp.ModelFingerprint())
+	}
 	return r
 }
 
@@ -197,6 +205,36 @@ func (r *Registry) Version(workload string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.versionLocked(workload)
+}
+
+// Profile returns the workload's active version and a digest of the
+// models it resolves to: the base source's fingerprint (experiments.Suite
+// has one; other sources contribute nothing) plus the node and content
+// hash of every override installed for the workload. The version is a
+// per-process counter, so two processes at one version may hold other
+// models; their digests for the workload agree exactly when its models
+// do (up to a 64-bit hash collision).
+func (r *Registry) Profile(workload string) (version, digest uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	digest = r.baseDigest
+	for k, e := range r.overrides {
+		if k.Workload == workload {
+			// Summed, so map order cannot change the digest.
+			digest += fnv64(fnv64(fnv64(fnvOffset, k.Node), "\x00"), e.Hash)
+		}
+	}
+	return r.versionLocked(workload), digest
+}
+
+// fnvOffset seeds fnv64, the 64-bit FNV-1a hash of s continuing from h.
+const fnvOffset = 14695981039346656037
+
+func fnv64(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 func (r *Registry) versionLocked(workload string) uint64 {

@@ -361,13 +361,14 @@ func TestGenericBumpDuringModelLookupRetiresTable(t *testing.T) {
 
 // TestBumpDuringBuildLeavesNoRetiredEntries: a bump that lands while a
 // generic request resolves its models runs its sweep before that
-// request's table and result-cache entry are stored. Both are keyed
-// under the retired version, and neither may stay behind in its cache.
-// The request is a delta stream, whose frontier is the one result-cache
-// entry an enumeration stores: the next delta query's predecessor.
+// request's table is stored. The table is keyed under the retired
+// version and may not stay behind in the table cache, and the request
+// stores nothing in the result cache. The request is a delta stream:
+// the base token it mints names the retired version, so sent back it
+// answers full, while a token minted at the new version answers delta.
 func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
-	deltaBody := func(work float64) string {
-		return fmt.Sprintf(`%s,"work":%g,"frontier_only":true,"delta":true}`, triBody, work)
+	spec := func(work float64) string {
+		return fmt.Sprintf(`%s,"work":%g,"frontier_only":true`, triBody, work)
 	}
 	nm := perturbedModel(t, "ep", "arm-cortex-a9", 1.25)
 	src := &bumpingSource{Suite: testSuite()}
@@ -378,30 +379,24 @@ func TestBumpDuringBuildLeavesNoRetiredEntries(t *testing.T) {
 		}
 	}
 	src.armed.Store(true)
-	if rr := postStream(t, s, "/v1/enumerate-generic", deltaBody(1e8), nil); rr.Code != http.StatusOK {
-		t.Fatalf("racing request: %d %s", rr.Code, rr.Body)
-	}
-	if v := s.calib.Version("ep"); v != 2 {
-		t.Fatalf("ep version after the racing request = %d, want 2", v)
+	c := &deltaClient{t: t, s: s}
+	c.poll(spec(1e8))
+	if v := s.calib.Version("ep"); v != 2 || !strings.HasPrefix(c.base, "ep@v1/") {
+		t.Fatalf("ep version after the racing request = %d, its base %q; want 2 and a v1 base", v, c.base)
 	}
 	for _, e := range s.tables.Hottest(0) {
 		if strings.Contains(e.Key, "|ep@v1|") {
 			t.Errorf("table cache still holds %q", e.Key)
 		}
 	}
-	for _, e := range s.cache.Hottest(0) {
-		if strings.Contains(e.Key, "|ep@v1|") {
-			t.Errorf("result cache still holds %q", e.Key)
-		}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("the delta stream left %d result-cache entries", n)
 	}
-	// Without a bump the same kind of request is stored as usual: the
-	// repeat finds its predecessor.
-	if rr := postStream(t, s, "/v1/enumerate-generic", deltaBody(2e8), nil); rr.Code != http.StatusOK {
-		t.Fatalf("post-bump request: %d %s", rr.Code, rr.Body)
+	if st := c.poll(spec(1e8)); !strings.HasPrefix(st.trailer.Base, "ep@v2/") || st.head.Mode != "full" {
+		t.Errorf("a token minted under the retired version answered mode %q", st.head.Mode)
 	}
-	rr := postStream(t, s, "/v1/enumerate-generic", deltaBody(2e8), nil)
-	if mode := parseNDJSON(t, rr.Body.String()).head.Mode; mode != "delta" {
-		t.Errorf("a repeat at the current version found no predecessor (mode %q)", mode)
+	if st := c.poll(spec(2e8)); st.head.Mode != "delta" {
+		t.Errorf("a token minted at the current version answered mode %q", st.head.Mode)
 	}
 }
 

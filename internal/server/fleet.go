@@ -437,7 +437,7 @@ func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n
 	sub.Shards = 0
 	// Shard sub-requests are buffered exchanges regardless of how the
 	// coordinator's own response is framed.
-	sub.Delta = false
+	sub.Delta, sub.Since = false, ""
 	sh := shard.Shard{Index: i, Count: n}
 	sub.Shard = sh.String()
 	// Pin the profile version q's table was compiled under: a replica on

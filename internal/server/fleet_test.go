@@ -182,7 +182,10 @@ func TestFrontierAnswersNeverCached(t *testing.T) {
 			local(Options{DefaultShard: shard.Shard{Index: 1, Count: 2}}), false},
 		{"fleet merge", "/v1/enumerate-generic", fleetShardedBody(2), nil, "miss",
 			func(t *testing.T) (*Server, []*Server) {
-				f := newFleet(t, 2, Options{}, Options{})
+				// A hedge sends a slow shard to the replica that has not
+				// built that slice, which then builds it: no hedging, so
+				// each slice is built once, by its primary.
+				f := newFleet(t, 2, Options{DisableHedge: true}, Options{})
 				return f.coord, f.replicas
 			}, false},
 	}

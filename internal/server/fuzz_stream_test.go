@@ -2,7 +2,7 @@ package server
 
 // Fuzzes the streaming negotiation surface: Accept / Accept-Encoding
 // headers, the SSE endpoint's query-parameter parser, and delta
-// requests. The contract is the same 400-never-5xx rule as the body
+// requests with their since tokens. The contract is the same 400-never-5xx rule as the body
 // fuzz — a stream either starts with a 200 or the request fails with a
 // clean 4xx, whatever the headers and query say; and once started, the
 // body is well-framed NDJSON/SSE, never a half-written JSON envelope.

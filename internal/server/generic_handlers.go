@@ -6,6 +6,7 @@ package server
 // rejects absurd spaces with a 400 before any enumeration runs.
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 
@@ -71,13 +72,20 @@ type EnumerateGenericRequest struct {
 	// its own table was compiled under, so a profile bump racing a
 	// fan-out can never merge slices chosen under other models.
 	ProfileVersion uint64 `json:"profile_version,omitempty"`
-	// Delta asks a streamed frontier request to ship only the points
-	// that entered or left the frontier since this client spec's
-	// predecessor ({"op":"add"|"del"} records), falling back to a full
-	// stream on the first query or after a profile bump. Requires
-	// frontier_only and a streamed response; incompatible with shard
-	// slices (a slice's frontier is not the spec's frontier).
+	// Delta asks for a streamed frontier whose complete trailer carries
+	// a "base" token naming this spec. With Since it ships only the
+	// points that entered or left the frontier since that base
+	// ({"op":"add"|"del"} records); without Since, or with a base of
+	// another workload, type list, profile version or model digest, the
+	// stream is full. Requires frontier_only and a streamed response;
+	// incompatible with shard slices (a slice's frontier is not the
+	// spec's frontier).
 	Delta bool `json:"delta,omitempty"`
+	// Since is the "base" token of the delta stream whose frontier this
+	// client holds. The server keeps no delta state: it recomputes that
+	// frontier from the token, which must name a spec a request could
+	// (a malformed or out-of-bounds token is a 400). Requires delta.
+	Since string `json:"since,omitempty"`
 }
 
 // EnumerateGenericResponse carries the points (or frontier) of the
@@ -209,7 +217,14 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 	// pinned version must match it; a matched pin canonicalizes away so
 	// pinned and unpinned requests share one cache entry (they are
 	// computed under identical parameters).
-	ver := s.calib.Version(req.Workload)
+	// A delta query reads its model digest with the version, for its
+	// base token.
+	var ver, digest uint64
+	if req.Delta {
+		ver, digest = s.calib.Profile(req.Workload)
+	} else {
+		ver = s.calib.Version(req.Workload)
+	}
 	if req.ProfileVersion != 0 {
 		if req.ProfileVersion != ver {
 			return nil, errProfileConflict{Workload: req.Workload, Want: req.ProfileVersion, Have: ver}
@@ -282,6 +297,8 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 		if req.Shard != "" {
 			return nil, badRequestf("delta is incompatible with shard slices")
 		}
+	} else if req.Since != "" {
+		return nil, badRequestf("since requires delta")
 	}
 	if req.Shards < 0 || req.Shards > maxFleetShards {
 		return nil, badRequestf("shards must be in [0, %d], got %d", maxFleetShards, req.Shards)
@@ -336,9 +353,19 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 		},
 		walker: walker{gen: walk, names: names},
 		gen:    &req,
+		digest: digest,
 	}
 	if prunedSize > 0 {
 		q.pruned = space - prunedSize
+	}
+	if req.Since != "" {
+		if q.base, err = s.baseQuery(q); err != nil {
+			var br badRequest
+			if errors.As(err, &br) {
+				err = badRequestf("since: %s", br.msg)
+			}
+			return nil, err
+		}
 	}
 	return q, nil
 }

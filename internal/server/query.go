@@ -3,15 +3,16 @@ package server
 // The enumeration pipeline behind /v1/enumerate, /v1/enumerate-generic
 // and its SSE variant: parse → canonical query → plan → executor →
 // sink. Each endpoint only parses; everything after the query is shared,
-// so a plan's walk, the breaker and the delta store each live at one
-// call site. Every answer is computed from its table; none enters the
-// result cache.
+// so a plan's walk, the breaker and the delta diff each live at one call
+// site. Every answer is computed from its table; none enters the result
+// cache.
 
 import (
 	"context"
 	"errors"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -56,7 +57,7 @@ func choosePlan(shards int, sh shard.Shard, frontierOnly bool) planKind {
 // and framing it arrived through.
 type query struct {
 	// version is the profile version a generic query was compiled
-	// under: the delta key's tag and the version fleet sub-requests pin.
+	// under: the base token's tag and the version fleet sub-requests pin.
 	version uint64
 	work    float64
 	limit   int
@@ -71,8 +72,15 @@ type query struct {
 	pruned uint64
 	walker walker
 	// gen is the canonical generic request: the fan-out's sub-request
-	// template and the delta key's source. nil for /v1/enumerate.
+	// template and the base token's source. nil for /v1/enumerate.
 	gen *EnumerateGenericRequest
+	// base is a delta query's since spec, the frontier its ops diff
+	// against: q itself when the token names q's spec, nil when the
+	// stream is full.
+	base *query
+	// digest is a delta query's calib Profile digest at version, so its
+	// base token names the models as well as the per-process version.
+	digest uint64
 }
 
 // enumerateQuery parses a /v1/enumerate request.
@@ -152,7 +160,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *query, streame
 		ss := &streamSink{s: s, w: w, r: r, format: format}
 		var sk sink = ss
 		if q.delta {
-			sk = &deltaSink{streamSink: ss, key: deltaKey(q)}
+			sk = &deltaSink{streamSink: ss, q: q}
 		}
 		s.finishStream(w, r, ss, s.execute(r.Context(), q, sk))
 		return
@@ -367,34 +375,112 @@ func (wk *walker) emitGeneric(pts []cluster.GenericPoint, emit func([]byte) erro
 	return nil
 }
 
+// parseTypes parses the types grammar of the SSE endpoint and of base
+// tokens: a comma-separated list of "node:max_nodes" or
+// "node:max_nodes:switch" entries. Every failure is a 400.
+func parseTypes(list string) ([]GenericTypeRequest, error) {
+	var types []GenericTypeRequest
+	for i, entry := range strings.Split(list, ",") {
+		parts := strings.Split(entry, ":")
+		if len(parts) < 2 || len(parts) > 3 {
+			return nil, badRequestf("types[%d]: want node:max_nodes[:switch], got %q", i, entry)
+		}
+		var tr GenericTypeRequest
+		tr.Node = parts[0]
+		n, err := strconv.Atoi(parts[1])
+		if err != nil {
+			return nil, badRequestf("types[%d]: bad max_nodes %q", i, parts[1])
+		}
+		tr.MaxNodes = n
+		if len(parts) == 3 {
+			if parts[2] != "switch" {
+				return nil, badRequestf("types[%d]: trailing field must be \"switch\", got %q", i, parts[2])
+			}
+			tr.NeedsSwitch = true
+		}
+		types = append(types, tr)
+	}
+	return types, nil
+}
+
+// baseToken is the since token a complete delta stream's trailer
+// carries: q's canonical spec as
+// "<workload>@v<version>/<digest>/<work>/<types>", the digest in hex,
+// the work as the head encodes it (round-trip exact, and never with a
+// '+', so the token needs no escaping in a query string) and the types
+// in parseTypes's grammar.
+func baseToken(q *query) string {
+	b := append([]byte(versionTag(q.gen.Workload, q.version)), '/')
+	b = append(strconv.AppendUint(b, q.digest, 16), '/')
+	b = stream.AppendFloat(b, q.work)
+	sep := byte('/')
+	for _, tr := range q.gen.Types {
+		b = append(append(b, sep), tr.Node...)
+		b = strconv.AppendInt(append(b, ':'), int64(tr.MaxNodes), 10)
+		if tr.NeedsSwitch {
+			b = append(b, ":switch"...)
+		}
+		sep = ','
+	}
+	return string(b)
+}
+
+// baseQuery resolves q's since token to the frontier query its ops diff
+// against: q itself when the token names q's spec, else a query built
+// through the same validation, table cache and size guard as a request,
+// so a token buys no more compute than a request could, and sharded
+// like q, so a fleet base fans out too. A token that fails them is a
+// 400. One of another workload, type list, profile version or model
+// digest (retired, from another process's models, or bumped while q
+// resolved) answers nil: q streams in full.
+func (s *Server) baseQuery(q *query) (*query, error) {
+	if q.gen.Since == baseToken(q) {
+		return q, nil
+	}
+	parts := strings.Split(q.gen.Since, "/")
+	at := strings.LastIndex(parts[0], "@v")
+	if len(parts) != 4 || at < 0 {
+		return nil, badRequestf("want workload@vN/digest/work/types, got %q", q.gen.Since)
+	}
+	ver, err := strconv.ParseUint(parts[0][at+2:], 10, 64)
+	if err != nil {
+		return nil, badRequestf("bad version %q", parts[0])
+	}
+	digest, err := strconv.ParseUint(parts[1], 16, 64)
+	if err != nil {
+		return nil, badRequestf("bad digest %q", parts[1])
+	}
+	req := EnumerateGenericRequest{Workload: parts[0][:at], FrontierOnly: true, Shards: q.gen.Shards}
+	if req.Work, err = strconv.ParseFloat(parts[2], 64); err != nil {
+		return nil, badRequestf("bad work %q", parts[2])
+	}
+	if req.Types, err = parseTypes(parts[3]); err != nil {
+		return nil, err
+	}
+	if req.Workload != q.gen.Workload || !slices.EqualFunc(req.Types, q.gen.Types, func(a, b GenericTypeRequest) bool {
+		return a.Node == b.Node && a.NeedsSwitch == b.NeedsSwitch
+	}) {
+		return nil, nil
+	}
+	base, err := s.genericQuery(req)
+	if err != nil || ver != q.version || digest != q.digest || base.version != q.version {
+		return nil, err
+	}
+	return base, nil
+}
+
 // parseStreamQuery maps the SSE endpoint's query parameters onto an
-// EnumerateGenericRequest. types is a comma-separated list of
-// "node:max_nodes" or "node:max_nodes:switch" entries; booleans accept
+// EnumerateGenericRequest: types in parseTypes's grammar, booleans in
 // strconv.ParseBool forms. Every failure is a 400.
 func parseStreamQuery(q url.Values) (EnumerateGenericRequest, error) {
 	var req EnumerateGenericRequest
 	req.Workload = q.Get("workload")
 	if t := q.Get("types"); t != "" {
-		for i, entry := range strings.Split(t, ",") {
-			parts := strings.Split(entry, ":")
-			if len(parts) < 2 || len(parts) > 3 {
-				return req, badRequestf("types[%d]: want node:max_nodes[:switch], got %q", i, entry)
-			}
-			var tr GenericTypeRequest
-			tr.Node = parts[0]
-			n, err := strconv.Atoi(parts[1])
-			if err != nil {
-				return req, badRequestf("types[%d]: bad max_nodes %q", i, parts[1])
-			}
-			tr.MaxNodes = n
-			if len(parts) == 3 {
-				if parts[2] != "switch" {
-					return req, badRequestf("types[%d]: trailing field must be \"switch\", got %q", i, parts[2])
-				}
-				tr.NeedsSwitch = true
-			}
-			req.Types = append(req.Types, tr)
+		types, err := parseTypes(t)
+		if err != nil {
+			return req, err
 		}
+		req.Types = types
 	}
 	var err error
 	if v := q.Get("work"); v != "" {
@@ -432,6 +518,7 @@ func parseStreamQuery(q url.Values) (EnumerateGenericRequest, error) {
 		}
 	}
 	req.Shard = q.Get("shard")
+	req.Since = q.Get("since")
 	if v := q.Get("profile_version"); v != "" {
 		if req.ProfileVersion, err = strconv.ParseUint(v, 10, 64); err != nil {
 			return req, badRequestf("bad profile_version %q", v)

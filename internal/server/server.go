@@ -24,16 +24,16 @@
 // shard slice or fleet fan-out), one executor runs it under the enumerate
 // breaker (the fan-out under per-replica breakers) and emits head →
 // rows → trailer into a sink: a buffered JSON body, an NDJSON/SSE
-// stream, or a delta stream over a stored predecessor frontier.
+// stream, or a delta stream against the base frontier its client names.
 // Two-type, generic, streamed and fleet answers differ only in their
 // parse, plan and sink.
 //
 // Underneath, two instances of one LRU (internal/lru) memoize work. The
 // result cache, 16 shards of marshaled response bodies keyed on
 // canonicalized requests, collapses a thundering herd of identical
-// requests onto one computation; it holds predict, budget and batch
-// bodies and the delta predecessors, and never an enumeration answer:
-// every limited walk and frontier is computed from its compiled table.
+// requests onto one computation; it holds only predict, budget and
+// batch bodies, never an enumeration answer: every limited walk and
+// frontier is computed from its compiled table.
 // The table cache, one exact LRU of compiled kernel tables keyed by the
 // cluster spec alone, lets every work size and deadline against one
 // cluster share a single compiled artifact and the frontier candidate
@@ -83,8 +83,8 @@ type Options struct {
 	// Models supplies the fitted models. Required.
 	Models ModelSource
 	// CacheEntries bounds the result cache (default 4096 entries):
-	// predict, budget and batch bodies and the delta predecessors.
-	// Enumerations are computed every time and never stored.
+	// predict, budget and batch bodies. Enumerations are computed every
+	// time and never stored.
 	CacheEntries int
 	// TableCacheEntries bounds the compiled kernel-table cache (default
 	// lru.DefaultCapacity). Unlike the result cache, its keys
@@ -624,9 +624,9 @@ func (s *Server) registerMetrics() {
 	s.streamDisconnects = r.NewCounter("heteromixd_stream_disconnects_total",
 		"streams abandoned by the client mid-response (the walk was shed)")
 	s.deltaHits = r.NewCounter("heteromixd_delta_hits_total",
-		"delta-requested streams that found a predecessor frontier and shipped ops")
+		"delta-requested streams whose since base was valid, so ops against it shipped")
 	s.deltaMisses = r.NewCounter("heteromixd_delta_misses_total",
-		"delta-requested streams that fell back to a full stream")
+		"delta-requested streams with no since base, or one of another workload, type list, profile version or model digest, answered in full")
 	s.deltaAdds = r.NewCounter("heteromixd_delta_adds_total",
 		"add ops shipped on delta streams")
 	s.deltaDels = r.NewCounter("heteromixd_delta_dels_total",

@@ -30,7 +30,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"heteromix/internal/stream"
@@ -60,10 +59,10 @@ type streamHead struct {
 	FrontierOnly bool     `json:"frontier_only,omitempty"`
 	Shard        string   `json:"shard,omitempty"`
 	Shards       int      `json:"shards,omitempty"`
-	// Mode is set on delta-requested streams: "delta" when a predecessor
-	// frontier was found and ops follow, "full" when the stream fell back
-	// to whole rows (first query, or a profile bump retired the
-	// predecessor).
+	// Mode is set on delta-requested streams: "delta" when ops against
+	// the since base follow, "full" when whole rows do (no since, or a
+	// base of another workload, type list, profile version or model
+	// digest, or a fleet base fanned out only in part).
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -77,6 +76,8 @@ type streamTrailer struct {
 	Indices      []uint64 `json:"indices,omitempty"`
 	Adds         int      `json:"adds,omitempty"`
 	Dels         int      `json:"dels,omitempty"`
+	// Base is a complete delta stream's since token for its frontier.
+	Base string `json:"base,omitempty"`
 }
 
 // shardProgress is the fleet coordinator's per-shard completion record,
@@ -91,9 +92,8 @@ type shardProgress struct {
 // --- buffered ----------------------------------------------------------
 
 // serveBuffered answers q as one JSON body, computed from its table
-// every time: no enumeration answer enters the result cache, whose
-// only enumeration entries are the delta predecessors. A degraded fleet
-// partial is served as it is, its envelope already marked.
+// every time: no enumeration answer enters the result cache. A degraded
+// fleet partial is served as it is, its envelope already marked.
 func (s *Server) serveBuffered(w http.ResponseWriter, r *http.Request, q *query) {
 	bs := &bufferedSink{ctx: r.Context(), generic: q.gen != nil, nullEmpty: q.plan == planFleet}
 	defer bs.release()
@@ -394,49 +394,41 @@ func (s *Server) finishStream(w http.ResponseWriter, r *http.Request, ss *stream
 
 // --- deltas ----------------------------------------------------------
 
-// deltaSink serves a frontier stream with "delta": true. It diffs the
-// new frontier against the result-cache-held predecessor for the same
-// spec-minus-bounds key (node types and switch flags, profile-versioned
-// — but not max_nodes, work or limit), so a re-query that only moved its
-// bounds ships {"op":"add"|"del"} records instead of the whole frontier.
-// A miss or a profile bump falls back to a full stream, announced by the
-// head record's "mode". Only a complete frontier becomes the next
-// predecessor: a degraded fleet partial would turn its missing slices
-// into phantom deletions next time.
+// deltaSink serves a frontier stream with "delta": true. With a valid
+// since base it diffs the new frontier against that base's, recomputed
+// through the base's own plan, so a re-query that only moved its bounds
+// ships {"op":"add"|"del"} records instead of the whole frontier;
+// without one the stream is full. The head's "mode" says which. The
+// server holds no delta state: a complete stream's trailer hands the
+// client the base token of the frontier it now holds. A degraded fleet
+// partial carries none, since its missing slices would read as
+// deletions next time.
 type deltaSink struct {
 	*streamSink
-	key  string
-	prev [][]byte
-	rows [][]byte
+	q *query
+	// diff is set when ops against the base ship instead of whole rows.
+	diff       bool
+	prev, rows rowsSink
 }
 
-// deltaKey is the predecessor-frontier cache key: the workload tagged
-// with the profile version q was compiled under, plus the type list
-// WITHOUT its bounds — node names and switch flags only. The
-// "|workload@vN|" infix is the shape every versioned key carries, so the
-// profile-bump sweep retires delta predecessors with everything else.
-func deltaKey(q *query) string {
-	var b strings.Builder
-	b.WriteString("deltaprev|")
-	b.WriteString(versionTag(q.gen.Workload, q.version))
-	b.WriteString("|")
-	for _, tr := range q.gen.Types {
-		b.WriteString("|")
-		b.WriteString(tr.Node)
-		if tr.NeedsSwitch {
-			b.WriteString(":switch")
-		}
-	}
-	return b.String()
-}
-
-// begin resolves the stream's mode before the first byte: the
-// predecessor rows on a hit, full mode on a miss.
+// begin resolves the stream's mode before the first byte. A base naming
+// q's own spec is the frontier q computes, so there is nothing to walk
+// or diff. Any other base runs through its plan, a fleet base through
+// the fan-out like q; one the fleet gives only in part leaves the
+// stream full.
 func (d *deltaSink) begin(h *streamHead) error {
+	switch base := d.q.base; {
+	case base == d.q:
+		d.diff = true
+	case base != nil:
+		if err := d.s.runPlan(d.r.Context(), base, &d.prev); err != nil {
+			return err
+		}
+		d.diff = !d.prev.degraded
+	}
 	h.Mode = "full"
-	if v, ok := d.s.cache.Get(d.key); ok {
+	if d.diff {
 		d.s.deltaHits.Inc()
-		d.prev = delta.Split(v)
 		h.Mode = "delta"
 	} else {
 		d.s.deltaMisses.Inc()
@@ -444,38 +436,23 @@ func (d *deltaSink) begin(h *streamHead) error {
 	return d.streamSink.begin(h)
 }
 
-// row keeps the frontier as data: it is diffed and stored at the end.
+// row passes a full stream's rows through and keeps a diffed one's as
+// data for the end, unless the base is q's own spec: then they are the
+// rows the client holds.
 func (d *deltaSink) row(r []byte) error {
-	d.rows = append(d.rows, append([]byte(nil), r...))
+	switch {
+	case !d.diff:
+		return d.streamSink.row(r)
+	case d.q.base != d.q:
+		return d.rows.row(r)
+	}
 	return nil
 }
 
+// end ships a diffed stream's ops, settling the trailer's op counts,
+// and a complete stream's base token.
 func (d *deltaSink) end(tr *streamTrailer) error {
-	err := d.emit(tr)
-	if !tr.Degraded {
-		// The new frontier becomes the predecessor even if the client
-		// vanished mid-emit: it reflects a completed walk.
-		d.s.cache.Add(d.key, delta.Join(d.rows))
-		dropIfRetired(d.s, d.s.cache, d.key)
-	}
-	if err != nil {
-		return err
-	}
-	return d.streamSink.end(tr)
-}
-
-// emit streams the rows — as add/del ops against the predecessor when
-// there is one, settling the trailer's op counts, else whole.
-func (d *deltaSink) emit(tr *streamTrailer) error {
-	if d.prev == nil {
-		for _, row := range d.rows {
-			if err := d.streamSink.row(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, op := range delta.Diff(d.prev, d.rows) {
+	for _, op := range delta.Diff(d.prev.rows, d.rows.rows) {
 		ev := stream.EventDel
 		if op.Add {
 			ev = stream.EventAdd
@@ -490,5 +467,30 @@ func (d *deltaSink) emit(tr *streamTrailer) error {
 	}
 	d.s.deltaAdds.Add(uint64(tr.Adds))
 	d.s.deltaDels.Add(uint64(tr.Dels))
+	if !tr.Degraded {
+		tr.Base = baseToken(d.q)
+	}
+	return d.streamSink.end(tr)
+}
+
+// rowsSink keeps a plan's rows as data, and whether the plan degraded.
+type rowsSink struct {
+	rows     [][]byte
+	degraded bool
+}
+
+func (rs *rowsSink) begin(*streamHead) error { return nil }
+
+func (rs *rowsSink) row(r []byte) error {
+	rs.rows = append(rs.rows, append([]byte(nil), r...))
 	return nil
 }
+
+func (rs *rowsSink) progress(shardProgress) {}
+
+func (rs *rowsSink) end(tr *streamTrailer) error {
+	rs.degraded = tr.Degraded
+	return nil
+}
+
+func (rs *rowsSink) shed() bool { return false }

@@ -97,9 +97,7 @@ func TestStreamAllocGate(t *testing.T) {
 	// paths, so the comparison below is steady state, not cold buffers.
 	discardRequest(t, s, frontierBody, true)
 	discardRequest(t, s, walk20kBody, true)
-	s.cache.Reset()
 	discardRequest(t, s, walk20kBody, false)
-	s.cache.Reset()
 
 	// Claim 1: the streamed frontier walk of the 384k space allocates
 	// O(frontier). The absolute bound is generous against the ~100 MB a
@@ -117,9 +115,7 @@ func TestStreamAllocGate(t *testing.T) {
 	// common to both; the buffered path additionally holds every summary
 	// and the whole marshaled body (~2x at 20k rows, growing with the
 	// row count), the streamed path only one recycled chunk buffer.
-	s.cache.Reset()
 	streamed20k := allocBytes(func() { discardRequest(t, s, walk20kBody, true) })
-	s.cache.Reset()
 	buffered20k := allocBytes(func() { discardRequest(t, s, walk20kBody, false) })
 	t.Logf("20k-row walk: streamed %.2f MB, buffered %.2f MB (%.1fx)",
 		float64(streamed20k)/1e6, float64(buffered20k)/1e6, float64(buffered20k)/float64(streamed20k))
@@ -181,13 +177,12 @@ func TestStreamTTFPGate(t *testing.T) {
 	url := hs.URL + "/v1/enumerate-generic"
 	body := fullWalkBody
 
-	// Warm-up: compile tables, then evict results so every trial walks.
+	// Warm-up: compile tables.
 	ttfp(t, url, body, false, 0)
 
 	best := func(stream bool, lines int) time.Duration {
 		min := time.Duration(1<<63 - 1)
 		for trial := 0; trial < 3; trial++ {
-			s.cache.Reset()
 			if d := ttfp(t, url, body, stream, lines); d < min {
 				min = d
 			}
@@ -210,9 +205,6 @@ func benchGenericWalk(b *testing.B, body string, stream bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s.cache.Reset()
-		b.StartTimer()
 		discardRequest(b, s, body, stream)
 	}
 }
@@ -230,16 +222,26 @@ func BenchmarkStreamEnumerate20k(b *testing.B) { benchGenericWalk(b, walk20kBody
 func BenchmarkBufferedEnumerate20k(b *testing.B) { benchGenericWalk(b, walk20kBody, false) }
 
 // BenchmarkStreamDeltaReQuery: a delta re-query of an unchanged spec —
-// the steady state of a dashboard polling a frontier — walks the space
-// and ships zero ops.
+// the steady state of a dashboard polling a frontier — whose since base
+// is its own spec answers the frontier from the warm candidate set,
+// recomputes no base and ships zero ops.
 func BenchmarkStreamDeltaReQuery(b *testing.B) {
 	s := newTestServer(b, streamBenchOpts())
-	body := streamBenchBody + `,"frontier_only":true,"delta":true}`
-	discardRequest(b, s, body, true) // seeds the predecessor
+	spec := streamBenchBody + `,"frontier_only":true,"delta":true`
+	// The first stream warms the table and mints the base token.
+	first := parseNDJSON(b, postStream(b, s, "/v1/enumerate-generic", spec+"}", nil).Body.String())
+	if first.trailer == nil || first.trailer.Base == "" {
+		b.Fatalf("the seeding stream's trailer carries no base: %+v", first.trailer)
+	}
+	body := fmt.Sprintf(`%s,"since":%q}`, spec, first.trailer.Base)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		discardRequest(b, s, body, true)
+	}
+	b.StopTimer()
+	if hits := s.deltaHits.Value(); hits != uint64(b.N) {
+		b.Fatalf("%d of %d re-queries diffed against their base", hits, b.N)
 	}
 }
 

@@ -7,10 +7,12 @@ package server
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -396,96 +398,312 @@ func rowSet(rows []string) map[string]int {
 	return m
 }
 
+// frontierSet is the buffered frontier of spec (a generic body without
+// its closing brace) on s: the ground truth a delta client must hold.
+func frontierSet(t *testing.T, s *Server, spec string) map[string]int {
+	t.Helper()
+	buf := post(t, s, "/v1/enumerate-generic", spec+"}")
+	if buf.Code != http.StatusOK {
+		t.Fatalf("buffered ground truth: %d %s", buf.Code, buf.Body)
+	}
+	m := map[string]int{}
+	for _, p := range decodeBody[rawGenericResponse](t, buf).Points {
+		m[string(p)]++
+	}
+	return m
+}
+
+func sameRowSet(t *testing.T, what string, got, want map[string]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: client holds %d distinct rows, want %d", what, len(got), len(want))
+	}
+	for r, n := range want {
+		if got[r] != n {
+			t.Fatalf("%s: client frontier misses %s", what, r)
+		}
+	}
+}
+
+// deltaClient is one delta consumer: the rows it holds and the base
+// token naming them. It replays every delta onto the rows it holds, so
+// a del of a row it does not hold fails the test.
+type deltaClient struct {
+	t    *testing.T
+	s    *Server
+	held map[string]int
+	base string
+}
+
+// body is the delta request for spec (a generic body without its
+// closing brace), carrying the client's token when it has one.
+func (c *deltaClient) body(spec string) string {
+	if c.base == "" {
+		return spec + `,"delta":true}`
+	}
+	return fmt.Sprintf(`%s,"delta":true,"since":%q}`, spec, c.base)
+}
+
+// poll streams spec and applies the answer.
+func (c *deltaClient) poll(spec string) ndjsonStream {
+	c.t.Helper()
+	rr := postStream(c.t, c.s, "/v1/enumerate-generic", c.body(spec), nil)
+	if rr.Code != http.StatusOK {
+		c.t.Fatalf("delta poll: %d %s", rr.Code, rr.Body)
+	}
+	st := parseNDJSON(c.t, rr.Body.String())
+	c.apply(st)
+	return st
+}
+
+// apply replays a stream onto the held rows. Only a complete stream
+// replaces them: a degraded fleet partial is shown, not kept, and a
+// stream cut before its trailer never fully arrived.
+func (c *deltaClient) apply(st ndjsonStream) {
+	c.t.Helper()
+	if st.trailer == nil || st.trailer.Degraded {
+		return
+	}
+	if st.head.Mode == "full" {
+		if len(st.adds)+len(st.dels) != 0 {
+			c.t.Fatal("full-mode stream carried ops")
+		}
+		c.held = rowSet(st.rows)
+	} else {
+		if len(st.rows) != 0 {
+			c.t.Fatalf("delta stream carried %d bare rows", len(st.rows))
+		}
+		if st.trailer.Adds != len(st.adds) || st.trailer.Dels != len(st.dels) {
+			c.t.Fatalf("trailer op counts %+v vs %d adds / %d dels", st.trailer, len(st.adds), len(st.dels))
+		}
+		held := map[string]int{}
+		for r, n := range c.held {
+			held[r] = n
+		}
+		for _, d := range st.dels {
+			if held[d]--; held[d] < 0 {
+				c.t.Fatalf("delta deletes a row the client does not hold: %s", d)
+			}
+			if held[d] == 0 {
+				delete(held, d)
+			}
+		}
+		for _, a := range st.adds {
+			held[a]++
+		}
+		c.held = held
+	}
+	c.base = st.trailer.Base
+}
+
+// deltaSpec is the tri-cluster frontier spec with the A9 bound moved.
+func deltaSpec(maxA9 int) string {
+	return fmt.Sprintf(`{"workload":"ep","types":[
+		{"node":"arm-cortex-a9","max_nodes":%d,"needs_switch":true},
+		{"node":"arm-cortex-a15","max_nodes":2,"needs_switch":true},
+		{"node":"amd-opteron-k10","max_nodes":2}],
+		"frontier_only":true`, maxA9)
+}
+
 func TestStreamDeltaCycle(t *testing.T) {
 	s := newTestServer(t, Options{})
-	bodyFor := func(maxA9 int) string {
-		return fmt.Sprintf(`{"workload":"ep","types":[
-			{"node":"arm-cortex-a9","max_nodes":%d,"needs_switch":true},
-			{"node":"arm-cortex-a15","max_nodes":2,"needs_switch":true},
-			{"node":"amd-opteron-k10","max_nodes":2}],
-			"frontier_only":true,"delta":true}`, maxA9)
-	}
+	c := &deltaClient{t: t, s: s}
 
-	// First delta query: no predecessor, full mode.
-	st1 := parseNDJSON(t, postStream(t, s, "/v1/enumerate-generic", bodyFor(2), nil).Body.String())
+	// First delta query: no token, full mode, and a base naming the spec.
+	st1 := c.poll(deltaSpec(2))
 	if st1.head.Mode != "full" {
 		t.Fatalf("first delta stream mode = %q, want full", st1.head.Mode)
 	}
-	if len(st1.adds)+len(st1.dels) != 0 {
-		t.Fatal("full-mode stream carried ops")
+	_, digest := s.calib.Profile("ep")
+	token2 := fmt.Sprintf("ep@v1/%x/50000000/arm-cortex-a9:2:switch,arm-cortex-a15:2:switch,amd-opteron-k10:2", digest)
+	if c.base != token2 {
+		t.Fatalf("trailer base = %q, want %q", c.base, token2)
 	}
 
 	// Same spec, moved bounds: delta mode, ops replaying to the new
 	// frontier's exact multiset.
-	buf := post(t, s, "/v1/enumerate-generic", strings.Replace(bodyFor(3), `"delta":true`, `"delta":false`, 1))
-	if buf.Code != http.StatusOK {
-		t.Fatalf("buffered ground truth: %d %s", buf.Code, buf.Body)
-	}
-	want := decodeBody[rawGenericResponse](t, buf)
-
-	st2 := parseNDJSON(t, postStream(t, s, "/v1/enumerate-generic", bodyFor(3), nil).Body.String())
+	st2 := c.poll(deltaSpec(3))
 	if st2.head.Mode != "delta" {
 		t.Fatalf("second stream mode = %q, want delta", st2.head.Mode)
 	}
-	if len(st2.rows) != 0 {
-		t.Fatalf("delta stream carried %d bare rows", len(st2.rows))
+	if len(st2.adds)+len(st2.dels) == 0 {
+		t.Fatal("moving a bound shipped no ops")
 	}
-	if st2.trailer == nil || st2.trailer.Adds != len(st2.adds) || st2.trailer.Dels != len(st2.dels) {
-		t.Fatalf("trailer op counts %+v vs %d adds / %d dels", st2.trailer, len(st2.adds), len(st2.dels))
+	want := frontierSet(t, s, deltaSpec(3))
+	if st2.trailer.Returned != len(want) {
+		t.Fatalf("delta trailer returned %d, buffered %d", st2.trailer.Returned, len(want))
 	}
-	if st2.trailer.Returned != want.Returned {
-		t.Fatalf("delta trailer returned %d, buffered %d", st2.trailer.Returned, want.Returned)
-	}
-	got := rowSet(st1.rows)
-	for _, d := range st2.dels {
-		got[d]--
-		if got[d] < 0 {
-			t.Fatalf("delta deletes a row the client does not hold: %s", d)
-		}
-		if got[d] == 0 {
-			delete(got, d)
-		}
-	}
-	for _, a := range st2.adds {
-		got[a]++
-	}
-	wantSet := map[string]int{}
-	for _, p := range want.Points {
-		wantSet[string(p)]++
-	}
-	if len(got) != len(wantSet) {
-		t.Fatalf("replayed frontier has %d distinct rows, want %d", len(got), len(wantSet))
-	}
-	for r, n := range wantSet {
-		if got[r] != n {
-			t.Fatalf("replayed frontier misses %s", r)
-		}
+	sameRowSet(t, "delta re-query", c.held, want)
+
+	// An unchanged poll ships zero ops.
+	if st := c.poll(deltaSpec(3)); st.head.Mode != "delta" || len(st.adds)+len(st.dels) != 0 {
+		t.Fatalf("unchanged poll: mode %q with %d ops, want delta with none", st.head.Mode, len(st.adds)+len(st.dels))
 	}
 
-	// A profile bump retires the predecessor: next delta query is full.
+	// The SSE spelling takes the token as a query parameter.
+	q := url.Values{
+		"workload": {"ep"}, "types": {"arm-cortex-a9:2:switch,arm-cortex-a15:2:switch,amd-opteron-k10:2"},
+		"frontier_only": {"1"}, "delta": {"1"}, "since": {c.base},
+	}
+	sse := get(t, s, "/v1/enumerate-generic/stream?"+q.Encode())
+	if sse.Code != http.StatusOK || !strings.Contains(sse.Body.String(), `"mode":"delta"`) ||
+		!strings.Contains(sse.Body.String(), `"base":"`+token2+`"`) {
+		t.Fatalf("SSE delta with since: %d %s", sse.Code, sse.Body)
+	}
+
+	// A profile bump retires the token: the next poll is full.
 	if _, err := s.calib.Install("ep", "arm-cortex-a9", perturbedModel(t, "ep", "arm-cortex-a9", 1.25), "test"); err != nil {
 		t.Fatal(err)
 	}
-	st3 := parseNDJSON(t, postStream(t, s, "/v1/enumerate-generic", bodyFor(3), nil).Body.String())
-	if st3.head.Mode != "full" {
-		t.Fatalf("post-bump stream mode = %q, want full", st3.head.Mode)
+	if st := c.poll(deltaSpec(3)); st.head.Mode != "full" || !strings.HasPrefix(c.base, "ep@v2/") {
+		t.Fatalf("post-bump stream mode = %q, base %q; want full at v2", st.head.Mode, c.base)
 	}
+	sameRowSet(t, "post-bump full stream", c.held, frontierSet(t, s, deltaSpec(3)))
 
 	snap := s.reg.Snapshot()
-	if snap["heteromixd_delta_hits_total"] < 1 || snap["heteromixd_delta_misses_total"] < 2 {
-		t.Fatalf("delta counters: hits=%v misses=%v", snap["heteromixd_delta_hits_total"], snap["heteromixd_delta_misses_total"])
+	if snap["heteromixd_delta_hits_total"] != 3 || snap["heteromixd_delta_misses_total"] != 2 {
+		t.Fatalf("delta counters: hits=%v misses=%v, want 3/2", snap["heteromixd_delta_hits_total"], snap["heteromixd_delta_misses_total"])
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("delta streams left %d result-cache entries", n)
 	}
 }
 
-func TestStreamDeltaValidation(t *testing.T) {
+// TestStreamDeltaTwoClients: two clients on one reduced key (same types
+// and switch flags, other bounds) interleave their polls. Each delta is
+// against the frontier that client holds, never the other's.
+func TestStreamDeltaTwoClients(t *testing.T) {
 	s := newTestServer(t, Options{})
+	a := &deltaClient{t: t, s: s}
+	b := &deltaClient{t: t, s: s}
+	a.poll(deltaSpec(2))
+	if st := b.poll(deltaSpec(4)); st.head.Mode != "full" {
+		t.Fatalf("a first-time client got mode %q, want full", st.head.Mode)
+	}
+	sameRowSet(t, "client B", b.held, frontierSet(t, s, deltaSpec(4)))
+	a.poll(deltaSpec(3))
+	sameRowSet(t, "client A", a.held, frontierSet(t, s, deltaSpec(3)))
+	b.poll(deltaSpec(2))
+	sameRowSet(t, "client B again", b.held, frontierSet(t, s, deltaSpec(2)))
+	a.poll(deltaSpec(4))
+	sameRowSet(t, "client A again", a.held, frontierSet(t, s, deltaSpec(4)))
+}
+
+// TestStreamDeltaTokenNamesModels: a token names the models its
+// frontier was computed under, not only the per-process profile
+// version. Two servers bumped to v2 with other models answer each
+// other's tokens in full, both for the spec the token names and for
+// moved bounds; a server that installed the same model, as one
+// restarted and refit alike would, answers a delta.
+func TestStreamDeltaTokenNamesModels(t *testing.T) {
+	bumped := func(scale float64) *Server {
+		s := newTestServer(t, Options{})
+		if _, err := s.calib.Install("ep", "arm-cortex-a9", perturbedModel(t, "ep", "arm-cortex-a9", scale), "test"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, other, same := bumped(1.25), bumped(1.5), bumped(1.25)
+	held := &deltaClient{t: t, s: a}
+	held.poll(deltaSpec(2))
+	if !strings.HasPrefix(held.base, "ep@v2/") {
+		t.Fatalf("base %q, want one at v2", held.base)
+	}
+	for _, spec := range []string{deltaSpec(2), deltaSpec(3)} {
+		c := *held
+		c.s = other
+		if st := c.poll(spec); st.head.Mode != "full" {
+			t.Fatalf("another model's token answered mode %q, want full", st.head.Mode)
+		}
+		sameRowSet(t, "other models", c.held, frontierSet(t, other, spec))
+	}
+	c := *held
+	c.s = same
+	if st := c.poll(deltaSpec(3)); st.head.Mode != "delta" {
+		t.Fatalf("the same models' token answered mode %q, want delta", st.head.Mode)
+	}
+	sameRowSet(t, "same models", c.held, frontierSet(t, same, deltaSpec(3)))
+}
+
+// hangUpWriter is a client that hangs up once the head has arrived:
+// with one record per flush, every later write fails.
+type hangUpWriter struct {
+	discardFlusher
+	got    strings.Builder
+	writes int
+}
+
+func (w *hangUpWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes > 1 {
+		return 0, errors.New("client hung up")
+	}
+	return w.got.Write(p)
+}
+
+// TestStreamDeltaHangUpRepoll: a client that hangs up while a delta's
+// ops are being emitted holds only what it held before, and re-polls
+// with its old token. Its next delta must be against that frontier, not
+// the one the interrupted stream computed.
+func TestStreamDeltaHangUpRepoll(t *testing.T) {
+	s := newTestServer(t, Options{StreamFlushBytes: 1})
+	c := &deltaClient{t: t, s: s}
+	c.poll(deltaSpec(2))
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/enumerate-generic", strings.NewReader(c.body(deltaSpec(4))))
+	req.Header.Set("Accept", "application/x-ndjson")
+	w := &hangUpWriter{}
+	s.Handler().ServeHTTP(w, req)
+	cut := parseNDJSON(t, w.got.String())
+	if cut.head.Mode != "delta" || cut.trailer != nil || len(cut.adds)+len(cut.dels) != 0 {
+		t.Fatalf("the hung-up client received %q, want only a delta head", w.got.String())
+	}
+	c.apply(cut)
+	sameRowSet(t, "after the hang-up", c.held, frontierSet(t, s, deltaSpec(2)))
+
+	c.poll(deltaSpec(4))
+	sameRowSet(t, "re-poll", c.held, frontierSet(t, s, deltaSpec(4)))
+}
+
+// TestStreamDeltaValidation: delta misuse, and a since token that does
+// not parse or names a spec no request could make, are a 400 before the
+// first byte; a well-formed token of another workload, type list or
+// profile version answers a full stream.
+func TestStreamDeltaValidation(t *testing.T) {
+	spec := deltaSpec(2)
+	// The guard admits the request's pruned space and nothing larger.
+	guard := decodeBody[rawGenericResponse](t, post(t, newTestServer(t, Options{}), "/v1/enumerate-generic", spec+"}")).PrunedSize
+	s := newTestServer(t, Options{MaxGenericSpace: guard})
+	since := func(tok string) string { return fmt.Sprintf(`%s,"delta":true,"since":%q}`, spec, tok) }
+	_, digest := s.calib.Profile("ep")
+	v1 := fmt.Sprintf("ep@v1/%x/", digest)
+	const types = "/arm-cortex-a9:2:switch,arm-cortex-a15:2:switch,amd-opteron-k10:2"
 	cases := []struct {
 		name, body string
 		stream     bool
+		mode       string // "" wants a 400
 	}{
-		{"buffered delta", triBody + `,"frontier_only":true,"delta":true}`, false},
-		{"delta without frontier", triBody + `,"delta":true}`, true},
-		{"delta with shard slice", triBody + `,"frontier_only":true,"shard":"0/2","delta":true}`, true},
+		{"buffered delta", triBody + `,"frontier_only":true,"delta":true}`, false, ""},
+		{"delta without frontier", triBody + `,"delta":true}`, true, ""},
+		{"delta with shard slice", triBody + `,"frontier_only":true,"shard":"0/2","delta":true}`, true, ""},
+		{"buffered delta with since", since(v1 + "50000000" + types), false, ""},
+		{"since without delta", fmt.Sprintf(`%s,"since":%q}`, spec, v1+"50000000"+types), true, ""},
+		{"truncated token", since(v1 + "50000000"), true, ""},
+		{"token without digest", since("ep@v1/50000000" + types), true, ""},
+		{"non-numeric version", since("ep@vX/0/50000000" + types), true, ""},
+		{"non-hex digest", since("ep@v1/xyz/50000000" + types), true, ""},
+		{"NaN work", since(v1 + "NaN" + types), true, ""},
+		{"negative work", since(v1 + "-5" + types), true, ""},
+		{"overflowing work", since(v1 + "1e999" + types), true, ""},
+		{"bounds past max_nodes", since(v1 + "50000000/arm-cortex-a9:999:switch,arm-cortex-a15:2:switch,amd-opteron-k10:2"), true, ""},
+		{"space past the guard", since(v1 + "50000000/arm-cortex-a9:3:switch,arm-cortex-a15:2:switch,amd-opteron-k10:2"), true, ""},
+		{"retired version", since(fmt.Sprintf("ep@v7/%x/50000000", digest) + types), true, "full"},
+		{"other models", since(fmt.Sprintf("ep@v1/%x/50000000", digest+1) + types), true, "full"},
+		{"foreign workload", since(fmt.Sprintf("memcached@v1/%x/50000", digest) + types), true, "full"},
+		{"unknown node", since(v1 + "50000000/intel-xeon:2,arm-cortex-a15:2:switch,amd-opteron-k10:2"), true, "full"},
+		{"other switch flags", since(v1 + "50000000/arm-cortex-a9:2,arm-cortex-a15:2:switch,amd-opteron-k10:2"), true, "full"},
+		{"fewer types", since(v1 + "50000000/arm-cortex-a9:2:switch"), true, "full"},
+		{"other bounds", since(v1 + "50000000/arm-cortex-a9:1:switch,arm-cortex-a15:2:switch,amd-opteron-k10:2"), true, "delta"},
+		{"own spec", since(v1 + "50000000" + types), true, "delta"},
 	}
 	for _, tc := range cases {
 		var rr *httptest.ResponseRecorder
@@ -494,8 +712,17 @@ func TestStreamDeltaValidation(t *testing.T) {
 		} else {
 			rr = post(t, s, "/v1/enumerate-generic", tc.body)
 		}
-		if rr.Code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400: %s", tc.name, rr.Code, rr.Body)
+		if tc.mode == "" {
+			if rr.Code != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400: %s", tc.name, rr.Code, rr.Body)
+			}
+			continue
+		}
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, rr.Code, rr.Body)
+		}
+		if st := parseNDJSON(t, rr.Body.String()); st.head.Mode != tc.mode {
+			t.Errorf("%s: mode %q, want %q", tc.name, st.head.Mode, tc.mode)
 		}
 	}
 }
@@ -667,97 +894,40 @@ func TestStreamMetricsExposed(t *testing.T) {
 }
 
 // TestStreamFleetDeltaCycle pins the coordinator's streamed delta path:
-// predecessors come from complete merges only, so a degraded partial is
-// diffed but never becomes the baseline the next query diffs against.
+// the base frontier fans out like the request, so the coordinator walks
+// no points of its own; only complete merges carry a base token, so a
+// degraded partial never becomes the base the next query diffs against.
 func TestStreamFleetDeltaCycle(t *testing.T) {
 	// The kill pattern fails up to ~6 attempts per dead replica; a high
 	// breaker threshold keeps the coordinator's replica breakers closed,
 	// so the revived fleet answers the last step at once.
 	f := newFleet(t, 4, Options{DisableHedge: true, BreakerThreshold: 100}, Options{})
 	plain := newTestServer(t, Options{})
-	spec := func(maxA9 int) string {
-		return fmt.Sprintf(`{"workload":"ep","types":[
-			{"node":"arm-cortex-a9","max_nodes":%d,"needs_switch":true},
-			{"node":"arm-cortex-a15","max_nodes":2,"needs_switch":true},
-			{"node":"amd-opteron-k10","max_nodes":2}],
-			"frontier_only":true`, maxA9)
-	}
-	deltaQuery := func(maxA9, shards int) ndjsonStream {
-		t.Helper()
-		rr := postStream(t, f.coord, "/v1/enumerate-generic",
-			fmt.Sprintf(`%s,"shards":%d,"delta":true}`, spec(maxA9), shards), nil)
-		if rr.Code != http.StatusOK {
-			t.Fatalf("max_nodes %d, %d shards: %d %s", maxA9, shards, rr.Code, rr.Body)
-		}
-		return parseNDJSON(t, rr.Body.String())
-	}
-	frontierOf := func(maxA9 int) map[string]int {
-		t.Helper()
-		buf := post(t, plain, "/v1/enumerate-generic", spec(maxA9)+"}")
-		if buf.Code != http.StatusOK {
-			t.Fatalf("buffered ground truth: %d %s", buf.Code, buf.Body)
-		}
-		m := map[string]int{}
-		for _, p := range decodeBody[rawGenericResponse](t, buf).Points {
-			m[string(p)]++
-		}
-		return m
-	}
-	replay := func(held map[string]int, st ndjsonStream) map[string]int {
-		t.Helper()
-		got := map[string]int{}
-		for r, n := range held {
-			got[r] = n
-		}
-		for _, d := range st.dels {
-			got[d]--
-			if got[d] < 0 {
-				t.Fatalf("delta deletes a row the client does not hold: %s", d)
-			}
-			if got[d] == 0 {
-				delete(got, d)
-			}
-		}
-		for _, a := range st.adds {
-			got[a]++
-		}
-		return got
-	}
-	sameSet := func(what string, got, want map[string]int) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: replayed frontier has %d distinct rows, want %d", what, len(got), len(want))
-		}
-		for r, n := range want {
-			if got[r] != n {
-				t.Fatalf("%s: replayed frontier misses %s", what, r)
-			}
-		}
+	c := &deltaClient{t: t, s: f.coord}
+	sharded := func(maxA9, shards int) string {
+		return fmt.Sprintf(`%s,"shards":%d`, deltaSpec(maxA9), shards)
 	}
 
-	// 1. No predecessor yet: the first sharded delta stream is full.
-	st1 := deltaQuery(2, 4)
-	if st1.head.Mode != "full" || st1.head.Shards != 4 {
-		t.Fatalf("first stream head = %+v, want mode full over 4 shards", st1.head)
+	// 1. No token yet: the first sharded delta stream is full.
+	st1 := c.poll(sharded(2, 4))
+	if st1.head.Mode != "full" || st1.head.Shards != 4 || st1.trailer.Degraded || c.base == "" {
+		t.Fatalf("first stream head = %+v, trailer %+v; want mode full over 4 shards with a base", st1.head, st1.trailer)
 	}
-	if len(st1.adds)+len(st1.dels) != 0 || st1.trailer == nil || st1.trailer.Degraded {
-		t.Fatalf("first stream: %d ops, trailer %+v", len(st1.adds)+len(st1.dels), st1.trailer)
-	}
-	sameSet("full stream", rowSet(st1.rows), frontierOf(2))
+	sameRowSet(t, "full stream", c.held, frontierSet(t, plain, deltaSpec(2)))
 
 	// 2. Moved bounds: ops replay to the buffered unsharded frontier.
-	st2 := deltaQuery(3, 4)
-	if st2.head.Mode != "delta" || len(st2.rows) != 0 {
-		t.Fatalf("re-query head mode %q with %d bare rows, want delta with none", st2.head.Mode, len(st2.rows))
+	if st2 := c.poll(sharded(3, 4)); st2.head.Mode != "delta" || st2.trailer.Degraded {
+		t.Fatalf("re-query head %+v trailer %+v, want a complete delta", st2.head, st2.trailer)
 	}
-	if st2.trailer == nil || st2.trailer.Degraded ||
-		st2.trailer.Adds != len(st2.adds) || st2.trailer.Dels != len(st2.dels) {
-		t.Fatalf("re-query trailer %+v vs %d adds / %d dels", st2.trailer, len(st2.adds), len(st2.dels))
+	sameRowSet(t, "delta re-query", c.held, frontierSet(t, plain, deltaSpec(3)))
+	if n := f.coord.genericPoints.Value(); n != 0 {
+		t.Fatalf("the coordinator walked %d points of its own for a fleet delta", n)
 	}
-	complete := replay(rowSet(st1.rows), st2)
-	sameSet("delta re-query", complete, frontierOf(3))
+	complete := c.base
 
-	// 3. A partial merge is marked degraded and diffed, but not stored.
+	// 3. With shards down, the base fans out only in part, so the stream
+	// is full; its merge is marked degraded and carries no base: the
+	// client keeps the last complete merge and its token.
 	const shards = 8
 	alive, expectFailed := partialKillPlan(f, shards)
 	if alive < 0 {
@@ -768,23 +938,25 @@ func TestStreamFleetDeltaCycle(t *testing.T) {
 			f.chaos[i].Kill()
 		}
 	}
-	st3 := deltaQuery(4, shards)
+	st3 := c.poll(sharded(4, shards))
 	if st3.trailer == nil || !st3.trailer.Degraded ||
 		fmt.Sprint(st3.trailer.FailedShards) != fmt.Sprint(expectFailed) {
 		t.Fatalf("partial merge trailer = %+v, want degraded with failed_shards %v", st3.trailer, expectFailed)
 	}
-	if st3.head.Mode != "delta" {
-		t.Fatalf("partial merge head mode %q, want delta", st3.head.Mode)
+	if st3.head.Mode != "full" || st3.trailer.Base != "" || c.base != complete {
+		t.Fatalf("partial merge head mode %q, base %q; want full with no base", st3.head.Mode, st3.trailer.Base)
 	}
 
-	// 4. After the revive, the next query diffs against the last complete
-	// merge (bounds 3), not the partial one.
+	// 4. After the revive, the client's token makes the next query diff
+	// against the last complete merge (bounds 3), not the partial one.
 	for i := range f.chaos {
 		f.chaos[i].Revive()
 	}
-	st4 := deltaQuery(4, 4)
-	if st4.head.Mode != "delta" || st4.trailer == nil || st4.trailer.Degraded {
+	if st4 := c.poll(sharded(4, 4)); st4.head.Mode != "delta" || st4.trailer == nil || st4.trailer.Degraded {
 		t.Fatalf("post-revive head %+v trailer %+v", st4.head, st4.trailer)
 	}
-	sameSet("post-revive delta", replay(complete, st4), frontierOf(4))
+	sameRowSet(t, "post-revive delta", c.held, frontierSet(t, plain, deltaSpec(4)))
+	if n := f.coord.genericPoints.Value(); n != 0 {
+		t.Fatalf("the coordinator walked %d points of its own for a fleet delta", n)
+	}
 }

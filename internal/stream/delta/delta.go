@@ -6,8 +6,6 @@
 // the new frontier's row multiset exactly.
 package delta
 
-import "bytes"
-
 // Op is one frontier edit: Add reports whether Row entered (true) or
 // left (false) the frontier.
 type Op struct {
@@ -40,39 +38,4 @@ func Diff(prev, next [][]byte) []Op {
 		}
 	}
 	return ops
-}
-
-// Join packs rows into a single newline-delimited buffer for storage
-// in the result cache (whose byte accounting wants one []byte per
-// entry). Rows never contain raw newlines — the encoder escapes them —
-// so the framing is unambiguous.
-func Join(rows [][]byte) []byte {
-	n := 0
-	for _, r := range rows {
-		n += len(r) + 1
-	}
-	out := make([]byte, 0, n)
-	for _, r := range rows {
-		out = append(out, r...)
-		out = append(out, '\n')
-	}
-	return out
-}
-
-// Split is the inverse of Join. The returned rows alias joined.
-func Split(joined []byte) [][]byte {
-	if len(joined) == 0 {
-		return nil
-	}
-	var rows [][]byte
-	for len(joined) > 0 {
-		i := bytes.IndexByte(joined, '\n')
-		if i < 0 {
-			rows = append(rows, joined)
-			break
-		}
-		rows = append(rows, joined[:i])
-		joined = joined[i+1:]
-	}
-	return rows
 }

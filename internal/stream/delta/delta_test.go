@@ -121,26 +121,3 @@ func TestDiffRandomizedProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestJoinSplitRoundTrip(t *testing.T) {
-	cases := [][][]byte{
-		nil,
-		rows(`{"a":1}`),
-		rows(`{"a":1}`, `{"b":2}`, `{"c":3}`),
-		rows("", "x", ""),
-	}
-	for _, rs := range cases {
-		got := Split(Join(rs))
-		if len(got) != len(rs) {
-			t.Fatalf("Split(Join(%q)) = %q", rs, got)
-		}
-		for i := range rs {
-			if string(got[i]) != string(rs[i]) {
-				t.Fatalf("row %d: got %q want %q", i, got[i], rs[i])
-			}
-		}
-	}
-	if Split(nil) != nil {
-		t.Fatal("Split(nil) != nil")
-	}
-}
