@@ -46,22 +46,28 @@ perfbench:
 	done
 
 # Opt-in, not part of ci: alternating before/after pairs of the same
-# benchmark runs, e.g. `make perfbench-pair BASE=main PAIRS=3`. BASE is
-# exported with git archive into .bench_build/base; each pair runs BASE,
-# then this tree, on each workload at seed 1 for 30 s and prints both
-# result lines (full outputs in .bench_build/pair-<side>-<workload>-<n>.txt).
+# benchmark runs, e.g. `make perfbench-pair BASE=main PAIRS=3 SEED=2`.
+# BASE is exported with git archive into .bench_build/base; each pair
+# runs BASE and this tree on each workload at SEED (default 1) for 30 s,
+# odd pairs BASE first and even pairs this tree first, so neither side
+# always runs on a warmer machine, and prints both result lines (full
+# outputs in .bench_build/pair-<side>-<workload>-<n>.txt).
 BASE  ?= HEAD
 PAIRS ?= 3
+SEED  ?= 1
 perfbench-pair:
 	@rm -rf .bench_build/base && mkdir -p .bench_build/base
 	@git archive $(BASE) | tar -x -C .bench_build/base
 	@for i in $$(seq $(PAIRS)); do \
+		sides="base head"; [ $$((i % 2)) -eq 0 ] && sides="head base"; \
 		for w in predict_refit frontier_cold fleet_frontier; do \
-			base=.bench_build/pair-base-$$w-$$i.txt head=.bench_build/pair-head-$$w-$$i.txt; \
-			(cd .bench_build/base && bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0) > $$base 2>&1 || { cat $$base; exit 1; }; \
-			bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 > $$head 2>&1 || { cat $$head; exit 1; }; \
-			echo "pair $$i $$w base: $$(tail -n 1 $$base)"; \
-			echo "pair $$i $$w head: $$(tail -n 1 $$head)"; \
+			for side in $$sides; do \
+				out=.bench_build/pair-$$side-$$w-$$i.txt dir=.; \
+				[ $$side = base ] && dir=.bench_build/base; \
+				(cd $$dir && bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds 30 --trace 0) > $$out 2>&1 || { cat $$out; exit 1; }; \
+			done; \
+			echo "pair $$i $$w base: $$(tail -n 1 .bench_build/pair-base-$$w-$$i.txt)"; \
+			echo "pair $$i $$w head: $$(tail -n 1 .bench_build/pair-head-$$w-$$i.txt)"; \
 		done; \
 	done
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,30 @@ func (ci *candidateIndex) get(ctx context.Context, build func() (*candidateSet, 
 	return set, walked, nil
 }
 
+// install stores the set mk returns as the index's set, unless mk
+// finds none that answers, a set is already stored, or a build holds the
+// one-slot lock: it takes the lock without waiting, so an install racing
+// a first build (get) leaves the build to store its own set, and an
+// index stores one set at most. mk runs under the lock. It reports
+// whether it stored a set.
+func (ci *candidateIndex) install(mk func() *candidateSet) bool {
+	select {
+	case ci.lock <- struct{}{}:
+	default:
+		return false
+	}
+	defer func() { <-ci.lock }()
+	if ci.set.Load() != nil {
+		return false
+	}
+	set := mk()
+	if !set.ok {
+		return false
+	}
+	ci.set.Store(set)
+	return true
+}
+
 // candidate is one point under consideration: its position in its
 // order and its time and energy at w = 1.
 type candidate struct {
@@ -243,6 +268,70 @@ func (o *order) buildRangeCandidates(ctx context.Context, base uint64, n, worker
 	sort.Slice(set.idx, func(i, j int) bool { return set.idx[i] < set.idx[j] })
 	set.ok = true
 	return set, walked, nil
+}
+
+// foldCandidates folds positions of o through one candidateBuilder at
+// w = 1 into the candidate set of the union of the ranges they came
+// from. Given the candidate sets of ranges partitioning a space it is
+// the space's own set, the one buildRangeCandidates builds: a point
+// nothing in the space beats is in its range's set and nothing beats it
+// in the fold, and any other point is beaten by one that is, which
+// margin dominance being transitive is in its range's set too. Like a
+// build, the set is empty and not ok when w = 1 lies outside the guarded
+// range or the fold outgrows maxCandidates, and also when idx is empty
+// (a space always has a candidate) or a position lies outside o.
+// Repeated positions count once.
+func (o *order) foldCandidates(idx []uint64) *candidateSet {
+	set := &candidateSet{}
+	set.lo, set.hi = o.t.workRange(o.maxNodes)
+	if !(set.lo <= 1 && 1 <= set.hi) || len(idx) == 0 {
+		return set
+	}
+	var b candidateBuilder
+	c := o.newCursor()
+	for _, i := range idx {
+		if !c.start(i) {
+			return set
+		}
+		c.eval(1)
+		b.offer(candidate{idx: i, te: pareto.TE{Time: float64(c.p.Time), Energy: float64(c.p.Energy)}})
+		if b.over {
+			return set
+		}
+	}
+	set.idx = b.indices()
+	slices.Sort(set.idx)
+	set.idx, set.ok = slices.Compact(set.idx), true
+	return set
+}
+
+// InstallCandidates makes the table's whole-space candidate set from
+// idx, the union of the candidate sets of slices that partition the
+// space — what a fleet's replicas answer for their shards
+// (ShardCandidates) — folded at w = 1 on this table (foldCandidates),
+// so a fleet coordinator's later frontiers answer from the set without
+// a fan-out. It stores nothing when the fold does not answer (w = 1
+// outside the guarded range, over the cap, a position outside the
+// space), when the table already holds a set, or while a first
+// FrontierCounted builds one; the set is stored once either way. It
+// reports whether it stored the set, and does not modify idx.
+//
+// The positions are trusted: a slice answer that left out one of its
+// candidates would make the stored set, and every frontier the table
+// answers from it, miss that point.
+func (g *GenericTable) InstallCandidates(idx []uint64) bool {
+	if _, err := g.t.intSize(); err != nil {
+		return false
+	}
+	return g.cand.install(func() *candidateSet { return g.t.all.foldCandidates(idx) })
+}
+
+// CandidatesCover reports whether the table holds a whole-space
+// candidate set that answers a frontier at w: FrontierCounted's answer
+// at w then evaluates only the set, without a walk.
+func (g *GenericTable) CandidatesCover(w float64) bool {
+	set := g.cand.set.Load()
+	return set != nil && set.covers(w)
 }
 
 // subspace names the part of a table's space a slice set covers: for a

@@ -230,6 +230,6 @@ func (g *GenericTable) restoreCandidates(idx []uint64) error {
 	if !(set.lo <= 1 && 1 <= set.hi) {
 		return fmt.Errorf("cluster: dump holds candidates for a table whose guarded work range [%g, %g] excludes 1", set.lo, set.hi)
 	}
-	g.cand.set.Store(set)
+	g.cand.install(func() *candidateSet { return set })
 	return nil
 }

@@ -99,6 +99,40 @@ func (g *GenericTable) FrontierShardCounted(ctx context.Context, w float64, sh s
 	return g.frontierRange(ctx, w, lo, hi, 1)
 }
 
+// ShardCandidates answers slice sh's work-invariant candidate set in
+// place of its frontier: every candidate, evaluated for w work units, with
+// its serial index, ascending (TEs stay nil). At every w the set covers
+// it holds the slice's frontier, and every point it leaves out is
+// strictly dominated at w by one it keeps; the sets of a space's slices
+// fold into the table's whole-space set (InstallCandidates). The set is
+// the one FrontierShardCounted answers from, built by the slice's first
+// call to either. ok is false, and nothing is evaluated beyond a build,
+// when the set does not cover w (w outside the table's guarded range, a
+// set over its cap, a slice the slice budget does not admit): the caller
+// answers the frontier instead. An empty slice's set is empty and always
+// answers. evaluated counts the build, when this call ran it, and the
+// candidates.
+func (g *GenericTable) ShardCandidates(ctx context.Context, w float64, sh shard.Shard) (part ShardFrontier[GenericPoint], evaluated uint64, ok bool, err error) {
+	lo, hi, err := g.shardRange(w, sh)
+	if err != nil {
+		return part, 0, false, err
+	}
+	if err := ctx.Err(); err != nil {
+		return part, 0, false, err
+	}
+	n, err := materializable(hi - lo)
+	if err != nil {
+		return part, 0, false, err
+	}
+	set, evaluated, err := g.t.all.rangeSet(ctx, g.sliceIndex(lo, hi), lo, n, 1)
+	if err != nil || !set.covers(w) {
+		return part, evaluated, err == nil && n == 0, err
+	}
+	c := g.t.all.newCursor()
+	part = ShardFrontier[GenericPoint]{Points: c.points(set.idx, w), Indices: set.idx}
+	return part, evaluated + uint64(len(set.idx)), true, nil
+}
+
 // shardRange checks a shard query and returns the slice's serial range.
 func (g *GenericTable) shardRange(w float64, sh shard.Shard) (lo, hi uint64, err error) {
 	if err := g.check(w); err != nil {

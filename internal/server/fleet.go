@@ -3,18 +3,33 @@ package server
 // Fleet mode: scatter-gather enumeration and consistent-hash routing
 // across a replica set.
 //
-// A coordinator receives /v1/enumerate-generic with shards: n, rewrites
-// it into n shard requests ("shard": "i/n") pinned to the profile
-// version its own table was compiled under, fans them out across its
-// replica URLs, one attempt per replica under per-replica circuit
-// breakers, and takes only the survivors' serial indices from each
-// answer: checked against its own space, they are re-evaluated on its
-// own table by the merge the local chunked walk uses
-// (cluster.GenericTable.FrontierOfIndices). The merged body is thus
-// byte-identical to an unsharded walk of the same space. Neither the
-// merge nor a slice is cached, like every frontier-only answer: a
-// replica answers each slice from that slice's work-invariant candidate
-// set, which its compiled table keeps for every work size.
+// A coordinator receives /v1/enumerate-generic with shards: n. The fan-out
+// only builds: once its own table holds a whole-space candidate set that
+// covers the work, the request is answered locally from that set like an
+// unsharded frontier (heteromixd_fleet_local_answers_total), at every
+// work size and shard count, with no replica asked. Until then it
+// rewrites the request into n shard requests ("shard": "i/n",
+// "candidates": true) pinned to the profile version its own table was
+// compiled under, fans them out across its replica URLs, one attempt per
+// replica under per-replica circuit breakers, and takes only the serial
+// indices from each answer: the slice's work-invariant candidate set, or
+// its frontier where the set does not cover the work. Checked against
+// its own space, they are re-evaluated on its own table by the merge the
+// local chunked walk uses (cluster.GenericTable.FrontierOfIndices). The
+// merged body is thus byte-identical to an unsharded walk of the same
+// space. When every shard answered its candidate set, the coordinator
+// folds the sets into its table's whole-space set
+// (cluster.GenericTable.InstallCandidates); a degraded, partial or mixed
+// fan-out folds nothing. Neither an answer nor a slice is cached, like
+// every frontier-only answer.
+//
+// Trust: no number a replica computed reaches a response. A replica is
+// trusted for which of its slice's points survive: for one answer when
+// its indices are merged, and, once the sets are folded, for as long as
+// the coordinator keeps that table, since a candidate a replica left out
+// is never offered again. The range check and the profile-version pin
+// bound what a replica can claim; nothing checks that it sent every
+// candidate.
 //
 // Self-healing: each shard is assigned along the consistent-hash ring's
 // successor walk (shard.Ring.Successors), filtered by the health
@@ -275,21 +290,30 @@ func shardWalks(ring *shard.Ring, n int) [][]string {
 	return walks
 }
 
+// fanOut is a gathered fan-out: the serial indices the answered slices
+// kept, in shard order, the indices of shards that failed, whether any
+// surviving slice was itself served degraded, and whether every shard
+// answered its candidate set, so the survivors are the union of all the
+// slices' sets.
+type fanOut struct {
+	survivors  []uint64
+	failed     []int
+	degraded   bool
+	candidates bool
+}
+
 // fanOutGeneric scatters q's shard requests across the replica set —
-// each shard walking its candidate replicas with failover and hedging.
-// It returns the serial indices the answered slices kept, the indices
-// of shards that failed, and whether any surviving slice was itself
-// served degraded. onShard is invoked from each shard's goroutine as its
-// outcome settles (streamed coordinators emit progress records from it
-// — the callback must serialize itself); every callback has returned
-// before fanOutGeneric does.
-func (s *Server) fanOutGeneric(ctx context.Context, q *query, onShard func(shardProgress)) (survivors []uint64, failed []int, degraded bool, err error) {
+// each shard walking its candidate replicas with failover and hedging —
+// and gathers the answers. onShard is invoked from each shard's
+// goroutine as its outcome settles (streamed coordinators emit progress
+// records from it — the callback must serialize itself); every callback
+// has returned before fanOutGeneric does.
+func (s *Server) fanOutGeneric(ctx context.Context, q *query, onShard func(shardProgress)) (fo fanOut, err error) {
 	n := q.gen.Shards
 	cands := s.shardCandidates(n)
 	s.fleetFanouts.Inc()
 	type result struct {
-		idx []uint64
-		deg bool
+		a   shardAnswer
 		err error
 	}
 	results := make([]result, n)
@@ -298,25 +322,27 @@ func (s *Server) fanOutGeneric(ctx context.Context, q *query, onShard func(shard
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			idx, deg, err := s.shardRequestHedged(ctx, cands[i], q, i, n)
-			results[i] = result{idx: idx, deg: deg, err: err}
-			onShard(shardProgress{Shard: i, Points: len(idx), Failed: err != nil})
+			a, err := s.shardRequestHedged(ctx, cands[i], q, i, n)
+			results[i] = result{a: a, err: err}
+			onShard(shardProgress{Shard: i, Points: len(a.Indices), Failed: err != nil})
 		}(i)
 	}
 	wg.Wait()
+	fo.candidates = true
 	for i, res := range results {
 		if res.err != nil {
 			s.fleetShardErrors.Inc()
-			failed = append(failed, i)
+			fo.failed = append(fo.failed, i)
 			continue
 		}
-		degraded = degraded || res.deg
-		survivors = append(survivors, res.idx...)
+		fo.degraded = fo.degraded || res.a.Degraded
+		fo.candidates = fo.candidates && res.a.Candidates
+		fo.survivors = append(fo.survivors, res.a.Indices...)
 	}
-	if len(failed) == n {
-		return nil, failed, false, fmt.Errorf("%w: all %d shards failed", errFleetUnavailable, n)
+	if len(fo.failed) == n {
+		return fanOut{}, fmt.Errorf("%w: all %d shards failed", errFleetUnavailable, n)
 	}
-	return survivors, failed, degraded, nil
+	return fo, nil
 }
 
 // hedgeDelay is how long the coordinator waits on a shard's primary
@@ -349,13 +375,12 @@ func (s *Server) hedgeDelay() time.Duration {
 // loser's context is cancelled (a neutral outcome for its breaker).
 // The results channel is buffered to the attempt count so an abandoned
 // loser never blocks on send and no goroutine outlives its HTTP call.
-func (s *Server) shardRequestHedged(ctx context.Context, cands []string, q *query, i, n int) ([]uint64, bool, error) {
+func (s *Server) shardRequestHedged(ctx context.Context, cands []string, q *query, i, n int) (shardAnswer, error) {
 	if len(cands) == 0 {
-		return nil, false, fmt.Errorf("shard %d/%d: no routable replica", i, n)
+		return shardAnswer{}, fmt.Errorf("shard %d/%d: no routable replica", i, n)
 	}
 	type outcome struct {
-		idx    []uint64
-		deg    bool
+		a      shardAnswer
 		err    error
 		hedged bool
 	}
@@ -371,11 +396,11 @@ func (s *Server) shardRequestHedged(ctx context.Context, cands []string, q *quer
 		cancels = append(cancels, cancel)
 		go func() {
 			start := time.Now()
-			idx, deg, err := s.shardRequest(actx, target, q, i, n)
+			a, err := s.shardRequest(actx, target, q, i, n)
 			if err == nil {
 				s.fleetShardLatency.Observe(time.Since(start).Seconds())
 			}
-			results <- outcome{idx: idx, deg: deg, err: err, hedged: hedged}
+			results <- outcome{a: a, err: err, hedged: hedged}
 		}()
 	}
 	launch(cands[0], false)
@@ -400,7 +425,7 @@ func (s *Server) shardRequestHedged(ctx context.Context, cands []string, q *quer
 				if o.hedged {
 					s.fleetHedgeWins.Inc()
 				}
-				return o.idx, o.deg, nil
+				return o.a, nil
 			}
 			if firstErr == nil {
 				firstErr = o.err
@@ -416,7 +441,7 @@ func (s *Server) shardRequestHedged(ctx context.Context, cands []string, q *quer
 			}
 		}
 	}
-	return nil, false, firstErr
+	return shardAnswer{}, firstErr
 }
 
 // shardAnswer is what the coordinator reads of a shard answer; the
@@ -426,15 +451,18 @@ type shardAnswer struct {
 	Returned   int      `json:"returned"`
 	PrunedSize uint64   `json:"pruned_size"`
 	Indices    []uint64 `json:"indices"`
+	Candidates bool     `json:"candidates"`
 	Degraded   bool     `json:"degraded"`
 }
 
 // shardRequest asks one replica for slice i/n of q's space, through
-// that replica's breaker, and returns the serial indices the slice's
-// frontier kept.
-func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n int) (indices []uint64, degraded bool, err error) {
+// that replica's breaker, and returns its answer once checked: the
+// serial indices of the slice's candidate set, or of its frontier when
+// the set does not cover the work.
+func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n int) (a shardAnswer, err error) {
 	sub := *q.gen
 	sub.Shards = 0
+	sub.Candidates = true
 	// Shard sub-requests are buffered exchanges regardless of how the
 	// coordinator's own response is framed.
 	sub.Delta, sub.Since = false, ""
@@ -446,14 +474,13 @@ func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n
 	sub.ProfileVersion = q.version
 	body, err := json.Marshal(sub)
 	if err != nil {
-		return nil, false, err
+		return a, err
 	}
 	size := q.walker.gen.Size()
 	err = s.fleet.call(ctx, target, http.MethodPost, "/v1/enumerate-generic", body, maxFleetBody, func(status int, _ http.Header, b []byte) error {
 		if status != http.StatusOK {
 			return fmt.Errorf("shard %s: %s answered %d", sub.Shard, target, status)
 		}
-		var a shardAnswer
 		if err := json.Unmarshal(b, &a); err != nil {
 			return fmt.Errorf("shard %s: %s: %v", sub.Shard, target, err)
 		}
@@ -473,13 +500,12 @@ func (s *Server) shardRequest(ctx context.Context, target string, q *query, i, n
 					sub.Shard, target, idx, lo, hi, size)
 			}
 		}
-		indices, degraded = a.Indices, a.Degraded
 		return nil
 	})
 	if err != nil {
-		return nil, false, err
+		return shardAnswer{}, err
 	}
-	return indices, degraded, nil
+	return a, nil
 }
 
 // --- consistent-hash routing -----------------------------------------

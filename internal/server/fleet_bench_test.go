@@ -29,8 +29,10 @@ func fleetBenchBody(shards int) string {
 
 // chillFleet evicts every result-cache and table-cache entry across the
 // fleet so the next request walks the space again. The tables go too
-// because a table keeps its shard slices' candidate sets: with warm
-// tables a "cold" fan-out would answer from those sets, not walk.
+// because a table keeps its candidate sets: with warm tables a replica
+// would answer its slice from its set, not walk, and the coordinator
+// would answer from the set its last fan-out folded, without fanning
+// out.
 func chillFleet(f *testFleet) {
 	f.coord.cache.Reset()
 	f.coord.tables.Reset()

@@ -45,7 +45,8 @@ func fleetState(t *testing.T, s *Server, url string) fleethealth.State {
 // confirm the death (healthy → suspect → dead, observable in /metrics
 // and /healthz), the dead replica is excluded from candidate walks so
 // later fan-outs waste no attempts on it, and after revival the
-// hysteresis path (recovering → healthy) restores routing.
+// hysteresis path (recovering → healthy) restores routing. Each stage
+// asks a spec of its own (coldSpec), so each fans out.
 func TestFleetKillDetectExcludeRevive(t *testing.T) {
 	f := newFleet(t, 4, Options{}, Options{})
 	plain := newTestServer(t, Options{})
@@ -53,10 +54,11 @@ func TestFleetKillDetectExcludeRevive(t *testing.T) {
 	victim := f.primaryOf(t, 0)
 	victimURL := f.urls[victim]
 
-	check := func(stage string, work float64) {
+	check := func(stage string, k int) {
 		t.Helper()
-		want := post(t, plain, "/v1/enumerate-generic", unshardedWorkBody(work))
-		rr := post(t, f.coord, "/v1/enumerate-generic", fleetWorkBody(4, work))
+		fanouts := f.coord.fleetFanouts.Value()
+		want := post(t, plain, "/v1/enumerate-generic", coldBody(k))
+		rr := post(t, f.coord, "/v1/enumerate-generic", coldFleetBody(k, 4))
 		if rr.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", stage, rr.Code, rr.Body)
 		}
@@ -66,10 +68,13 @@ func TestFleetKillDetectExcludeRevive(t *testing.T) {
 		if rr.Body.String() != want.Body.String() {
 			t.Fatalf("%s: merge not bit-identical to unsharded", stage)
 		}
+		if f.coord.fleetFanouts.Value() != fanouts+1 {
+			t.Fatalf("%s: the coordinator did not fan out", stage)
+		}
 	}
 
 	// Baseline: everything healthy.
-	check("baseline", 6e7)
+	check("baseline", 0)
 	if got := replicaGauge(t, f.coord, victimURL); got != float64(fleethealth.Healthy) {
 		t.Fatalf("baseline gauge = %v, want healthy (0)", got)
 	}
@@ -77,7 +82,7 @@ func TestFleetKillDetectExcludeRevive(t *testing.T) {
 	// Kill. The very next fan-out still answers full and bit-identical —
 	// request-time failover, no probe needed.
 	f.chaos[victim].Kill()
-	check("killed, pre-probe", 6e7+1)
+	check("killed, pre-probe", 1)
 
 	// Probes confirm the death: suspect after 1 failure, dead after 3
 	// (the defaults), with the labeled gauge tracking each step.
@@ -119,7 +124,7 @@ func TestFleetKillDetectExcludeRevive(t *testing.T) {
 	// Once dead, the replica is excluded before a byte is sent: fan-outs
 	// stay full with no new failovers or hedges.
 	before := f.coord.reg.Snapshot()
-	check("probed dead", 6e7+2)
+	check("probed dead", 2)
 	after := f.coord.reg.Snapshot()
 	if d := after["heteromixd_fleet_failovers_total"] - before["heteromixd_fleet_failovers_total"]; d != 0 {
 		t.Errorf("probed-dead fan-out still failed over %v times", d)
@@ -139,7 +144,7 @@ func TestFleetKillDetectExcludeRevive(t *testing.T) {
 	if got := replicaGauge(t, f.coord, victimURL); got != float64(fleethealth.Healthy) {
 		t.Fatalf("gauge after revival = %v, want healthy (0)", got)
 	}
-	check("revived", 6e7+3)
+	check("revived", 3)
 
 	// The snapshot version moved on every transition.
 	if v := f.coord.FleetHealth().Version; v < 5 {
@@ -150,23 +155,19 @@ func TestFleetKillDetectExcludeRevive(t *testing.T) {
 // TestFleetKillReviveSoak keeps traffic flowing while replicas die and
 // come back: every 200 non-degraded answer must be bit-identical to the
 // unsharded ground truth, degraded partials must never be cached, and
-// the fleet must end the soak serving full merges again.
+// the fleet must end the soak serving full merges again. Each round
+// asks a spec of its own (coldSpec), so each fans out.
 func TestFleetKillReviveSoak(t *testing.T) {
 	f := newFleet(t, 4, Options{}, Options{})
 	plain := newTestServer(t, Options{})
 	ctx := context.Background()
 
-	truth := map[float64]string{}
-	wantBody := func(work float64) string {
-		if b, ok := truth[work]; ok {
-			return b
-		}
-		rr := post(t, plain, "/v1/enumerate-generic", unshardedWorkBody(work))
+	wantBody := func(k int) string {
+		rr := post(t, plain, "/v1/enumerate-generic", coldBody(k))
 		if rr.Code != http.StatusOK {
-			t.Fatalf("ground truth for work %g: %d", work, rr.Code)
+			t.Fatalf("ground truth for spec %d: %d", k, rr.Code)
 		}
-		truth[work] = rr.Body.String()
-		return truth[work]
+		return rr.Body.String()
 	}
 
 	sawFull, sawRecovered := false, false
@@ -189,8 +190,7 @@ func TestFleetKillReviveSoak(t *testing.T) {
 			sawRecovered = true
 		}
 
-		work := 7e7 + float64(round)
-		rr := post(t, f.coord, "/v1/enumerate-generic", fleetWorkBody(4, work))
+		rr := post(t, f.coord, "/v1/enumerate-generic", coldFleetBody(round, 4))
 		switch rr.Code {
 		case http.StatusOK:
 			if rr.Header().Get("X-Degraded") == "true" {
@@ -198,7 +198,7 @@ func TestFleetKillReviveSoak(t *testing.T) {
 				// failover bug, not an availability condition.
 				t.Fatalf("round %d: degraded with one dead replica: %s", round, rr.Body)
 			}
-			if rr.Body.String() != wantBody(work) {
+			if rr.Body.String() != wantBody(round) {
 				t.Fatalf("round %d: merge not bit-identical under churn", round)
 			}
 			sawFull = true
@@ -208,6 +208,9 @@ func TestFleetKillReviveSoak(t *testing.T) {
 	}
 	if !sawFull || !sawRecovered {
 		t.Fatalf("soak exercised too little: full=%v recovered=%v", sawFull, sawRecovered)
+	}
+	if n := f.coord.fleetFanouts.Value(); n != 24 {
+		t.Fatalf("%d fan-outs in 24 rounds, want one per round", n)
 	}
 	// The fleet ends the soak with every replica routable again.
 	f.chaos[deadSince].Revive()
@@ -247,7 +250,8 @@ func waitGoroutinesBelow(bound int, d time.Duration, coords ...*Server) int {
 // the hedge to the next candidate wins, the fan-out finishes far below
 // the stall, and the cancelled losers leak no goroutines. The same plan
 // with hedging disabled eats the full stall — the tail-latency win the
-// hedge exists for.
+// hedge exists for. Each coordinator asks a spec it has not folded, so
+// each fans out.
 func TestFleetHedgeRescuesSlowReplica(t *testing.T) {
 	const stall = 2 * time.Second
 	f := newFleet(t, 2, Options{}, Options{})
@@ -258,7 +262,7 @@ func TestFleetHedgeRescuesSlowReplica(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	start := time.Now()
-	rr := post(t, f.coord, "/v1/enumerate-generic", fleetWorkBody(2, 8e7))
+	rr := post(t, f.coord, "/v1/enumerate-generic", coldFleetBody(0, 2))
 	hedged := time.Since(start)
 	if rr.Code != http.StatusOK || rr.Header().Get("X-Degraded") == "true" {
 		t.Fatalf("hedged fan-out: %d degraded=%q %s", rr.Code, rr.Header().Get("X-Degraded"), rr.Body)
@@ -276,7 +280,7 @@ func TestFleetHedgeRescuesSlowReplica(t *testing.T) {
 
 	// Same stall, hedging off: the fan-out waits out the slow replica.
 	start = time.Now()
-	rn := post(t, noHedge, "/v1/enumerate-generic", fleetWorkBody(2, 8e7+1))
+	rn := post(t, noHedge, "/v1/enumerate-generic", coldFleetBody(1, 2))
 	unhedged := time.Since(start)
 	if rn.Code != http.StatusOK {
 		t.Fatalf("no-hedge fan-out: %d %s", rn.Code, rn.Body)

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"heteromix/internal/cluster"
 	"heteromix/internal/hwsim"
 	"heteromix/internal/resilience"
 	"heteromix/internal/shard"
@@ -88,9 +90,31 @@ func (f *testFleet) primaryOf(t testing.TB, i int) int {
 	return -1
 }
 
+// coldSpec is the tri-type frontier spec, without its closing brace, at
+// the k-th (0 to 25) of the node-bound triples of 1 to 3 nodes per type
+// other than triBody's 2/2/2, switch accounting on the ARM side. Once
+// one complete fan-out has folded a spec's candidate set, the
+// coordinator answers that spec locally at every work size, so a test
+// that must exercise the fan-out gives each round a spec of its own.
+func coldSpec(k int) string {
+	if k >= 13 {
+		k++ // skip 2/2/2
+	}
+	return fmt.Sprintf(`{"workload":"ep","types":[
+	{"node":"arm-cortex-a9","max_nodes":%d,"needs_switch":true},
+	{"node":"arm-cortex-a15","max_nodes":%d,"needs_switch":true},
+	{"node":"amd-opteron-k10","max_nodes":%d}],"frontier_only":true`, 1+k%3, 1+k/3%3, 1+k/9%3)
+}
+
+// coldFleetBody is coldSpec k fanned out over shards, and coldBody the
+// same spec unsharded: the bit-identical ground truth a plain server
+// answers.
+func coldFleetBody(k, shards int) string { return fmt.Sprintf(`%s,"shards":%d}`, coldSpec(k), shards) }
+
+func coldBody(k int) string { return coldSpec(k) + "}" }
+
 // fleetWorkBody renders the tri-type sharded request with an explicit
-// work size — distinct sizes take distinct cache keys, so every round
-// of a soak recomputes instead of hitting the previous round's merge.
+// work size.
 func fleetWorkBody(shards int, work float64) string {
 	return fmt.Sprintf(`%s,"work":%g,"shards":%d}`, fleetTri, work, shards)
 }
@@ -101,9 +125,12 @@ func unshardedWorkBody(work float64) string {
 	return fmt.Sprintf(`%s,"work":%g}`, fleetTri, work)
 }
 
-// TestFleetMergedBitIdenticalToUnsharded is the tentpole's serving-layer
-// acceptance: the coordinator's 4-shard scatter-gather answers the very
-// bytes a single unsharded server computes for the same space.
+// TestFleetMergedBitIdenticalToUnsharded is the serving-layer
+// acceptance of the fan-out: the coordinator's 4-shard scatter-gather
+// answers the very bytes a single unsharded server computes for the same
+// space. That fan-out folds the space's candidate set, so the 7-shard
+// repeat is a warm local answer: no fan-out, one local answer, and no
+// more points evaluated than the set holds.
 func TestFleetMergedBitIdenticalToUnsharded(t *testing.T) {
 	plain := newTestServer(t, Options{})
 	want := post(t, plain, "/v1/enumerate-generic", fleetTri+"}")
@@ -123,11 +150,62 @@ func TestFleetMergedBitIdenticalToUnsharded(t *testing.T) {
 		t.Fatalf("fleet merge is not byte-identical to the unsharded response\n fleet: %s\nsingle: %s",
 			got.Body, want.Body)
 	}
-	// 7 shards over 4 replicas: uneven assignment must merge identically
-	// too.
+	fanouts, points := f.coord.fleetFanouts.Value(), f.coord.genericPoints.Value()
 	got7 := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(7))
 	if got7.Code != http.StatusOK || got7.Body.String() != want.Body.String() {
-		t.Fatalf("7-shard merge differs: %d %s", got7.Code, got7.Body)
+		t.Fatalf("7-shard warm answer differs: %d %s", got7.Code, got7.Body)
+	}
+	if got7.Header().Get("X-Fleet-Shards") != "7" {
+		t.Errorf("warm X-Fleet-Shards = %q, want 7", got7.Header().Get("X-Fleet-Shards"))
+	}
+	if n := f.coord.fleetFanouts.Value(); n != fanouts {
+		t.Errorf("the warm repeat fanned out: fleet_fanouts_total %d -> %d", fanouts, n)
+	}
+	if n := f.coord.fleetLocalAnswers.Value(); n != 1 {
+		t.Errorf("fleet_local_answers_total = %d after one warm repeat, want 1", n)
+	}
+	set := candidateCount(t, fleetTri)
+	if d := f.coord.genericPoints.Value() - points; d == 0 || d > set {
+		t.Errorf("the warm repeat evaluated %d points, want 1 to the set's %d", d, set)
+	}
+}
+
+// TestShardCandidatesAnswer: a slice asked for its candidates answers
+// them, marked, as a superset of the slice's frontier, ascending and
+// inside the slice's range, with each candidate's point at the work;
+// candidates without a shard slice is a 400.
+func TestShardCandidatesAnswer(t *testing.T) {
+	s := newTestServer(t, Options{})
+	front := decodeBody[EnumerateGenericResponse](t,
+		post(t, s, "/v1/enumerate-generic", fmt.Sprintf(`%s,"shard":"1/3"}`, fleetTri)))
+	rr := post(t, s, "/v1/enumerate-generic", fmt.Sprintf(`%s,"shard":"1/3","candidates":true}`, fleetTri))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("candidates: %d %s", rr.Code, rr.Body)
+	}
+	cand := decodeBody[EnumerateGenericResponse](t, rr)
+	if !cand.Candidates || front.Candidates || cand.Shard != "1/3" {
+		t.Fatalf("candidates marker %t (slice frontier %t), shard %q", cand.Candidates, front.Candidates, cand.Shard)
+	}
+	if cand.Returned != len(cand.Indices) || len(cand.Points) != len(cand.Indices) || len(cand.Indices) < len(front.Indices) {
+		t.Fatalf("%d candidates (%d points, returned %d) for a %d-point slice frontier",
+			len(cand.Indices), len(cand.Points), cand.Returned, len(front.Indices))
+	}
+	lo, hi := shard.Shard{Index: 1, Count: 3}.Range(cand.PrunedSize)
+	at := map[uint64]cluster.GenericPointSummary{}
+	for i, idx := range cand.Indices {
+		if idx < lo || idx >= hi || i > 0 && idx <= cand.Indices[i-1] {
+			t.Fatalf("candidate %d (index %d) out of order or outside [%d, %d)", i, idx, lo, hi)
+		}
+		at[idx] = cand.Points[i]
+	}
+	for i, idx := range front.Indices {
+		p, ok := at[idx]
+		if !ok || !reflect.DeepEqual(p, front.Points[i]) {
+			t.Fatalf("frontier index %d: candidate point %+v (present %t), frontier %+v", idx, p, ok, front.Points[i])
+		}
+	}
+	if rr := post(t, s, "/v1/enumerate-generic", fleetTri+`,"candidates":true}`); rr.Code != http.StatusBadRequest {
+		t.Fatalf("candidates without shard: %d %s, want 400", rr.Code, rr.Body)
 	}
 }
 
@@ -137,8 +215,10 @@ func TestFleetMergedBitIdenticalToUnsharded(t *testing.T) {
 // a coordinator's merge. A repeat is computed again (X-Cache: miss on a
 // buffered answer; a stream carries no X-Cache) to the same bytes and
 // builds no table. A frontier's repeat evaluates only candidate sets,
-// fewer points than the pruned space holds; a generic limited walk's
-// repeat walks the same points again.
+// fewer points than the pruned space holds — a coordinator's repeat its
+// own set, folded from the replicas' by the first fan-out, with no
+// replica asked; a generic limited walk's repeat walks the same points
+// again.
 func TestFrontierAnswersNeverCached(t *testing.T) {
 	pruned := decodeBody[EnumerateGenericResponse](t,
 		post(t, newTestServer(t, Options{}), "/v1/enumerate-generic", fleetTri+"}")).PrunedSize
@@ -182,11 +262,8 @@ func TestFrontierAnswersNeverCached(t *testing.T) {
 			local(Options{DefaultShard: shard.Shard{Index: 1, Count: 2}}), false},
 		{"fleet merge", "/v1/enumerate-generic", fleetShardedBody(2), nil, "miss",
 			func(t *testing.T) (*Server, []*Server) {
-				// A hedge sends a slow shard to the replica that has not
-				// built that slice, which then builds it: no hedging, so
-				// each slice is built once, by its primary.
-				f := newFleet(t, 2, Options{DisableHedge: true}, Options{})
-				return f.coord, f.replicas
+				f := newFleet(t, 2, Options{}, Options{})
+				return f.coord, append([]*Server{f.coord}, f.replicas...)
 			}, false},
 	}
 	for _, tc := range cases {
@@ -284,12 +361,11 @@ func TestFleetShardFailoverServesFull(t *testing.T) {
 	f.backends[victim].Close()
 
 	for round := 0; round < 3; round++ {
-		work := 5e7 + float64(round) // fresh cache key every round
-		want := post(t, plain, "/v1/enumerate-generic", unshardedWorkBody(work))
+		want := post(t, plain, "/v1/enumerate-generic", coldBody(round))
 		if want.Code != http.StatusOK {
 			t.Fatalf("round %d unsharded: %d %s", round, want.Code, want.Body)
 		}
-		rr := post(t, f.coord, "/v1/enumerate-generic", fleetWorkBody(4, work))
+		rr := post(t, f.coord, "/v1/enumerate-generic", coldFleetBody(round, 4))
 		if rr.Code != http.StatusOK {
 			t.Fatalf("round %d: %d %s", round, rr.Code, rr.Body)
 		}
@@ -405,10 +481,13 @@ func partialKillPlan(f *testFleet, shards int) (alive int, expectFailed []int) {
 // whole candidate walk is down. The test computes, from the same ring
 // the coordinator uses, which shards have both top-2 candidates among
 // the killed replicas, and expects exactly those listed in
-// failed_shards — and the partial is never cached.
+// failed_shards — and the partial is never cached and folds no
+// candidate set: only the first complete fan-out after the revive does.
 func TestFleetPartialWhenFailoverExhausted(t *testing.T) {
 	const shards = 8
-	f := newFleet(t, 4, Options{DisableHedge: true}, Options{})
+	// A high breaker threshold keeps the dead replicas' breakers closed,
+	// so the revived fleet answers at once.
+	f := newFleet(t, 4, Options{DisableHedge: true, BreakerThreshold: 100}, Options{})
 
 	alive, expectFailed := partialKillPlan(f, shards)
 	if alive < 0 {
@@ -431,10 +510,35 @@ func TestFleetPartialWhenFailoverExhausted(t *testing.T) {
 	if !strings.Contains(rr.Body.String(), fmt.Sprintf(`"failed_shards":%s`, wantList)) {
 		t.Fatalf("failed_shards != %s in: %s", wantList, rr.Body)
 	}
-	// A degraded partial, like every frontier answer, was not cached.
+	// A degraded partial, like every frontier answer, was not cached, and
+	// it folded no candidate set: the repeat fans out and degrades again.
+	fanouts := f.coord.fleetFanouts.Value()
 	again := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(shards))
 	if again.Header().Get("X-Cache") == "hit" {
 		t.Fatal("degraded partial was served from cache")
+	}
+	if again.Header().Get("X-Degraded") != "true" || f.coord.fleetFanouts.Value() != fanouts+1 {
+		t.Fatalf("the repeat after a degraded partial: X-Degraded=%q, fan-outs %d -> %d; want a degraded fan-out",
+			again.Header().Get("X-Degraded"), fanouts, f.coord.fleetFanouts.Value())
+	}
+	// Revived, the next fan-out is complete and folds the set; the repeat
+	// after it is answered locally. Both are the unsharded bytes.
+	for i := range f.chaos {
+		f.chaos[i].Revive()
+	}
+	want := post(t, newTestServer(t, Options{}), "/v1/enumerate-generic", fleetTri+"}")
+	for _, local := range []uint64{0, 1} {
+		rr := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(shards))
+		if rr.Code != http.StatusOK || rr.Header().Get("X-Degraded") != "" || rr.Body.String() != want.Body.String() {
+			t.Fatalf("revived fleet: %d X-Degraded=%q, body differs from unsharded: %t",
+				rr.Code, rr.Header().Get("X-Degraded"), rr.Body.String() != want.Body.String())
+		}
+		if n := f.coord.fleetLocalAnswers.Value(); n != local {
+			t.Fatalf("fleet_local_answers_total = %d, want %d", n, local)
+		}
+	}
+	if n := f.coord.fleetFanouts.Value(); n != fanouts+2 {
+		t.Errorf("fan-outs %d -> %d; want the complete one only after the degraded repeat", fanouts, n)
 	}
 	if snap := f.coord.reg.Snapshot(); snap["heteromixd_fleet_shard_errors_total"] < float64(len(expectFailed)) {
 		t.Errorf("fleet_shard_errors_total = %v, want >= %d",
@@ -584,9 +688,11 @@ func TestFleetMergeTrustsOnlyReplicaIndices(t *testing.T) {
 // TestFleetSeededDifferential runs seeded random generic spaces — 2 to
 // 4 registry node types, bounds 0 to 3, random switch flags, workload
 // and work — through a 3-replica fleet at every shard count from 1 to
-// 7, and checks each merged body byte for byte against a plain server's
-// unsharded answer. Each shard count gets its own work size, so every
-// fan-out misses the coordinator's cache and merges afresh.
+// 7, and checks each answer byte for byte against a plain server's
+// unsharded answer: at each shard count a coordinator that has not seen
+// the spec fans out, merges and folds the slices' candidate sets, then
+// answers a repeat at another work size from the folded set, with no
+// fan-out.
 func TestFleetSeededDifferential(t *testing.T) {
 	plain := newTestServer(t, Options{})
 	f := newFleet(t, 3, Options{}, Options{})
@@ -605,20 +711,32 @@ func TestFleetSeededDifferential(t *testing.T) {
 			req.Types[0].MaxNodes = 1 // never an empty space
 		}
 		for shards := 1; shards <= 7; shards++ {
-			req.Work = math.Round(math.Pow(10, 4+5*rng.Float64()))
-			req.Shards = 0
-			unsharded, _ := json.Marshal(req)
-			req.Shards = shards
-			sharded, _ := json.Marshal(req)
-			want := post(t, plain, "/v1/enumerate-generic", string(unsharded))
-			got := post(t, f.coord, "/v1/enumerate-generic", string(sharded))
-			if want.Code != http.StatusOK || got.Code != http.StatusOK || got.Header().Get("X-Cache") != "miss" {
-				t.Fatalf("seed %d, %d shards: plain %d, fleet %d (X-Cache %q) %s\nrequest: %s",
-					seed, shards, want.Code, got.Code, got.Header().Get("X-Cache"), got.Body, sharded)
-			}
-			if got.Body.String() != want.Body.String() {
-				t.Fatalf("seed %d, %d shards: merge differs from the unsharded answer\nrequest: %s\n fleet: %s\nsingle: %s",
-					seed, shards, sharded, got.Body, want.Body)
+			coord := newTestServer(t, Options{Replicas: f.urls, ProbeInterval: time.Hour})
+			for _, cold := range []bool{true, false} {
+				req.Work = math.Round(math.Pow(10, 4+5*rng.Float64()))
+				req.Shards = 0
+				unsharded, _ := json.Marshal(req)
+				req.Shards = shards
+				sharded, _ := json.Marshal(req)
+				fanouts, local := coord.fleetFanouts.Value(), coord.fleetLocalAnswers.Value()
+				want := post(t, plain, "/v1/enumerate-generic", string(unsharded))
+				got := post(t, coord, "/v1/enumerate-generic", string(sharded))
+				if want.Code != http.StatusOK || got.Code != http.StatusOK || got.Header().Get("X-Cache") != "miss" {
+					t.Fatalf("seed %d, %d shards, cold %t: plain %d, fleet %d (X-Cache %q) %s\nrequest: %s",
+						seed, shards, cold, want.Code, got.Code, got.Header().Get("X-Cache"), got.Body, sharded)
+				}
+				if got.Body.String() != want.Body.String() {
+					t.Fatalf("seed %d, %d shards, cold %t: fleet answer differs from the unsharded one\nrequest: %s\n fleet: %s\nsingle: %s",
+						seed, shards, cold, sharded, got.Body, want.Body)
+				}
+				wantFanouts, wantLocal := fanouts+1, local
+				if !cold {
+					wantFanouts, wantLocal = fanouts, local+1
+				}
+				if f, l := coord.fleetFanouts.Value(), coord.fleetLocalAnswers.Value(); f != wantFanouts || l != wantLocal {
+					t.Fatalf("seed %d, %d shards, cold %t: fan-outs %d -> %d, local answers %d -> %d\nrequest: %s",
+						seed, shards, cold, fanouts, f, local, l, sharded)
+				}
 			}
 		}
 	}
@@ -784,7 +902,8 @@ func TestRouteFallsBackWhenOwnerDead(t *testing.T) {
 // TestFleetChaosSoak extends the chaos soak to the fan-out path:
 // replicas inject errors and panics under the coordinator while it
 // scatter-gathers, and the fleet keeps answering only 200/503/504 with
-// degraded partials where slices failed. Failover means a shard only
+// degraded partials where slices failed. Every round asks a spec of its
+// own, so none is answered from a set an earlier round folded. Failover means a shard only
 // degrades when BOTH its candidates fail in the same round, so the
 // injection probabilities sit well above the single-replica soak's.
 func TestFleetChaosSoak(t *testing.T) {
@@ -798,8 +917,8 @@ func TestFleetChaosSoak(t *testing.T) {
 	}
 	f := newFleet(t, 3, Options{BreakerThreshold: 200}, replicaOpts)
 	sawOK, sawDegraded := false, false
-	for round := 0; round < 30; round++ {
-		rr := post(t, f.coord, "/v1/enumerate-generic", fleetShardedBody(3))
+	for round := 0; round < 26; round++ {
+		rr := post(t, f.coord, "/v1/enumerate-generic", coldFleetBody(round, 3))
 		switch rr.Code {
 		case http.StatusOK:
 			sawOK = true
@@ -821,6 +940,9 @@ func TestFleetChaosSoak(t *testing.T) {
 	if !sawDegraded {
 		t.Error("no round served a degraded partial under 70% per-request faults")
 	}
+	if n := f.coord.fleetLocalAnswers.Value(); n != 0 {
+		t.Errorf("%d rounds were answered locally, want every round fanned out", n)
+	}
 	if hz := get(t, f.coord, "/healthz"); hz.Code != http.StatusOK {
 		t.Fatalf("coordinator unhealthy after soak: %d", hz.Code)
 	}
@@ -828,7 +950,8 @@ func TestFleetChaosSoak(t *testing.T) {
 
 // TestFleetReusesReplicaConnections pins the coordinator's replica
 // transport: once one fan-out has filled the idle pool, cold fan-outs
-// that put every shard on the same replica reuse those connections
+// (each round a spec of its own) that put every shard on the same
+// replica reuse those connections
 // instead of dialling, sub-requests ask for no gzip and answers come
 // back as plain JSON, and the merge stays byte-identical to the
 // unsharded answer.
@@ -872,20 +995,23 @@ func TestFleetReusesReplicaConnections(t *testing.T) {
 	if warm != 8 {
 		t.Fatalf("warm-up fan-out of 8 shards opened %d connections, want 8", warm)
 	}
-	for round := 0; round < 20; round++ {
+	const rounds = 20
+	for round := 0; round < rounds; round++ {
 		shards := 4 + 4*(round%2)
-		work := 2e7 + float64(round)
-		got := post(t, coord, "/v1/enumerate-generic", fleetWorkBody(shards, work))
+		got := post(t, coord, "/v1/enumerate-generic", coldFleetBody(round, shards))
 		if got.Code != http.StatusOK || got.Header().Get("X-Cache") != "miss" {
 			t.Fatalf("round %d: %d X-Cache=%q %s", round, got.Code, got.Header().Get("X-Cache"), got.Body)
 		}
-		want := post(t, plain, "/v1/enumerate-generic", unshardedWorkBody(work))
+		want := post(t, plain, "/v1/enumerate-generic", coldBody(round))
 		if got.Body.String() != want.Body.String() {
 			t.Fatalf("round %d: %d-shard merge is not byte-identical to the unsharded answer", round, shards)
 		}
 	}
+	if n := coord.fleetFanouts.Value(); n != rounds+1 {
+		t.Errorf("%d fan-outs, want the warm-up's and one per round (%d)", n, rounds+1)
+	}
 	if n := dials.Load() - warm; n != 0 {
-		t.Errorf("20 cold fan-outs opened %d new connections after warm-up, want 0", n)
+		t.Errorf("%d cold fan-outs opened %d new connections after warm-up, want 0", rounds, n)
 	}
 	if n := gzipAsks.Load(); n != 0 {
 		t.Errorf("%d sub-requests asked for gzip", n)

@@ -53,6 +53,14 @@ type EnumerateGenericRequest struct {
 	// Prune restricts each type to its (time, power) domination
 	// survivors before enumeration. Implied by FrontierOnly.
 	Prune bool `json:"prune,omitempty"`
+	// Candidates, with a shard slice, asks for the slice's
+	// work-invariant candidate set instead of its frontier: the answer's
+	// points and indices are then every candidate, evaluated at work, a
+	// superset of the slice frontier that every left-out point is
+	// strictly dominated by, and "candidates": true marks it. A slice
+	// whose set does not cover work answers its frontier, unmarked. A
+	// coordinator's shard requests set it, to fold the sets into its own.
+	Candidates bool `json:"candidates,omitempty"`
 	// Shard restricts this server's walk to slice "i/n": the serial
 	// indices [⌊i·N/n⌋, ⌊(i+1)·N/n⌋) of the N-point walked space (see
 	// internal/shard). Requires
@@ -109,6 +117,9 @@ type EnumerateGenericResponse struct {
 	// Points), which a coordinator merges on its own table.
 	Shard   string   `json:"shard,omitempty"`
 	Indices []uint64 `json:"indices,omitempty"`
+	// Candidates marks a shard answer whose points are the slice's
+	// candidate set, not its frontier (EnumerateGenericRequest.Candidates).
+	Candidates bool `json:"candidates,omitempty"`
 	// FailedShards lists the shard indices whose replicas failed when a
 	// coordinator served a degraded partial merge.
 	FailedShards []int `json:"failed_shards,omitempty"`
@@ -289,6 +300,8 @@ func (s *Server) genericQuery(req EnumerateGenericRequest) (*query, error) {
 			return nil, badRequestf("%v", err)
 		}
 		req.Shard = sh.String()
+	} else if req.Candidates {
+		return nil, badRequestf("candidates requires shard")
 	}
 	if req.Delta {
 		if !req.FrontierOnly {

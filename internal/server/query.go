@@ -35,7 +35,10 @@ const (
 	// slice — as the partial frontier, with indices, that a coordinator
 	// merges.
 	planShard
-	// planFleet fans shard requests out and merges their survivors here.
+	// planFleet answers the whole space's frontier like planFrontier once
+	// the table's candidate set covers the work; until then it fans shard
+	// requests out, merges their survivors here and folds the slices'
+	// candidate sets into the table's.
 	planFleet
 )
 
@@ -173,9 +176,10 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q *query, streame
 	s.serveBuffered(w, r, q)
 }
 
-// execute is the executor: it runs q's plan into sk, the fleet fan-out
-// directly (each replica has its own breaker) and every local plan
-// under the enumerate breaker. An error after a streamed client has
+// execute is the executor: it runs q's plan into sk, the fleet plan
+// directly (each replica has its own breaker, and a warm answer
+// evaluates only candidates) and every other plan under the enumerate
+// breaker. An error after a streamed client has
 // gone is dropped — abandonment is not a server failure and must not
 // feed the breaker — and one the caller's propagated deadline caused is
 // marked neutral for it.
@@ -196,26 +200,32 @@ func (s *Server) execute(ctx context.Context, q *query, sk sink) error {
 	return s.breaker.Do(run)
 }
 
-// runPlan emits head → rows → trailer for q's plan.
+// runPlan emits head → rows → trailer for q's plan. A fleet plan whose
+// table's candidate set covers the work is a local frontier, counted as
+// one; any other fans out.
 func (s *Server) runPlan(ctx context.Context, q *query, sk sink) error {
 	var tr streamTrailer
 	var walked uint64
 	var err error
 	wk := &q.walker
-	if q.plan == planFleet {
+	if q.plan == planFleet && !wk.gen.CandidatesCover(q.work) {
 		if err := sk.begin(&q.head); err != nil {
 			return err
 		}
-		survivors, failed, partial, err := s.fanOutGeneric(ctx, q, sk.progress)
+		fo, err := s.fanOutGeneric(ctx, q, sk.progress)
 		if err != nil {
 			return err
 		}
-		tr.FailedShards = failed
-		tr.Degraded = len(failed) > 0 || partial
-		// Replicas are trusted only for which points survived.
-		pts, _, err := wk.gen.FrontierOfIndices(q.work, survivors)
+		tr.FailedShards = fo.failed
+		tr.Degraded = len(fo.failed) > 0 || fo.degraded
+		// Replicas are trusted for which points survived and, when every
+		// slice answered its candidate set, for the table's set.
+		pts, _, err := wk.gen.FrontierOfIndices(q.work, fo.survivors)
 		if err != nil {
 			return err
+		}
+		if fo.candidates && !tr.Degraded {
+			wk.gen.InstallCandidates(fo.survivors)
 		}
 		tr.Returned = len(pts)
 		if err := wk.emitGeneric(pts, sk.row); err != nil {
@@ -239,8 +249,11 @@ func (s *Server) runPlan(ctx context.Context, q *query, sk sink) error {
 		}
 		switch q.plan {
 		case planShard:
-			walked, tr.Indices, err = wk.shardFrontier(ctx, q.work, q.shard, emit)
-		case planFrontier:
+			walked, tr.Indices, tr.Candidates, err = wk.shardFrontier(ctx, q.work, q.shard, q.gen.Candidates, emit)
+		case planFrontier, planFleet:
+			if q.plan == planFleet {
+				s.fleetLocalAnswers.Inc()
+			}
 			walked, err = wk.frontier(ctx, q.work, emit)
 		default:
 			walked, tr.Truncated, err = wk.limited(ctx, q.work, q.limit, emit)
@@ -354,13 +367,25 @@ func (wk *walker) frontier(ctx context.Context, work float64, emit func([]byte) 
 
 // shardFrontier emits the frontier of this server's slice of the
 // generic space; indices carries each point's serial index, the
-// coordinator's merge key.
-func (wk *walker) shardFrontier(ctx context.Context, work float64, sh shard.Shard, emit func([]byte) error) (walked uint64, indices []uint64, err error) {
-	part, walked, err := wk.gen.FrontierShardCounted(ctx, work, sh)
-	if err != nil {
-		return 0, nil, err
+// coordinator's merge key. With candidates asked it emits the slice's
+// candidate set instead when the set covers work, and cand reports that
+// it did.
+func (wk *walker) shardFrontier(ctx context.Context, work float64, sh shard.Shard, candidates bool, emit func([]byte) error) (walked uint64, indices []uint64, cand bool, err error) {
+	if candidates {
+		part, built, ok, err := wk.gen.ShardCandidates(ctx, work, sh)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if ok {
+			return built, part.Indices, true, wk.emitGeneric(part.Points, emit)
+		}
+		walked = built
 	}
-	return walked, part.Indices, wk.emitGeneric(part.Points, emit)
+	part, n, err := wk.gen.FrontierShardCounted(ctx, work, sh)
+	if err != nil {
+		return 0, nil, false, err
+	}
+	return walked + n, part.Indices, false, wk.emitGeneric(part.Points, emit)
 }
 
 // emitGeneric encodes and emits generic frontier points.

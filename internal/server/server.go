@@ -281,6 +281,7 @@ type Server struct {
 	breakerState      *metrics.Gauge
 	breakerOpens      *metrics.Counter
 	fleetFanouts      *metrics.Counter
+	fleetLocalAnswers *metrics.Counter
 	fleetShardErrors  *metrics.Counter
 	fleetBreakerOpens *metrics.Counter
 	fleetHedges       *metrics.Counter
@@ -602,6 +603,8 @@ func (s *Server) registerMetrics() {
 		"times the enumerate circuit breaker tripped open")
 	s.fleetFanouts = r.NewCounter("heteromixd_fleet_fanouts_total",
 		"coordinator scatter-gather fan-outs issued")
+	s.fleetLocalAnswers = r.NewCounter("heteromixd_fleet_local_answers_total",
+		"sharded frontiers the coordinator answered from its own candidate set, without a fan-out")
 	s.fleetShardErrors = r.NewCounter("heteromixd_fleet_shard_errors_total",
 		"shard requests that failed within a fan-out")
 	s.fleetBreakerOpens = r.NewCounter("heteromixd_fleet_breaker_opens_total",

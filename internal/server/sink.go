@@ -39,8 +39,10 @@ import (
 // sink receives one executed plan: begin once with the complete head,
 // row per encoded point (the bytes are only valid during the call), end
 // once with the trailer. progress carries a fleet fan-out's per-shard
-// completions and may be called from several goroutines. shed reports
-// a streamed client that has gone away.
+// completions and may be called from several goroutines; a coordinator
+// that answers from its own candidate set fans out nothing, so that
+// stream carries no progress records at all. shed reports a streamed
+// client that has gone away.
 type sink interface {
 	begin(h *streamHead) error
 	row(r []byte) error
@@ -62,7 +64,8 @@ type streamHead struct {
 	// Mode is set on delta-requested streams: "delta" when ops against
 	// the since base follow, "full" when whole rows do (no since, or a
 	// base of another workload, type list, profile version or model
-	// digest, or a fleet base fanned out only in part).
+	// digest, or a fleet base fanned out only in part; a base the
+	// coordinator has folded is answered locally and is never partial).
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -72,6 +75,7 @@ type streamTrailer struct {
 	Returned     int      `json:"returned"`
 	Truncated    bool     `json:"truncated,omitempty"`
 	Degraded     bool     `json:"degraded,omitempty"`
+	Candidates   bool     `json:"candidates,omitempty"`
 	FailedShards []int    `json:"failed_shards,omitempty"`
 	Indices      []uint64 `json:"indices,omitempty"`
 	Adds         int      `json:"adds,omitempty"`
@@ -82,7 +86,8 @@ type streamTrailer struct {
 
 // shardProgress is the fleet coordinator's per-shard completion record,
 // emitted as each sub-frontier lands so a live consumer can watch the
-// gather advance.
+// gather advance. Only a fan-out emits them: a warm coordinator's answer
+// (runPlan) has none.
 type shardProgress struct {
 	Shard  int  `json:"shard"`
 	Points int  `json:"points"`
@@ -214,6 +219,9 @@ func (b *bufferedSink) end(tr *streamTrailer) error {
 			e = strconv.AppendUint(e, idx, 10)
 		}
 		e = append(e, ']')
+	}
+	if tr.Candidates {
+		e = append(e, `,"candidates":true`...)
 	}
 	if len(tr.FailedShards) != 0 {
 		e = append(e, `,"failed_shards":[`...)

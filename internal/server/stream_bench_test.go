@@ -19,11 +19,13 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -257,9 +259,24 @@ func gzipBenchBody() []byte {
 	return buf.Bytes()
 }
 
+// gzipPooledBody is BenchmarkGzipPooledWriter's body, built once: the
+// ~2 MB of garbage building it leaves sets off a GC inside most timed
+// loops, and after a GC the pool's next Put allocates its per-P slots
+// again.
+var gzipPooledBody = sync.OnceValue(gzipBenchBody)
+
 func BenchmarkGzipPooledWriter(b *testing.B) {
-	body := gzipBenchBody()
+	body := gzipPooledBody()
 	b.SetBytes(int64(len(body)))
+	// One untimed response leaves a writer with its deflate state in the
+	// pool, as a daemon's first gzipped response does. Without it the
+	// GCs since the previous run's Put have emptied the pool (a GC moves
+	// a pool's objects to its victim cache, the next drops them), and
+	// the first timed iteration builds a new writer.
+	zw := gzipGet(io.Discard)
+	zw.Write(body)
+	zw.Close()
+	gzipPut(zw)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

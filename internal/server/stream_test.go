@@ -252,19 +252,23 @@ func TestStreamShardSliceMatchesBuffered(t *testing.T) {
 	}
 }
 
+// TestStreamFleetMatchesBuffered: a streamed fan-out emits one progress
+// record per shard and the rows a buffered answer carries; once that
+// fan-out has folded the spec's candidate set, the buffered answer and a
+// streamed repeat come from the coordinator's own set, and the repeat
+// emits no progress records.
 func TestStreamFleetMatchesBuffered(t *testing.T) {
 	f := newFleet(t, 3, Options{}, Options{})
 	body := fleetShardedBody(3)
+	rr := postStream(t, f.coord, "/v1/enumerate-generic", body, nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("streamed fleet: %d %s", rr.Code, rr.Body)
+	}
 	buf := post(t, f.coord, "/v1/enumerate-generic", body)
 	if buf.Code != http.StatusOK {
 		t.Fatalf("buffered fleet: %d %s", buf.Code, buf.Body)
 	}
 	want := decodeBody[rawGenericResponse](t, buf)
-
-	rr := postStream(t, f.coord, "/v1/enumerate-generic", body, nil)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("streamed fleet: %d %s", rr.Code, rr.Body)
-	}
 	st := parseNDJSON(t, rr.Body.String())
 	sameRows(t, "fleet merge", st.rows, want.Points)
 	if st.head.Shards != 3 {
@@ -285,6 +289,15 @@ func TestStreamFleetMatchesBuffered(t *testing.T) {
 	}
 	if st.trailer == nil || st.trailer.Degraded || st.trailer.Returned != want.Returned {
 		t.Fatalf("trailer = %+v", st.trailer)
+	}
+
+	warm := parseNDJSON(t, postStream(t, f.coord, "/v1/enumerate-generic", body, nil).Body.String())
+	sameRows(t, "warm repeat", warm.rows, want.Points)
+	if len(warm.progress) != 0 || warm.head.Shards != 3 || warm.trailer == nil || warm.trailer.Returned != want.Returned {
+		t.Fatalf("warm repeat: head %+v, %d progress records, trailer %+v; want no progress", warm.head, len(warm.progress), warm.trailer)
+	}
+	if fo, local := f.coord.fleetFanouts.Value(), f.coord.fleetLocalAnswers.Value(); fo != 1 || local != 2 {
+		t.Fatalf("%d fan-outs and %d local answers, want 1 and 2", fo, local)
 	}
 }
 
@@ -893,10 +906,26 @@ func TestStreamMetricsExposed(t *testing.T) {
 	}
 }
 
+// candidateCount is the size of spec's candidate set on a fresh plain
+// server: what a repeat of its frontier evaluates there.
+func candidateCount(t *testing.T, spec string) uint64 {
+	t.Helper()
+	s := newTestServer(t, Options{})
+	frontierSet(t, s, spec)
+	before := s.genericPoints.Value()
+	frontierSet(t, s, spec)
+	n := s.genericPoints.Value() - before
+	if n == 0 {
+		t.Fatal("a repeat frontier evaluated no points")
+	}
+	return n
+}
+
 // TestStreamFleetDeltaCycle pins the coordinator's streamed delta path:
-// the base frontier fans out like the request, so the coordinator walks
-// no points of its own; only complete merges carry a base token, so a
-// degraded partial never becomes the base the next query diffs against.
+// a base the coordinator has folded is answered from its own candidate
+// set, with no fan-out for it, so the coordinator evaluates only
+// candidates and never walks; only complete merges carry a base token, so
+// a degraded partial never becomes the base the next query diffs against.
 func TestStreamFleetDeltaCycle(t *testing.T) {
 	// The kill pattern fails up to ~6 attempts per dead replica; a high
 	// breaker threshold keeps the coordinator's replica breakers closed,
@@ -907,27 +936,56 @@ func TestStreamFleetDeltaCycle(t *testing.T) {
 	sharded := func(maxA9, shards int) string {
 		return fmt.Sprintf(`%s,"shards":%d`, deltaSpec(maxA9), shards)
 	}
+	// step polls spec and checks that it fanned out once, for the spec
+	// itself, and answered its base, if any, from the coordinator's set.
+	step := func(name, spec string, localBase bool) ndjsonStream {
+		t.Helper()
+		fanouts, local := f.coord.fleetFanouts.Value(), f.coord.fleetLocalAnswers.Value()
+		st := c.poll(spec)
+		wantLocal := local
+		if localBase {
+			wantLocal++
+		}
+		if fo, l := f.coord.fleetFanouts.Value(), f.coord.fleetLocalAnswers.Value(); fo != fanouts+1 || l != wantLocal {
+			t.Fatalf("%s: fan-outs %d -> %d, local answers %d -> %d; want one fan-out and %d local answers",
+				name, fanouts, fo, local, l, wantLocal-local)
+		}
+		return st
+	}
+	// walked is what the coordinator has evaluated so far, and evaluated
+	// what it may have: the candidate sets of the bases it answered.
+	var evaluated uint64
+	walked := func(name string) {
+		t.Helper()
+		if n := f.coord.genericPoints.Value(); n != evaluated {
+			t.Fatalf("%s: the coordinator evaluated %d points, want %d (its bases' candidate sets only)", name, n, evaluated)
+		}
+	}
 
 	// 1. No token yet: the first sharded delta stream is full.
-	st1 := c.poll(sharded(2, 4))
+	st1 := step("first stream", sharded(2, 4), false)
 	if st1.head.Mode != "full" || st1.head.Shards != 4 || st1.trailer.Degraded || c.base == "" {
 		t.Fatalf("first stream head = %+v, trailer %+v; want mode full over 4 shards with a base", st1.head, st1.trailer)
 	}
 	sameRowSet(t, "full stream", c.held, frontierSet(t, plain, deltaSpec(2)))
+	walked("first stream")
 
-	// 2. Moved bounds: ops replay to the buffered unsharded frontier.
-	if st2 := c.poll(sharded(3, 4)); st2.head.Mode != "delta" || st2.trailer.Degraded {
+	// 2. Moved bounds: the base (bounds 2) was folded by step 1, so only
+	// the new spec fans out, and ops replay to the buffered unsharded
+	// frontier.
+	if st2 := step("re-query", sharded(3, 4), true); st2.head.Mode != "delta" || st2.trailer.Degraded {
 		t.Fatalf("re-query head %+v trailer %+v, want a complete delta", st2.head, st2.trailer)
 	}
 	sameRowSet(t, "delta re-query", c.held, frontierSet(t, plain, deltaSpec(3)))
-	if n := f.coord.genericPoints.Value(); n != 0 {
-		t.Fatalf("the coordinator walked %d points of its own for a fleet delta", n)
-	}
+	evaluated += candidateCount(t, deltaSpec(2))
+	walked("re-query")
 	complete := c.base
 
-	// 3. With shards down, the base fans out only in part, so the stream
-	// is full; its merge is marked degraded and carries no base: the
-	// client keeps the last complete merge and its token.
+	// 3. With shards down, the base (bounds 3, folded by step 2) is still
+	// answered locally, so the stream is a delta; the new spec fans out
+	// only in part, so its merge is marked degraded and carries no base:
+	// the client shows it without keeping it, and keeps the last complete
+	// merge and its token.
 	const shards = 8
 	alive, expectFailed := partialKillPlan(f, shards)
 	if alive < 0 {
@@ -938,25 +996,27 @@ func TestStreamFleetDeltaCycle(t *testing.T) {
 			f.chaos[i].Kill()
 		}
 	}
-	st3 := c.poll(sharded(4, shards))
+	st3 := step("partial merge", sharded(4, shards), true)
 	if st3.trailer == nil || !st3.trailer.Degraded ||
 		fmt.Sprint(st3.trailer.FailedShards) != fmt.Sprint(expectFailed) {
 		t.Fatalf("partial merge trailer = %+v, want degraded with failed_shards %v", st3.trailer, expectFailed)
 	}
-	if st3.head.Mode != "full" || st3.trailer.Base != "" || c.base != complete {
-		t.Fatalf("partial merge head mode %q, base %q; want full with no base", st3.head.Mode, st3.trailer.Base)
+	if st3.head.Mode != "delta" || st3.trailer.Base != "" || c.base != complete {
+		t.Fatalf("partial merge head mode %q, base %q; want delta with no base", st3.head.Mode, st3.trailer.Base)
 	}
+	evaluated += candidateCount(t, deltaSpec(3))
+	walked("partial merge")
 
 	// 4. After the revive, the client's token makes the next query diff
-	// against the last complete merge (bounds 3), not the partial one.
+	// against the last complete merge (bounds 3), not the partial one;
+	// the partial folded nothing, so bounds 4 fans out again.
 	for i := range f.chaos {
 		f.chaos[i].Revive()
 	}
-	if st4 := c.poll(sharded(4, 4)); st4.head.Mode != "delta" || st4.trailer == nil || st4.trailer.Degraded {
+	if st4 := step("post-revive", sharded(4, 4), true); st4.head.Mode != "delta" || st4.trailer == nil || st4.trailer.Degraded {
 		t.Fatalf("post-revive head %+v trailer %+v", st4.head, st4.trailer)
 	}
 	sameRowSet(t, "post-revive delta", c.held, frontierSet(t, plain, deltaSpec(4)))
-	if n := f.coord.genericPoints.Value(); n != 0 {
-		t.Fatalf("the coordinator walked %d points of its own for a fleet delta", n)
-	}
+	evaluated += candidateCount(t, deltaSpec(3))
+	walked("post-revive")
 }

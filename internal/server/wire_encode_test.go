@@ -40,7 +40,7 @@ func bufferGeneric(ctx context.Context, resp *EnumerateGenericResponse) ([]byte,
 		}
 	}
 	bs.end(&streamTrailer{Returned: resp.Returned, Truncated: resp.Truncated, Degraded: resp.Degraded,
-		FailedShards: resp.FailedShards, Indices: resp.Indices})
+		FailedShards: resp.FailedShards, Indices: resp.Indices, Candidates: resp.Candidates})
 	return bs.body, nil
 }
 
@@ -86,6 +86,7 @@ func randGenericResp(rng *rand.Rand) EnumerateGenericResponse {
 		Truncated:    rng.Intn(2) == 0,
 		FrontierOnly: rng.Intn(2) == 0,
 		Degraded:     rng.Intn(3) == 0,
+		Candidates:   rng.Intn(3) == 0,
 	}
 	if rng.Intn(4) > 0 {
 		resp.TypeNames = []string{"arm-cortex-a9", "amd-opteron-k10"}
